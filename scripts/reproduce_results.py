@@ -8,10 +8,9 @@ mismatch counts.  Mismatch counts greater than zero flag places where a
 published per-entry value is only an upper bound (or plain wrong); the
 uniformity column is the headline claim.
 
-Usage: python scripts/reproduce_results.py [--jobs N]
+Usage: python scripts/reproduce_results.py
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -38,22 +37,19 @@ def line(report):
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--jobs", type=int, default=1)
-    args = ap.parse_args()
     t0 = time.time()
 
     print("x^(2^m+3) family:")
     for m in (3, 4, 5):
-        line(verify_fbct_2m3(m, jobs=args.jobs))
+        line(verify_fbct_2m3(m))
 
     print("x^(2^m+5) family:")
     for m in (3, 4, 5):
-        line(verify_fbct_2m5(m, jobs=args.jobs))
+        line(verify_fbct_2m5(m))
 
     print("x^(p^k+1) family (vanishing condition):")
     for p, k, n in ((3, 1, 2), (3, 1, 3), (3, 2, 4), (5, 1, 2), (5, 1, 3), (7, 1, 2)):
-        rep = verify_sozd_pk1(p, k, n, jobs=args.jobs)
+        rep = verify_sozd_pk1(p, k, n)
         line(rep)
         print(
             f"      stated-condition discrepancies: "
@@ -62,10 +58,10 @@ def main():
 
     print("DDT of x^4 over F_3^n:")
     for n in (1, 2, 3, 4, 5):
-        line(verify_ddt_x4(n, jobs=args.jobs))
+        line(verify_ddt_x4(n))
 
     print("registry:")
-    reg = verify_registry(max_size=1024, jobs=args.jobs)
+    reg = verify_registry(max_size=1024)
     for row in reg.rows:
         mark = {"match": "ok      ", "mismatch": "MISMATCH", "skipped": "skipped "}[
             row["status"]

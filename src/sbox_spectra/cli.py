@@ -6,7 +6,8 @@ goes to stdout (JSON; CSV via --csv), human-readable progress to stderr.
 
 Exit codes: 0 success, 1 verification mismatch or property violation (the
 report is always written first), 2 usage or configuration error.  Output is
-byte-deterministic for a fixed configuration, independent of --jobs.
+byte-deterministic for a fixed configuration.  --jobs is accepted for
+compatibility with existing command lines and changes neither output nor work.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import json
 import shlex
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .closed_forms import registry_cases, verify_registry, verify_theorem
 from .errors import SpectraError, WrongLengthError
@@ -34,6 +33,7 @@ from .spectra import (
     differential_uniformity,
     sozd_uniformity,
     summary_to_dict,
+    value_histogram,
     write_row_csv,
     write_table_csv,
 )
@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--full", action="store_true", help="full table (default)")
     mode.add_argument("--row", action="store_true", help="row at a = 1 (power maps)")
     p_spec.add_argument("--method", choices=("auto", "fast", "bruteforce"), default="auto")
-    p_spec.add_argument("--jobs", type=int, default=1)
+    p_spec.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; output and work do not depend on it")
     p_spec.add_argument("--csv", help="write the table as CSV to this path")
     p_spec.add_argument("--check-properties", action="store_true",
                         help="check structural FBCT identities (p = 2)")
@@ -147,13 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=int, help="t3/t4 degree")
     p_ver.add_argument("--condition", choices=("exact", "stated"), default="exact")
     p_ver.add_argument("--max-size", type=int, default=1024, help="registry size bound")
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; output and work do not depend on it")
     p_ver.add_argument("--json", help="also write the report to this path")
 
-    p_reg = sub.add_parser("registry", help="list (or check) the cross-check registry")
-    p_reg.add_argument("--check", action="store_true", help="compute and compare")
-    p_reg.add_argument("--max-size", type=int, default=1024)
-    p_reg.add_argument("--jobs", type=int, default=1)
+    p_reg = sub.add_parser("registry", help="list the cross-check registry")
     p_reg.add_argument("--json", help="also write the report to this path")
 
     return parser
@@ -240,18 +239,15 @@ def _cmd_spectra(args) -> int:
         else:
             uniformity = int(row[1:].max())
             domain = "a, b nonzero (from the a = 1 row of a power map)"
-        hist_vals, hist_counts = _row_histogram(row)
         _emit({
             "row": "a=1",
             "uniformity": uniformity,
-            "histogram": [[v, c] for v, c in zip(hist_vals, hist_counts)],
+            "histogram": [[v, c] for v, c in value_histogram(row)],
             "domain": domain,
         })
         return 0
 
-    table = (ddt_table if kind == "ddt" else sozd_table)(
-        field, fmap, method=args.method, jobs=args.jobs
-    )
+    table = (ddt_table if kind == "ddt" else sozd_table)(field, fmap, method=args.method)
     if args.csv:
         with open(args.csv, "w") as fh:
             write_table_csv(table, fh)
@@ -273,14 +269,9 @@ def _cmd_spectra(args) -> int:
     return exit_code
 
 
-def _row_histogram(row):
-    vals, counts = np.unique(row, return_counts=True)
-    return [int(v) for v in vals], [int(c) for c in counts]
-
-
 def _cmd_verify(args) -> int:
     if args.registry:
-        report = verify_registry(max_size=args.max_size, jobs=args.jobs)
+        report = verify_registry(max_size=args.max_size)
         _emit(report.to_dict(), args.json)
         print(
             f"registry: {report.matched} matched, {report.mismatched} mismatched, "
@@ -302,7 +293,7 @@ def _cmd_verify(args) -> int:
         if args.n is None:
             raise SpectraError("--theorem t4 needs --n")
         params["n"] = args.n
-    report = verify_theorem(args.theorem, jobs=args.jobs, **params)
+    report = verify_theorem(args.theorem, **params)
     _emit(report.to_dict(), args.json)
     print(
         f"{report.target} {report.params}: uniformity claimed={report.uniformity_claimed} "
@@ -314,10 +305,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_registry(args) -> int:
-    if args.check:
-        report = verify_registry(max_size=args.max_size, jobs=args.jobs)
-        _emit(report.to_dict(), args.json)
-        return 0 if report.ok else 1
     rows = [
         {
             "name": c.name,

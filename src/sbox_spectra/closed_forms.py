@@ -31,6 +31,7 @@ from .spectra import (
     sozd_table,
     sozd_uniformity,
     differential_uniformity,
+    value_histogram,
 )
 
 MISMATCH_CAP = 200  # listed per report; total count always reported
@@ -307,14 +308,9 @@ def _diff(
     return actual.size - n_bad, n_bad, listing
 
 
-def _value_histogram(entries: np.ndarray) -> dict[int, int]:
-    values, counts = np.unique(entries, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
-
-
-def verify_fbct_2m3(m: int, method: str = "auto", jobs: int = 1) -> VerificationReport:
+def verify_fbct_2m3(m: int, method: str = "auto") -> VerificationReport:
     fld = make_field(2, 2 * m)
-    table = sozd_table(fld, PowerMap((1 << m) + 3), method=method, jobs=jobs)
+    table = sozd_table(fld, PowerMap((1 << m) + 3), method=method)
     predicted = predicted_fbct_2m3_table(fld)
     matches, n_bad, listing = _diff(table.entries, predicted)
     actual_u = sozd_uniformity(table).uniformity
@@ -328,7 +324,7 @@ def verify_fbct_2m3(m: int, method: str = "auto", jobs: int = 1) -> Verification
         matches=matches,
         mismatch_count=n_bad,
         mismatches=listing,
-        extras={"value_histogram": _value_histogram(table.entries)},
+        extras={"value_histogram": dict(value_histogram(table.entries))},
     )
     if n_bad:
         report.notes.append(
@@ -338,9 +334,9 @@ def verify_fbct_2m3(m: int, method: str = "auto", jobs: int = 1) -> Verification
     return report
 
 
-def verify_fbct_2m5(m: int, method: str = "auto", jobs: int = 1) -> VerificationReport:
+def verify_fbct_2m5(m: int, method: str = "auto") -> VerificationReport:
     fld = make_field(2, 2 * m)
-    table = sozd_table(fld, PowerMap((1 << m) + 5), method=method, jobs=jobs)
+    table = sozd_table(fld, PowerMap((1 << m) + 5), method=method)
     predicted, interval = predicted_fbct_2m5_table(fld)
     matches, n_bad, listing = _diff(table.entries, predicted, interval, (0, 16))
     actual_u = sozd_uniformity(table).uniformity
@@ -354,7 +350,7 @@ def verify_fbct_2m5(m: int, method: str = "auto", jobs: int = 1) -> Verification
         matches=matches,
         mismatch_count=n_bad,
         mismatches=listing,
-        extras={"value_histogram": _value_histogram(table.entries)},
+        extras={"value_histogram": dict(value_histogram(table.entries))},
     )
     if m == 3:
         report.notes.append(
@@ -369,19 +365,16 @@ def verify_fbct_2m5(m: int, method: str = "auto", jobs: int = 1) -> Verification
     return report
 
 
-def verify_sozd_pk1(
-    p: int, k: int, n: int, condition: str = "exact", jobs: int = 1
-) -> VerificationReport:
+def verify_sozd_pk1(p: int, k: int, n: int, condition: str = "exact") -> VerificationReport:
     fld = make_field(p, n)
-    table = sozd_table(fld, PowerMap(p**k + 1), method="bruteforce", jobs=jobs)
+    table = sozd_table(fld, PowerMap(p**k + 1), method="bruteforce")
     predicted = predicted_sozd_pk1_table(fld, k, condition)
+    other = predicted_sozd_pk1_table(fld, k, "stated" if condition == "exact" else "exact")
     matches, n_bad, listing = _diff(table.entries, predicted)
     actual_u = sozd_uniformity(table).uniformity
     s = math.gcd(n, k)
     claimed = p**n if (n // s) % 2 == 0 else 0
-    stated_tbl = predicted_sozd_pk1_table(fld, k, "stated")
-    exact_tbl = predicted_sozd_pk1_table(fld, k, "exact")
-    disc = np.argwhere(stated_tbl != exact_tbl)
+    disc = np.argwhere(predicted != other)
     report = VerificationReport(
         target="t3",
         params={"p": p, "k": k, "n": n, "d": p**k + 1, "condition": condition},
@@ -393,7 +386,7 @@ def verify_sozd_pk1(
         mismatch_count=n_bad,
         mismatches=listing,
         extras={
-            "entry_values": sorted(int(v) for v in np.unique(table.entries)),
+            "entry_values": [v for v, _ in value_histogram(table.entries)],
             "stated_vs_exact_discrepancies": int(len(disc)),
             "stated_vs_exact_examples": [[int(a), int(b)] for a, b in disc[:20]],
         },
@@ -405,9 +398,9 @@ def verify_sozd_pk1(
     return report
 
 
-def verify_ddt_x4(n: int, jobs: int = 1) -> VerificationReport:
+def verify_ddt_x4(n: int) -> VerificationReport:
     fld = make_field(3, n)
-    table = ddt_table(fld, PowerMap(4), jobs=jobs)
+    table = ddt_table(fld, PowerMap(4))
     predicted, interval = predicted_ddt_x4_table(fld)
     matches, n_bad, listing = _diff(table.entries, predicted, interval, (0, 3))
     e = table.entries
@@ -514,7 +507,7 @@ class RegistryReport:
         }
 
 
-def verify_registry(max_size: int = 1024, jobs: int = 1) -> RegistryReport:
+def verify_registry(max_size: int = 1024) -> RegistryReport:
     """Compute the uniformity for every registry case with p^n <= max_size
     and compare with the published value; larger cases are marked skipped."""
     rows = []
@@ -535,7 +528,7 @@ def verify_registry(max_size: int = 1024, jobs: int = 1) -> RegistryReport:
             skipped += 1
         else:
             fld = make_field(case.p, case.n)
-            table = sozd_table(fld, PowerMap(case.d), jobs=jobs)
+            table = sozd_table(fld, PowerMap(case.d))
             actual = sozd_uniformity(table).uniformity
             row["actual"] = actual
             row["status"] = "match" if actual == case.expected else "mismatch"
@@ -547,21 +540,21 @@ def verify_registry(max_size: int = 1024, jobs: int = 1) -> RegistryReport:
     return RegistryReport(rows=rows, matched=matched, mismatched=mismatched, skipped=skipped)
 
 
-def verify_theorem(theorem: str, jobs: int = 1, **params) -> VerificationReport:
+def verify_theorem(theorem: str, **params) -> VerificationReport:
     """Dispatch by theorem id: t1/t2 need m; t3 needs p, k, n and an optional
     condition; t4 needs n."""
     try:
         if theorem == "t1":
-            return verify_fbct_2m3(params["m"], jobs=jobs)
+            return verify_fbct_2m3(params["m"])
         if theorem == "t2":
-            return verify_fbct_2m5(params["m"], jobs=jobs)
+            return verify_fbct_2m5(params["m"])
         if theorem == "t3":
             return verify_sozd_pk1(
                 params["p"], params["k"], params["n"],
-                condition=params.get("condition", "exact"), jobs=jobs,
+                condition=params.get("condition", "exact"),
             )
         if theorem == "t4":
-            return verify_ddt_x4(params["n"], jobs=jobs)
+            return verify_ddt_x4(params["n"])
     except KeyError as exc:
         raise BadParametersError(f"{theorem} needs parameter {exc}") from None
     raise BadParametersError(f"unknown theorem id {theorem!r}")

@@ -76,7 +76,6 @@ class Field:
         self._digits: np.ndarray | None = None
         self._ppows: np.ndarray | None = None
         self._xs: np.ndarray | None = None
-        self._add_mat: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -422,17 +421,6 @@ class Field:
         if d < 1:
             raise BadParametersError("power map exponent must be >= 1")
         return self.pow_vec(self.xs(), d)
-
-    def add_matrix(self, cap: int = 4096) -> np.ndarray:
-        """Full (i, j) -> i + j lookup table; cached.  Only for orders <= cap."""
-        if self._add_mat is None:
-            if self.order > cap:
-                raise UnsupportedSizeError(
-                    f"addition table for order {self.order} exceeds cap {cap}"
-                )
-            xs = self.xs()
-            self._add_mat = self.add_vec(xs[:, None], xs[None, :])
-        return self._add_mat
 
 
 class FieldElement:

@@ -11,21 +11,25 @@ a fast path: one exhaustive row at a = 1 determines every other nonzero row
 by the scalings DDT(a, b) = DDT(1, b/a^d) and SOZD(a, b) = SOZD(1, b/a);
 the brute-force path is kept selectable for cross-validation.
 
-Rows are independent, computed in enumeration order and merged by index, so
-output is identical for any worker count.
+Both paths count rows through the derivative D_aF(x) = F(x+a) - F(x), with
+the same code for every characteristic.  A DDT row is the histogram of D_aF,
+and the SOZD row is a collision count:
+
+  SOZD(a, b) = #{x : D_aF(x+b) = D_aF(x)},
+
+the number of pairs (x, y = x+b) with equal derivative.  Sorting x by D_aF
+finds those pairs in O(q log q + sum_c DDT(a, c)^2) time and O(q) memory per
+row, q = p^n; summed over b the row gives sum_c DDT(a, c)^2.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotAPowerMapError, SpectraError, WrongLengthError
 from .fields import Field
-
-ADD_MATRIX_CAP = 2048  # largest odd-p order swept by the brute-force path
 
 
 @dataclass(frozen=True)
@@ -81,53 +85,37 @@ class SpectrumSummary:
     domain: str
 
 
-def _neg_table(field: Field, tab: np.ndarray) -> np.ndarray:
-    return tab if field.p == 2 else field.sub_vec(np.int64(0), tab)
-
-
-def _add_matrix(field: Field) -> np.ndarray:
-    return field.add_matrix(ADD_MATRIX_CAP)
+def _derivative(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
+    """D_aF(x) = F(x+a) - F(x), per x."""
+    return field.sub_vec(tab[field.add_vec(field.xs(), a)], tab)
 
 
 def _ddt_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
-    xs = field.xs()
-    if field.p == 2:
-        diff = tab[xs ^ a] ^ tab
-    else:
-        add = _add_matrix(field)
-        neg = _neg_table(field, tab)
-        diff = add[tab[add[a]], neg]
-    return np.bincount(diff, minlength=field.order)
+    return np.bincount(_derivative(field, tab, a), minlength=field.order)
 
 
 def _sozd_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
-    xs = field.xs()
-    n = field.order
-    if field.p == 2:
-        inner = tab ^ tab[xs ^ a]  # F(x) + F(x+a), per x
-        xb = xs[:, None] ^ xs[None, :]  # [b, x] -> x + b
-        outer = tab[xb] ^ tab[xb ^ a]  # F(x+b) + F(x+a+b)
-        return (outer == inner[None, :]).sum(axis=1)
-    add = _add_matrix(field)
-    neg = _neg_table(field, tab)
-    inner = add[tab, neg[add[a]]]  # F(x) - F(x+a)
-    xb = add  # [b, x] -> x + b
-    xab = add[a][xb]
-    outer = add[tab[xab], neg[xb]]  # F(x+a+b) - F(x+b)
-    total = add[outer, np.broadcast_to(inner, outer.shape)]
-    return (total == 0).sum(axis=1)
-
-
-def _rows_to_table(row_fn, n: int, jobs: int) -> np.ndarray:
-    out = np.empty((n, n), dtype=np.int64)
-    if jobs <= 1:
-        for a in range(n):
-            out[a] = row_fn(a)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            for a, row in enumerate(ex.map(row_fn, range(n))):
-                out[a] = row
-    return out
+    """SOZD(a, b) = #{x : D_aF(x+b) = D_aF(x)}.  With x sorted by D_aF, the
+    pairs x != y of equal derivative sit j = 1, 2, ... places apart, and each
+    adds to the entries at b = y - x and b = x - y.  The first j with no such
+    pair ends the scan: a longer run of equal values would have one."""
+    q = field.order
+    deriv = _derivative(field, tab, a)
+    order = np.argsort(deriv)
+    deriv = deriv[order]
+    row = np.zeros(q, dtype=np.int64)
+    row[0] = q
+    starts = np.arange(q - 1)  # i with deriv[i] == deriv[i + j - 1]
+    j = 1
+    while True:
+        starts = starts[deriv[starts + j] == deriv[starts]]
+        if not starts.size:
+            return row
+        x, y = order[starts], order[starts + j]
+        row += np.bincount(field.sub_vec(y, x), minlength=q)
+        row += np.bincount(field.sub_vec(x, y), minlength=q)
+        j += 1
+        starts = starts[starts + j < q]
 
 
 def ddt_entry(field: Field, fmap, a, b) -> int:
@@ -152,12 +140,7 @@ def sozd_entry(field: Field, fmap, a, b) -> int:
     xa = field.add_vec(xs, a)
     xb = field.add_vec(xs, b)
     xab = field.add_vec(xa, b)
-    if field.p == 2:
-        total = tab[xab] ^ tab[xa] ^ tab[xb] ^ tab
-    else:
-        total = field.add_vec(
-            field.sub_vec(tab[xab], tab[xa]), field.sub_vec(tab, tab[xb])
-        )
+    total = field.add_vec(field.sub_vec(tab[xab], tab[xa]), field.sub_vec(tab, tab[xb]))
     return int(np.count_nonzero(total == 0))
 
 
@@ -183,20 +166,20 @@ def _require_power(fmap) -> int:
     return fmap.d
 
 
-def ddt_table(field: Field, fmap, method: str = "auto", jobs: int = 1) -> SpectrumTable:
+def ddt_table(field: Field, fmap, method: str = "auto") -> SpectrumTable:
     """Full DDT.  method: "auto" (fast path for power maps), "fast", or
     "bruteforce" (the oracle path, selectable for cross-validation)."""
-    entries = _table(field, fmap, method, jobs, kind="ddt")
+    entries = _table(field, fmap, method, kind="ddt")
     return SpectrumTable("ddt", field, map_label(fmap), entries)
 
 
-def sozd_table(field: Field, fmap, method: str = "auto", jobs: int = 1) -> SpectrumTable:
+def sozd_table(field: Field, fmap, method: str = "auto") -> SpectrumTable:
     """Full second-order zero differential spectrum (FBCT for p = 2)."""
-    entries = _table(field, fmap, method, jobs, kind="sozd")
+    entries = _table(field, fmap, method, kind="sozd")
     return SpectrumTable("sozd", field, map_label(fmap), entries)
 
 
-def _table(field: Field, fmap, method: str, jobs: int, kind: str) -> np.ndarray:
+def _table(field: Field, fmap, method: str, kind: str) -> np.ndarray:
     if method not in ("auto", "fast", "bruteforce"):
         raise SpectraError(f"unknown method {method!r}")
     use_fast = method == "fast" or (method == "auto" and isinstance(fmap, PowerMap))
@@ -224,34 +207,36 @@ def _table(field: Field, fmap, method: str, jobs: int, kind: str) -> np.ndarray:
 
     else:
         tab = image_table(field, fmap)
-        if kind == "ddt":
-            def row_fn(a):
-                return _ddt_row(field, tab, a)
-        else:
-            def row_fn(a):
-                return _sozd_row(field, tab, a)
+        kernel = _ddt_row if kind == "ddt" else _sozd_row
 
-    return _rows_to_table(row_fn, n, jobs)
+        def row_fn(a):
+            return kernel(field, tab, a)
+
+    out = np.empty((n, n), dtype=np.int64)
+    for a in range(n):
+        out[a] = row_fn(a)
+    return out
 
 
 # -- uniformities and histograms ----------------------------------------------
 
-def _histogram(entries: np.ndarray) -> tuple[tuple[int, int], ...]:
+def value_histogram(entries: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """(value, count) for every distinct value, ascending."""
     values, counts = np.unique(entries, return_counts=True)
     return tuple((int(v), int(c)) for v, c in zip(values, counts))
 
 
-def differential_uniformity(field: Field, fmap=None, table: SpectrumTable | None = None,
-                            jobs: int = 1) -> SpectrumSummary:
+def differential_uniformity(field: Field, fmap=None,
+                            table: SpectrumTable | None = None) -> SpectrumSummary:
     """Max DDT entry over a != 0 (all b), plus the full-table histogram."""
     if table is None:
-        table = ddt_table(field, fmap, jobs=jobs)
+        table = ddt_table(field, fmap)
     elif table.kind != "ddt":
         raise SpectraError("differential uniformity needs a DDT table")
     e = table.entries
     return SpectrumSummary(
         uniformity=int(e[1:, :].max()) if e.shape[0] > 1 else 0,
-        histogram=_histogram(e),
+        histogram=value_histogram(e),
         domain="a != 0",
     )
 
@@ -276,7 +261,7 @@ def sozd_uniformity(table: SpectrumTable) -> SpectrumSummary:
     else:
         domain = "a, b nonzero"
     uniformity = int(e[mask].max()) if mask.any() else 0
-    return SpectrumSummary(uniformity=uniformity, histogram=_histogram(e), domain=domain)
+    return SpectrumSummary(uniformity=uniformity, histogram=value_histogram(e), domain=domain)
 
 
 def summary_to_dict(summary: SpectrumSummary) -> dict:

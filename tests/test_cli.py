@@ -153,6 +153,20 @@ def test_verify_registry_reports_known_defects(capsys):
     assert bad == {("inverse", 5), ("x7-char2", 5), ("x5-oddp", 2)}
 
 
+@pytest.mark.parametrize("kind", ["sozd", "ddt"])
+def test_odd_p_row_above_2048_elements(capsys, kind):
+    code, out, _ = run(capsys, "spectra", kind, "--field", "p=3;n=7", "--power", "7", "--row")
+    assert code == 0
+    d = json.loads(out)
+    assert sum(c for _, c in d["histogram"]) == 3**7
+
+
+def test_verify_t4_over_f3_7(capsys):
+    code, out, _ = run(capsys, "verify", "--theorem", "t4", "--n", "7")
+    assert code == 0
+    assert json.loads(out)["uniformity_actual"] == 1
+
+
 def test_registry_listing(capsys):
     code, out, _ = run(capsys, "registry")
     assert code == 0

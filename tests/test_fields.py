@@ -314,10 +314,3 @@ def test_vector_ops_match_scalar(p, n):
     tab = f.power_map_table(5)
     for x in range(N):
         assert tab[x] == f.pow(x, 5)
-
-
-def test_add_matrix(f33):
-    m = f33.add_matrix()
-    for i in range(0, 27, 4):
-        for j in range(27):
-            assert m[i, j] == f33.add(i, j)

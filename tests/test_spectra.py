@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbox_spectra import (
     NotAPowerMapError,
@@ -206,6 +208,37 @@ def test_random_sbox_row_sums(f26):
     assert report.ok, report.counts
 
 
+SBOX_FIELDS = (
+    make_field(2, 4),
+    make_field(2, 5),
+    make_field(2, 5, [1, 0, 0, 1, 0, 1]),  # x^5 + x^3 + 1, not the Conway modulus
+    make_field(3, 3),
+    make_field(5, 2),
+)
+
+
+@st.composite
+def sboxes(draw):
+    field = draw(st.sampled_from(SBOX_FIELDS))
+    q = field.order
+    top = draw(st.integers(0, q - 1))  # a narrow image range forces many collisions
+    images = draw(st.lists(st.integers(0, top), min_size=q, max_size=q))
+    return field, TableMap(tuple(images))
+
+
+@settings(max_examples=20, deadline=None)
+@given(sboxes())
+def test_row_kernels_match_definitions(case):
+    field, tm = case
+    q = field.order
+    ddt = ddt_table(field, tm, method="bruteforce").entries
+    sozd = sozd_table(field, tm, method="bruteforce").entries
+    for a in range(q):
+        assert ddt[a].tolist() == [ddt_entry(field, tm, a, b) for b in range(q)], a
+        assert sozd[a].tolist() == [sozd_entry(field, tm, a, b) for b in range(q)], a
+    assert np.array_equal(sozd.sum(axis=1), (ddt**2).sum(axis=1))
+
+
 # -- structural properties ------------------------------------------------------------
 
 def test_property_check_clean_tables(f26, f28):
@@ -295,15 +328,6 @@ def test_csv_format_small():
     assert len(lines) == 5
     assert lines[1] == "4,0,0,0"
     assert lines[2] == "0,4,0,0"  # difference of x is constant a
-
-
-def test_jobs_do_not_change_results(f26):
-    for jobs in (2, 4, 8):
-        a = sozd_table(f26, PowerMap(11), jobs=1)
-        b = sozd_table(f26, PowerMap(11), jobs=jobs)
-        assert np.array_equal(a.entries, b.entries)
-        c = sozd_table(f26, PowerMap(11), method="bruteforce", jobs=jobs)
-        assert np.array_equal(a.entries, c.entries)
 
 
 def test_spectrum_table_kind_flags(f26, f33):
