@@ -24,16 +24,15 @@ from .fields import Field, parse_field_spec
 from .spectra import (
     PowerMap,
     TableMap,
-    ddt_row_power,
     ddt_table,
     fbct_property_check,
+    power_row_summary,
+    power_rows,
     property_report_to_dict,
-    sozd_row_power,
     sozd_table,
     differential_uniformity,
     sozd_uniformity,
     summary_to_dict,
-    value_histogram,
     write_row_csv,
     write_table_csv,
 )
@@ -226,25 +225,11 @@ def _cmd_spectra(args) -> int:
             raise SpectraError("--row needs a power map")
         if args.check_properties:
             raise SpectraError("--check-properties needs the full table")
-        row = ddt_row_power(field, args.power) if kind == "ddt" else sozd_row_power(field, args.power)
+        row = power_rows(field, kind, args.power)[1]
         if args.csv:
             with open(args.csv, "w") as fh:
                 write_row_csv(field, kind, str(args.power), row, fh)
-        if kind == "ddt":
-            uniformity = int(row.max())
-            domain = "a != 0 (from the a = 1 row of a power map)"
-        elif field.p == 2:
-            uniformity = int(row[2:].max()) if field.order > 2 else 0
-            domain = "a, b nonzero and a != b (from the a = 1 row of a power map)"
-        else:
-            uniformity = int(row[1:].max())
-            domain = "a, b nonzero (from the a = 1 row of a power map)"
-        _emit({
-            "row": "a=1",
-            "uniformity": uniformity,
-            "histogram": [[v, c] for v, c in value_histogram(row)],
-            "domain": domain,
-        })
+        _emit({"row": "a=1", **summary_to_dict(power_row_summary(field, kind, row))})
         return 0
 
     table = (ddt_table if kind == "ddt" else sozd_table)(field, fmap, method=args.method)

@@ -8,12 +8,20 @@ Four prediction families are implemented, one per published closed form:
   t3: SOZD of x^(p^k+1) over F_{p^n}, p odd, 1 <= k < n
   t4: DDT of x^4 over F_{3^n}
 
-Predictors encode the claims; `verify_*` computes the exhaustive spectrum
-and reports every (a, b) where claim and computation disagree, plus the
-claimed-versus-actual uniformity.  Where the published case analysis proves
-only a bound, the predictor carries an interval and the verifier checks
-containment.  The registry holds power-function families with published
-second-order zero differential uniformities for bulk cross-checking.
+Each claim is encoded once, by a scalar per-pair predictor; `verify_*`
+computes the exhaustive spectrum and reports every (a, b) where claim and
+computation disagree, plus the claimed-versus-actual uniformity.  Where the
+published case analysis proves only a bound, the predictor carries an
+interval and the verifier checks containment.  The registry holds
+power-function families with published second-order zero differential
+uniformities for bulk cross-checking.
+
+Claims and spectra alike are fixed by their rows a = 0 and a = 1: a row
+a != 0 is the a = 1 row read at b/a (b/a^d for the DDT of x^d).  So
+verification and the registry read two O(q) rows, q = p^n, and build no
+q x q table: counts are row 0 plus (q - 1) times row 1, and the capped
+mismatch listing is expanded row by row in (a, b) order.  The
+`predicted_*_table` helpers expand the claim rows into full tables.
 """
 
 from __future__ import annotations
@@ -26,12 +34,11 @@ import numpy as np
 from .errors import BadParametersError, EvenCharacteristicError
 from .fields import Field, make_field
 from .spectra import (
-    PowerMap,
-    ddt_table,
-    sozd_table,
-    sozd_uniformity,
-    differential_uniformity,
-    value_histogram,
+    expand_rows,
+    power_row_summary,
+    power_rows,
+    rows_histogram,
+    sozd_row_power,
 )
 
 MISMATCH_CAP = 200  # listed per report; total count always reported
@@ -51,10 +58,13 @@ class Prediction:
     def is_exact(self) -> bool:
         return self.value is not None
 
+    @property
+    def span(self) -> tuple[int, int]:
+        """Inclusive (lo, hi); lo = hi for an exact value."""
+        return (self.value, self.value) if self.value is not None else self.bounds
+
     def admits(self, actual: int) -> bool:
-        if self.value is not None:
-            return actual == self.value
-        lo, hi = self.bounds
+        lo, hi = self.span
         return lo <= actual <= hi
 
 
@@ -109,6 +119,15 @@ def predict_fbct_2m5(field: Field, a, b) -> Prediction:
     return Prediction("residual", value=16)
 
 
+def _check_pk1(field: Field, k: int, condition: str = "exact") -> None:
+    if field.p == 2:
+        raise EvenCharacteristicError("x^(p^k+1) family needs odd p")
+    if not 1 <= k < field.n:
+        raise BadParametersError(f"k={k} outside [1, n)")
+    if condition not in ("exact", "stated"):
+        raise BadParametersError(f"unknown condition {condition!r}")
+
+
 def predict_sozd_pk1(field: Field, k: int, a, b) -> DualPrediction:
     """Dual per-pair claim for x^(p^k+1), p odd.
 
@@ -117,10 +136,7 @@ def predict_sozd_pk1(field: Field, k: int, a, b) -> DualPrediction:
     stated: p^n iff b = 0 or (a/b)^2 lies in F_{p^s}, s = gcd(n, k); this
     is the published membership condition, kept as a claim under test.
     """
-    if field.p == 2:
-        raise EvenCharacteristicError("x^(p^k+1) family needs odd p")
-    if not 1 <= k < field.n:
-        raise BadParametersError(f"k={k} outside [1, n)")
+    _check_pk1(field, k)
     a = field.as_index(a)
     b = field.as_index(b)
     pn = field.order
@@ -157,97 +173,74 @@ def predict_ddt_x4_f3n(field: Field, a, b) -> Prediction:
     return Prediction("even-degree-row", bounds=(0, 3))
 
 
-# -- vectorized predicted tables (mask logic mirrors the scalar predictors) ----
+# -- claims as rows a = 0 and a = 1 ------------------------------------------------
+#
+# Every claim is invariant under (a, b) -> (ca, cb) (t4's rows a != 0 are
+# constant), as the spectra of the power maps are under their row scalings,
+# so rows 0 and 1 of claim and computation decide every pair.
 
-def _degenerate_overlay(out: np.ndarray, n: int) -> None:
-    out[0, :] = n
-    out[:, 0] = n
-    np.fill_diagonal(out, n)
+def _claim_rows(field: Field, predict) -> np.ndarray:
+    """Rows a = 0 and a = 1 of a claim as inclusive (lo, hi) bounds, shape
+    (2, q, 2); predict(a, b) returns a Prediction."""
+    q = field.order
+    spans = (v for a in (0, 1) for b in range(q) for v in predict(a, b).span)
+    return np.fromiter(spans, dtype=np.int64, count=4 * q).reshape(2, q, 2)
 
 
-def _coset_cells(field: Field, m: int) -> np.ndarray:
-    sub = np.array([u for u in field.subfield_indices(m) if u != 0], dtype=np.int64)
-    return sub
+def _cells(field: Field, bad: np.ndarray, scale: int, cap: int) -> list:
+    """The first `cap` flagged cells of a table given by the boolean rows 0
+    and 1 (see spectra.expand_rows), in (a, b) order, as (a, b, r, u): the
+    cell reads rows[r] at u."""
+    out = [(0, int(b), 0, int(b)) for b in np.flatnonzero(bad[0])[:cap]]
+    us = np.flatnonzero(bad[1])
+    a = 1
+    while us.size and len(out) < cap and a < field.order:
+        bs = field.mul_vec(np.int64(field.pow(a, scale)), us)
+        order = np.argsort(bs)[: cap - len(out)]
+        out += [(a, int(b), 1, int(u)) for b, u in zip(bs[order], us[order])]
+        a += 1
+    return out
+
+
+def _count(field: Field, bad: np.ndarray) -> int:
+    return int(bad[0].sum()) + (field.order - 1) * int(bad[1].sum())
+
+
+def _diff(field: Field, actual: np.ndarray, claim: np.ndarray,
+          scale: int) -> tuple[int, int, list]:
+    """(matches, mismatch count, capped [a, b, predicted, actual] listing) of
+    the spectrum rows against the claim rows; a bound is listed as [lo, hi]."""
+    bad = (actual < claim[..., 0]) | (actual > claim[..., 1])
+    listing = []
+    for a, b, r, u in _cells(field, bad, scale, MISMATCH_CAP):
+        lo, hi = (int(v) for v in claim[r, u])
+        listing.append([a, b, lo if lo == hi else [lo, hi], int(actual[r, u])])
+    n_bad = _count(field, bad)
+    return field.order**2 - n_bad, n_bad, listing
 
 
 def predicted_fbct_2m3_table(field: Field) -> np.ndarray:
-    m = _m_of(field)
-    n = field.order
-    out = np.full((n, n), 4, dtype=np.int64)
-    sub = _coset_cells(field, m)
-    for a in range(1, n):
-        out[a, field.mul_vec(np.int64(a), sub)] = 1 << m
-    _degenerate_overlay(out, n)
-    return out
+    rows = _claim_rows(field, lambda a, b: predict_fbct_2m3(field, a, b))
+    return expand_rows(field, rows, 1)[..., 0]
 
 
 def predicted_fbct_2m5_table(field: Field) -> tuple[np.ndarray, np.ndarray]:
     """Returns (values, interval_mask): cells under interval_mask carry the
     proven bound [0, 16] instead of an exact value (m = 3 residual case)."""
-    m = _m_of(field)
-    n = field.order
-    eps = 4 if m % 2 else 0
-    out = np.full((n, n), 16, dtype=np.int64)
-    interval = np.zeros((n, n), dtype=bool)
-    if m == 3:
-        interval[:, :] = True
-    sub = _coset_cells(field, m)
-    cube = np.array(
-        [u for u in range(1, n) if u != 1 and field.pow(u, 3) == 1], dtype=np.int64
-    )
-    for a in range(1, n):
-        coset_b = field.mul_vec(np.int64(a), sub)
-        out[a, coset_b] = 1 << m
-        interval[a, coset_b] = False
-        cube_b = field.mul_vec(np.int64(a), cube)
-        out[a, cube_b] = eps
-        interval[a, cube_b] = False
-    _degenerate_overlay(out, n)
-    interval[0, :] = False
-    interval[:, 0] = False
-    np.fill_diagonal(interval, False)
-    return out, interval
+    table = expand_rows(field, _claim_rows(field, lambda a, b: predict_fbct_2m5(field, a, b)), 1)
+    return table[..., 0], table[..., 0] != table[..., 1]
 
 
 def predicted_sozd_pk1_table(field: Field, k: int, condition: str = "exact") -> np.ndarray:
-    if field.p == 2:
-        raise EvenCharacteristicError("x^(p^k+1) family needs odd p")
-    if not 1 <= k < field.n:
-        raise BadParametersError(f"k={k} outside [1, n)")
-    if condition not in ("exact", "stated"):
-        raise BadParametersError(f"unknown condition {condition!r}")
-    n = field.order
-    xs = field.xs()
-    if condition == "exact":
-        pe = field.pow_vec(xs, field.p**k - 1)
-        s = field.add_vec(pe[:, None], pe[None, :])
-        nonzero_pair = (xs[:, None] != 0) & (xs[None, :] != 0)
-        return np.where((s == 0) | ~nonzero_pair, n, 0).astype(np.int64)
-    s = math.gcd(field.n, k)
-    out = np.zeros((n, n), dtype=np.int64)
-    out[:, 0] = n  # b = 0
-    bs = xs[1:]
-    for a in range(n):
-        u = field.div_vec(np.int64(a), bs)
-        u2 = field.mul_vec(u, u)
-        member = field.pow_vec(u2, field.p**s) == u2
-        out[a, 1:] = np.where(member, n, 0)
-    return out
+    _check_pk1(field, k, condition)
+    rows = _claim_rows(field, lambda a, b: getattr(predict_sozd_pk1(field, k, a, b), condition))
+    return expand_rows(field, rows, 1)[..., 0]
 
 
 def predicted_ddt_x4_table(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    if field.p != 3:
-        raise BadParametersError("this family lives over F_{3^n}")
-    n = field.order
-    interval = np.zeros((n, n), dtype=bool)
-    if field.n % 2:
-        out = np.ones((n, n), dtype=np.int64)
-    else:
-        out = np.zeros((n, n), dtype=np.int64)
-        interval[1:, :] = True  # entries in [0, 3], checked by containment
-    out[0, :] = 0
-    out[0, 0] = n
-    return out, interval
+    """Returns (values, interval_mask) as predicted_fbct_2m5_table."""
+    table = expand_rows(field, _claim_rows(field, lambda a, b: predict_ddt_x4_f3n(field, a, b)), 4)
+    return table[..., 0], table[..., 0] != table[..., 1]
 
 
 # -- verification reports -------------------------------------------------------
@@ -286,111 +279,77 @@ class VerificationReport:
         }
 
 
-def _diff(
-    actual: np.ndarray, predicted: np.ndarray, interval_mask: np.ndarray | None = None,
-    bounds: tuple[int, int] = (0, 16),
-) -> tuple[int, int, list]:
-    """Compare tables; interval cells pass on containment in bounds."""
-    bad = actual != predicted
-    if interval_mask is not None:
-        lo, hi = bounds
-        contained = (actual >= lo) & (actual <= hi)
-        bad = np.where(interval_mask, ~contained, bad)
-    idx = np.argwhere(bad)
-    listing = []
-    for a, b in idx[:MISMATCH_CAP]:
-        if interval_mask is not None and interval_mask[a, b]:
-            pred = list(bounds)
-        else:
-            pred = int(predicted[a, b])
-        listing.append([int(a), int(b), pred, int(actual[a, b])])
-    n_bad = int(bad.sum())
-    return actual.size - n_bad, n_bad, listing
-
-
-def verify_fbct_2m3(m: int, method: str = "auto") -> VerificationReport:
-    fld = make_field(2, 2 * m)
-    table = sozd_table(fld, PowerMap((1 << m) + 3), method=method)
-    predicted = predicted_fbct_2m3_table(fld)
-    matches, n_bad, listing = _diff(table.entries, predicted)
-    actual_u = sozd_uniformity(table).uniformity
+def _report(target: str, params: dict, fld: Field, kind: str, claim: np.ndarray,
+            claimed_u: int) -> tuple[VerificationReport, np.ndarray]:
+    """Diff the claim rows against the spectrum rows of x^params["d"]; returns
+    the report and the spectrum rows for family-specific extras."""
+    d = params["d"]
+    actual = np.stack(power_rows(fld, kind, d))
+    matches, n_bad, listing = _diff(fld, actual, claim, d if kind == "ddt" else 1)
+    actual_u = power_row_summary(fld, kind, actual[1]).uniformity
     report = VerificationReport(
-        target="t1",
-        params={"m": m, "d": (1 << m) + 3},
+        target=target,
+        params=params,
         field_spec=fld.spec_string(),
-        uniformity_claimed=1 << m,
+        uniformity_claimed=claimed_u,
         uniformity_actual=actual_u,
-        agrees=actual_u == 1 << m,
+        agrees=actual_u == claimed_u,
         matches=matches,
         mismatch_count=n_bad,
         mismatches=listing,
-        extras={"value_histogram": dict(value_histogram(table.entries))},
     )
-    if n_bad:
-        report.notes.append(
-            "residual-class cells differ from the claimed constant; the "
-            "closed form proves only an upper bound there"
-        )
+    return report, actual
+
+
+_RESIDUAL_NOTE = (
+    "residual-class cells differ from the claimed constant; the "
+    "closed form proves only an upper bound there"
+)
+
+
+def verify_fbct_2m3(m: int) -> VerificationReport:
+    fld = make_field(2, 2 * m)
+    claim = _claim_rows(fld, lambda a, b: predict_fbct_2m3(fld, a, b))
+    report, actual = _report("t1", {"m": m, "d": (1 << m) + 3}, fld, "sozd", claim, 1 << m)
+    report.extras["value_histogram"] = dict(rows_histogram(fld, actual))
+    if report.mismatch_count:
+        report.notes.append(_RESIDUAL_NOTE)
     return report
 
 
-def verify_fbct_2m5(m: int, method: str = "auto") -> VerificationReport:
+def verify_fbct_2m5(m: int) -> VerificationReport:
     fld = make_field(2, 2 * m)
-    table = sozd_table(fld, PowerMap((1 << m) + 5), method=method)
-    predicted, interval = predicted_fbct_2m5_table(fld)
-    matches, n_bad, listing = _diff(table.entries, predicted, interval, (0, 16))
-    actual_u = sozd_uniformity(table).uniformity
-    report = VerificationReport(
-        target="t2",
-        params={"m": m, "d": (1 << m) + 5},
-        field_spec=fld.spec_string(),
-        uniformity_claimed=1 << m,
-        uniformity_actual=actual_u,
-        agrees=actual_u == 1 << m,
-        matches=matches,
-        mismatch_count=n_bad,
-        mismatches=listing,
-        extras={"value_histogram": dict(value_histogram(table.entries))},
-    )
+    claim = _claim_rows(fld, lambda a, b: predict_fbct_2m5(fld, a, b))
+    report, actual = _report("t2", {"m": m, "d": (1 << m) + 5}, fld, "sozd", claim, 1 << m)
+    report.extras["value_histogram"] = dict(rows_histogram(fld, actual))
     if m == 3:
         report.notes.append(
             f"residual class checked by containment in [0, 16]; exhaustive "
-            f"maximum over the restricted domain is {actual_u}, claimed {1 << m}"
+            f"maximum over the restricted domain is {report.uniformity_actual}, "
+            f"claimed {1 << m}"
         )
-    if n_bad:
-        report.notes.append(
-            "residual-class cells differ from the claimed constant; the "
-            "closed form proves only an upper bound there"
-        )
+    if report.mismatch_count:
+        report.notes.append(_RESIDUAL_NOTE)
     return report
 
 
 def verify_sozd_pk1(p: int, k: int, n: int, condition: str = "exact") -> VerificationReport:
     fld = make_field(p, n)
-    table = sozd_table(fld, PowerMap(p**k + 1), method="bruteforce")
-    predicted = predicted_sozd_pk1_table(fld, k, condition)
-    other = predicted_sozd_pk1_table(fld, k, "stated" if condition == "exact" else "exact")
-    matches, n_bad, listing = _diff(table.entries, predicted)
-    actual_u = sozd_uniformity(table).uniformity
+    _check_pk1(fld, k, condition)
+    claims = {
+        cond: _claim_rows(fld, lambda a, b: getattr(predict_sozd_pk1(fld, k, a, b), cond))
+        for cond in ("exact", "stated")
+    }
     s = math.gcd(n, k)
     claimed = p**n if (n // s) % 2 == 0 else 0
-    disc = np.argwhere(predicted != other)
-    report = VerificationReport(
-        target="t3",
-        params={"p": p, "k": k, "n": n, "d": p**k + 1, "condition": condition},
-        field_spec=fld.spec_string(),
-        uniformity_claimed=claimed,
-        uniformity_actual=actual_u,
-        agrees=actual_u == claimed,
-        matches=matches,
-        mismatch_count=n_bad,
-        mismatches=listing,
-        extras={
-            "entry_values": [v for v, _ in value_histogram(table.entries)],
-            "stated_vs_exact_discrepancies": int(len(disc)),
-            "stated_vs_exact_examples": [[int(a), int(b)] for a, b in disc[:20]],
-        },
-    )
+    params = {"p": p, "k": k, "n": n, "d": p**k + 1, "condition": condition}
+    report, actual = _report("t3", params, fld, "sozd", claims[condition], claimed)
+    disc = claims["exact"][..., 0] != claims["stated"][..., 0]
+    report.extras = {
+        "entry_values": [v for v, _ in rows_histogram(fld, actual)],
+        "stated_vs_exact_discrepancies": _count(fld, disc),
+        "stated_vs_exact_examples": [[a, b] for a, b, _, _ in _cells(fld, disc, 1, 20)],
+    }
     report.notes.append(
         "claimed uniformity follows the vanishing condition: p^n when "
         "n/gcd(n,k) is even, else 0"
@@ -400,33 +359,19 @@ def verify_sozd_pk1(p: int, k: int, n: int, condition: str = "exact") -> Verific
 
 def verify_ddt_x4(n: int) -> VerificationReport:
     fld = make_field(3, n)
-    table = ddt_table(fld, PowerMap(4))
-    predicted, interval = predicted_ddt_x4_table(fld)
-    matches, n_bad, listing = _diff(table.entries, predicted, interval, (0, 3))
-    e = table.entries
-    claimed = 1 if n % 2 else 3
-    actual_u = differential_uniformity(fld, table=table).uniformity
-    report = VerificationReport(
-        target="t4",
-        params={"n": n, "d": 4},
-        field_spec=fld.spec_string(),
-        uniformity_claimed=claimed,
-        uniformity_actual=actual_u,
-        agrees=actual_u == claimed,
-        matches=matches,
-        mismatch_count=n_bad,
-        mismatches=listing,
-    )
+    claim = _claim_rows(fld, lambda a, b: predict_ddt_x4_f3n(fld, a, b))
+    report, actual = _report("t4", {"n": n, "d": 4}, fld, "ddt", claim, 1 if n % 2 else 3)
+    row1 = actual[1]  # every row a != 0 is a permutation of it
     if n % 2 == 0:
-        row_max_ok = bool((e[1:, :].max(axis=1) == 3).all())
-        row_sum_ok = bool((e[1:, :].sum(axis=1) == fld.order).all())
+        row_max_ok = bool(row1.max() == 3)
+        row_sum_ok = bool(row1.sum() == fld.order)
         report.extras["rows_attain_max_3"] = row_max_ok
         report.extras["row_sums_equal_order"] = row_sum_ok
         if not (row_max_ok and row_sum_ok):
             report.mismatch_count += 1
             report.notes.append("row structure violated for some a != 0")
     else:
-        report.extras["permutation_rows"] = bool((e[1:, :] == 1).all())
+        report.extras["permutation_rows"] = bool((row1 == 1).all())
     return report
 
 
@@ -528,8 +473,7 @@ def verify_registry(max_size: int = 1024) -> RegistryReport:
             skipped += 1
         else:
             fld = make_field(case.p, case.n)
-            table = sozd_table(fld, PowerMap(case.d))
-            actual = sozd_uniformity(table).uniformity
+            actual = power_row_summary(fld, "sozd", sozd_row_power(fld, case.d)).uniformity
             row["actual"] = actual
             row["status"] = "match" if actual == case.expected else "mismatch"
             if actual == case.expected:

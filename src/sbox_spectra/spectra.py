@@ -9,7 +9,9 @@ solutions x of
 over F_{p^n}.  For p = 2 the SOZD table is the FBCT.  Power maps x^d admit
 a fast path: one exhaustive row at a = 1 determines every other nonzero row
 by the scalings DDT(a, b) = DDT(1, b/a^d) and SOZD(a, b) = SOZD(1, b/a);
-the brute-force path is kept selectable for cross-validation.
+the brute-force path is kept selectable for cross-validation.  `power_rows`
+gives rows 0 and 1, `expand_rows` the full table from them, and
+`power_row_summary` / `rows_histogram` its summary without building it.
 
 Both paths count rows through the derivative D_aF(x) = F(x+a) - F(x), with
 the same code for every characteristic.  A DDT row is the histogram of D_aF,
@@ -179,42 +181,43 @@ def sozd_table(field: Field, fmap, method: str = "auto") -> SpectrumTable:
     return SpectrumTable("sozd", field, map_label(fmap), entries)
 
 
+def power_rows(field: Field, kind: str, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows a = 0 and a = 1 of the DDT or SOZD table of x^d.  Row 0 is the
+    same for every map: DDT(0, b) = q at b = 0 only, SOZD(0, b) = q."""
+    q = field.order
+    if kind == "ddt":
+        row0 = np.zeros(q, dtype=np.int64)
+        row0[0] = q
+        return row0, ddt_row_power(field, d)
+    return np.full(q, q, dtype=np.int64), sozd_row_power(field, d)
+
+
+def expand_rows(field: Field, rows, scale: int) -> np.ndarray:
+    """The table whose row 0 is rows[0] and whose row a != 0 reads rows[1]
+    at u = b / a^scale (scale d for the DDT of x^d, 1 for its SOZD table).
+    Trailing axes of the rows are carried along."""
+    row0, row1 = rows
+    q = field.order
+    xs = field.xs()
+    out = np.empty((q,) + row1.shape, dtype=row1.dtype)
+    out[0] = row0
+    for a in range(1, q):
+        out[a] = row1[field.div_vec(xs, np.int64(field.pow(a, scale)))]
+    return out
+
+
 def _table(field: Field, fmap, method: str, kind: str) -> np.ndarray:
     if method not in ("auto", "fast", "bruteforce"):
         raise SpectraError(f"unknown method {method!r}")
-    use_fast = method == "fast" or (method == "auto" and isinstance(fmap, PowerMap))
-    n = field.order
-    if use_fast:
+    if method == "fast" or (method == "auto" and isinstance(fmap, PowerMap)):
         d = _require_power(fmap)
-        xs = field.xs()
-        if kind == "ddt":
-            row1 = ddt_row_power(field, d)
-
-            def row_fn(a):
-                if a == 0:
-                    row = np.zeros(n, dtype=np.int64)
-                    row[0] = n
-                    return row
-                return row1[field.div_vec(xs, np.int64(field.pow(a, d)))]
-
-        else:
-            row1 = sozd_row_power(field, d)
-
-            def row_fn(a):
-                if a == 0:
-                    return np.full(n, n, dtype=np.int64)
-                return row1[field.div_vec(xs, np.int64(a))]
-
-    else:
-        tab = image_table(field, fmap)
-        kernel = _ddt_row if kind == "ddt" else _sozd_row
-
-        def row_fn(a):
-            return kernel(field, tab, a)
-
+        return expand_rows(field, power_rows(field, kind, d), d if kind == "ddt" else 1)
+    tab = image_table(field, fmap)
+    kernel = _ddt_row if kind == "ddt" else _sozd_row
+    n = field.order
     out = np.empty((n, n), dtype=np.int64)
     for a in range(n):
-        out[a] = row_fn(a)
+        out[a] = kernel(field, tab, a)
     return out
 
 
@@ -224,6 +227,35 @@ def value_histogram(entries: np.ndarray) -> tuple[tuple[int, int], ...]:
     """(value, count) for every distinct value, ascending."""
     values, counts = np.unique(entries, return_counts=True)
     return tuple((int(v), int(c)) for v, c in zip(values, counts))
+
+
+def rows_histogram(field: Field, rows) -> tuple[tuple[int, int], ...]:
+    """value_histogram of a table given by rows 0 and 1 (see expand_rows):
+    row 0 counts once, row 1 once for each of the q - 1 rows a != 0."""
+    counts = dict(value_histogram(rows[0]))
+    for v, c in value_histogram(rows[1]):
+        counts[v] = counts.get(v, 0) + (field.order - 1) * c
+    return tuple(sorted(counts.items()))
+
+
+def _domain(field: Field, kind: str) -> str:
+    if kind == "ddt":
+        return "a != 0"
+    return "a, b nonzero and a != b" if field.p == 2 else "a, b nonzero"
+
+
+def power_row_summary(field: Field, kind: str, row: np.ndarray) -> SpectrumSummary:
+    """Uniformity of x^d from its a = 1 row, and the histogram of that row.
+
+    Every row a != 0 is the a = 1 row read at u = b/a^d (DDT) or u = b/a
+    (SOZD), so b = 0 and b = a sit at u = 0 and u = 1: the SOZD maximum skips
+    u = 0, and u = 1 too for p = 2, exactly as sozd_uniformity's domain."""
+    skip = 0 if kind == "ddt" else 2 if field.p == 2 else 1
+    return SpectrumSummary(
+        uniformity=int(row[skip:].max()) if row.size > skip else 0,
+        histogram=value_histogram(row),
+        domain=f"{_domain(field, kind)} (from the a = 1 row of a power map)",
+    )
 
 
 def differential_uniformity(field: Field, fmap=None,
@@ -237,7 +269,7 @@ def differential_uniformity(field: Field, fmap=None,
     return SpectrumSummary(
         uniformity=int(e[1:, :].max()) if e.shape[0] > 1 else 0,
         histogram=value_histogram(e),
-        domain="a != 0",
+        domain=_domain(field, "ddt"),
     )
 
 
@@ -257,11 +289,12 @@ def sozd_uniformity(table: SpectrumTable) -> SpectrumSummary:
     mask[:, 0] = False
     if table.field.p == 2:
         np.fill_diagonal(mask, False)
-        domain = "a, b nonzero and a != b"
-    else:
-        domain = "a, b nonzero"
     uniformity = int(e[mask].max()) if mask.any() else 0
-    return SpectrumSummary(uniformity=uniformity, histogram=value_histogram(e), domain=domain)
+    return SpectrumSummary(
+        uniformity=uniformity,
+        histogram=value_histogram(e),
+        domain=_domain(table.field, "sozd"),
+    )
 
 
 def summary_to_dict(summary: SpectrumSummary) -> dict:

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import sbox_spectra
+from sbox_spectra import spectra
 from sbox_spectra.cli import RunConfig, load_table_map, main
 from sbox_spectra.errors import UnparsableElementError, WrongLengthError
 from sbox_spectra.fields import make_field
@@ -132,6 +138,35 @@ def test_verify_exit_codes(capsys):
     assert json.loads(out)["mismatch_count"] > 0
     code, out, _ = run(capsys, "verify", "--theorem", "t4", "--n", "2")
     assert code == 0
+
+
+def test_verify_t3_checks_parameters_before_computing(capsys, monkeypatch):
+    def no_table_work(*args):
+        pytest.fail("spectrum computed before the parameter check")
+
+    monkeypatch.setattr(spectra, "_sozd_row", no_table_work)
+    code, out, err = run(capsys, "verify", "--theorem", "t3", "--p", "3", "--k", "7", "--n", "7")
+    assert code == 2 and out == "" and "k=7 outside [1, n)" in err
+    code, out, err = run(capsys, "verify", "--theorem", "t3", "--p", "2", "--k", "1", "--n", "5")
+    assert code == 2 and out == "" and "needs odd p" in err
+
+
+def test_verify_t1_m8_within_two_gib():
+    # q = 2^16: a q x q table would take 32 GiB, rows 0 and 1 take O(q)
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(sbox_spectra.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sbox_spectra", "verify", "--theorem", "t1", "--m", "8"],
+        capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    d = json.loads(proc.stdout)
+    assert d["matches"] + d["mismatch_count"] == 2**32
+    assert d["uniformity_actual"] == 256
 
 
 def test_verify_t2_m3_flags_agreement(capsys, tmp_path):

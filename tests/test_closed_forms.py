@@ -14,6 +14,7 @@ from sbox_spectra import (
     BadParametersError,
     EvenCharacteristicError,
     PowerMap,
+    ddt_table,
     make_field,
     predict_ddt_x4_f3n,
     predict_fbct_2m3,
@@ -34,6 +35,7 @@ from sbox_spectra.closed_forms import (
     predicted_fbct_2m5_table,
     predicted_sozd_pk1_table,
 )
+from sbox_spectra.spectra import value_histogram
 
 
 # -- scalar predictors ---------------------------------------------------------
@@ -153,7 +155,7 @@ def test_vectorized_2m5_matches_scalar(f26, f28):
     for field in (f26, f28):
         table, interval = predicted_fbct_2m5_table(field)
         n = field.order
-        for a in range(0, n, 3):
+        for a in range(n):
             for b in range(n):
                 p = predict_fbct_2m5(field, a, b)
                 if p.is_exact:
@@ -261,6 +263,80 @@ def test_verification_report_serializable():
     report = verify_fbct_2m3(3)
     blob = json.dumps(report.to_dict())
     assert "uniformity_actual" in blob
+
+
+# -- row-first verification against the brute-force oracle -----------------------------
+
+def _oracle_claims(field, predict):
+    """Every cell's claim as inclusive (lo, hi), straight from the predictor."""
+    q = field.order
+    cells = [[predict(a, b) for b in range(q)] for a in range(q)]
+    return np.array(
+        [[(c.value, c.value) if c.is_exact else c.bounds for c in row] for row in cells]
+    )
+
+
+def _oracle_diff(entries, claims):
+    lo, hi = claims[..., 0], claims[..., 1]
+    bad = (entries < lo) | (entries > hi)
+    listing = []
+    for a, b in np.argwhere(bad)[:200]:
+        pred = int(lo[a, b]) if lo[a, b] == hi[a, b] else [int(lo[a, b]), int(hi[a, b])]
+        listing.append([int(a), int(b), pred, int(entries[a, b])])
+    return entries.size - int(bad.sum()), int(bad.sum()), listing
+
+
+def _assert_diff(report, entries, claims):
+    matches, n_bad, listing = _oracle_diff(entries, claims)
+    assert (report.matches, report.mismatch_count) == (matches, n_bad)
+    assert report.mismatches == listing
+
+
+@pytest.mark.parametrize("theorem,m", [("t1", 3), ("t1", 4), ("t2", 3), ("t2", 4)])
+def test_row_first_fbct_verify_matches_oracle(theorem, m):
+    f = make_field(2, 2 * m)
+    d, predict, verify = {
+        "t1": ((1 << m) + 3, predict_fbct_2m3, verify_fbct_2m3),
+        "t2": ((1 << m) + 5, predict_fbct_2m5, verify_fbct_2m5),
+    }[theorem]
+    table = sozd_table(f, PowerMap(d), method="bruteforce").entries
+    report = verify(m)
+    _assert_diff(report, table, _oracle_claims(f, lambda a, b: predict(f, a, b)))
+    assert report.extras["value_histogram"] == dict(value_histogram(table))
+
+
+@pytest.mark.parametrize("condition", ["exact", "stated"])
+@pytest.mark.parametrize("p,k,n", [(3, 1, 2), (3, 1, 3), (3, 2, 4), (5, 1, 2)])
+def test_row_first_pk1_verify_matches_oracle(p, k, n, condition):
+    f = make_field(p, n)
+    table = sozd_table(f, PowerMap(p**k + 1), method="bruteforce").entries
+    claims = {
+        c: _oracle_claims(f, lambda a, b: getattr(predict_sozd_pk1(f, k, a, b), c))
+        for c in ("exact", "stated")
+    }
+    report = verify_sozd_pk1(p, k, n, condition)
+    _assert_diff(report, table, claims[condition])
+    disc = np.argwhere(claims["exact"][..., 0] != claims["stated"][..., 0])
+    assert report.extras == {
+        "entry_values": [v for v, _ in value_histogram(table)],
+        "stated_vs_exact_discrepancies": len(disc),
+        "stated_vs_exact_examples": disc[:20].tolist(),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_row_first_ddt_x4_verify_matches_oracle(n):
+    f = make_field(3, n)
+    table = ddt_table(f, PowerMap(4), method="bruteforce").entries
+    report = verify_ddt_x4(n)
+    _assert_diff(report, table, _oracle_claims(f, lambda a, b: predict_ddt_x4_f3n(f, a, b)))
+    if n % 2:
+        assert report.extras == {"permutation_rows": bool((table[1:] == 1).all())}
+    else:
+        assert report.extras == {
+            "rows_attain_max_3": bool((table[1:].max(axis=1) == 3).all()),
+            "row_sums_equal_order": bool((table[1:].sum(axis=1) == f.order).all()),
+        }
 
 
 # -- registry --------------------------------------------------------------------------

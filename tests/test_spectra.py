@@ -25,6 +25,7 @@ from sbox_spectra import (
     sozd_uniformity,
     write_table_csv,
 )
+from sbox_spectra.spectra import power_row_summary, power_rows, rows_histogram
 
 
 def hist(entries):
@@ -166,6 +167,22 @@ def test_sozd_uniformity_domains(f26, f33):
     f32 = make_field(3, 2)
     t = sozd_table(f32, PowerMap(4))
     assert sozd_uniformity(t).uniformity == 9  # attained at a = b among others
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("kind", ["ddt", "sozd"])
+@pytest.mark.parametrize("p,n", [(2, 5), (2, 6), (3, 3), (5, 2)])
+def test_power_row_summary_equals_table_summary(p, n, kind, d):
+    # p = 2 SOZD excludes b = a (u = 1) as well as b = 0; odd p only b = 0
+    f = make_field(p, n)
+    table = (ddt_table if kind == "ddt" else sozd_table)(f, PowerMap(d))
+    whole = (differential_uniformity(f, table=table) if kind == "ddt"
+             else sozd_uniformity(table))
+    rows = power_rows(f, kind, d)
+    summary = power_row_summary(f, kind, rows[1])
+    assert summary.uniformity == whole.uniformity
+    assert summary.domain.startswith(whole.domain)
+    assert rows_histogram(f, rows) == whole.histogram
 
 
 def test_histograms_cover_all_pairs(f26, f33):
