@@ -8,9 +8,15 @@ is also the row/column order of every CSV this package writes.
 
 A Field caches exp/log tables over a generator once multiplication is first
 needed (for orders up to TABLE_CAP), turning mul/inv/pow/character into O(1)
-lookups; larger fields fall back to direct polynomial arithmetic.  Fields
-and elements are immutable values; lazy cache builds are idempotent, so
-sharing across threads is safe.
+lookups; larger fields fall back to direct polynomial arithmetic for scalar
+operations, while the vectorized ones (and so every spectrum row) need the
+tables.  The tables are built by doubling: with exp[:L] = g^0..g^(L-1)
+filled, exp[L:2L] = g^L * exp[:L].  Multiplying by a fixed c is F_p-linear
+on coefficient vectors, so n scalar products give c times each basis element
+p^j, and the whole block is mapped at once (XOR of byte lookup tables for
+p = 2, a digit matrix mod p for odd p): O(n log q) scalar products in all.
+Fields and elements are immutable values; lazy cache builds are idempotent,
+so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -211,19 +217,45 @@ class Field:
                 f"exp/log tables not built for order {self.order} > {TABLE_CAP}"
             )
         g = self._find_generator()
-        exp = [1] * self._m
-        log = [-1] * self.order
-        log[1] = 0
-        acc = 1
-        for i in range(1, self._m):
-            acc = self._mul_raw(acc, g)
-            exp[i] = acc
-            log[acc] = i
+        m = self._m
+        exp = np.empty(m, dtype=np.int64)
+        exp[0] = 1
+        size, c = 1, g  # invariant: exp[:size] is filled and c = g^size
+        while size < m:
+            step = min(size, m - size)
+            exp[size:size + step] = self._scale_vec(c, exp[:step])
+            size += step
+            c = self._mul_raw(c, c)
+        log = np.full(self.order, -1, dtype=np.int64)
+        log[exp] = np.arange(m, dtype=np.int64)
         # _exp is the readiness sentinel: assign it last so concurrent lazy
         # builds (idempotent under the GIL) never observe a half-built state
         self._generator = g
-        self._log = log
-        self._exp = exp
+        self._np_log = log
+        self._np_exp = exp
+        self._log = log.tolist()
+        self._exp = exp.tolist()
+
+    def _scale_vec(self, c: int, v: np.ndarray) -> np.ndarray:
+        """c * v for an array of encodings v, through the F_p-linear map
+        y -> c*y: n scalar products give its images of the basis p^j."""
+        images = [self._mul_raw(c, self.p**j) for j in range(self.n)]
+        if self.p == 2:
+            out = np.zeros(v.shape, dtype=np.int64)
+            for lo in range(0, self.n, 8):  # table[b]: XOR of the images of b's bits
+                chunk = images[lo:lo + 8]
+                table = np.zeros(1 << len(chunk), dtype=np.int64)
+                for j, img in enumerate(chunk):
+                    table[1 << j:2 << j] = table[:1 << j] ^ img
+                out ^= table[(v >> lo) & 0xFF]
+            return out
+        digits = np.empty((v.size, self.n), dtype=np.int64)
+        rest = v.copy()
+        for k in range(self.n):
+            digits[:, k] = rest % self.p
+            rest //= self.p
+        matrix = np.array([self.coeffs(img) for img in images], dtype=np.int64)  # row j: c*p^j
+        return ((digits @ matrix) % self.p) @ (self.p ** np.arange(self.n, dtype=np.int64))
 
     @property
     def generator(self) -> int:
@@ -348,12 +380,6 @@ class Field:
             self._xs = np.arange(self.order, dtype=np.int64)
         return self._xs
 
-    def _ensure_np(self):
-        if self._np_exp is None:
-            self._ensure_tables()
-            self._np_log = np.array(self._log, dtype=np.int64)
-            self._np_exp = np.array(self._exp, dtype=np.int64)  # sentinel last
-
     def _ensure_digits(self):
         if self._digits is None:
             digits = np.empty((self.order, self.n), dtype=np.int16)
@@ -385,7 +411,7 @@ class Field:
     def mul_vec(self, A, B) -> np.ndarray:
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
-        self._ensure_np()
+        self._ensure_tables()
         A, B = np.broadcast_arrays(A, B)
         out = np.zeros(A.shape, dtype=np.int64)
         nz = (A != 0) & (B != 0)
@@ -397,7 +423,7 @@ class Field:
         B = np.asarray(B, dtype=np.int64)
         if np.any(B == 0):
             raise ZeroDivisionError("division by zero")
-        self._ensure_np()
+        self._ensure_tables()
         A, B = np.broadcast_arrays(A, B)
         out = np.zeros(A.shape, dtype=np.int64)
         nz = A != 0
@@ -410,7 +436,7 @@ class Field:
             raise BadParametersError("exponent must be nonnegative")
         if e == 0:
             return np.ones(A.shape, dtype=np.int64)
-        self._ensure_np()
+        self._ensure_tables()
         out = np.zeros(A.shape, dtype=np.int64)
         nz = A != 0
         out[nz] = self._np_exp[(self._np_log[A[nz]] * (e % self._m)) % self._m]

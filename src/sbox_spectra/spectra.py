@@ -370,15 +370,28 @@ def property_report_to_dict(report: PropertyReport) -> dict:
 
 # -- serialization ---------------------------------------------------------------
 
+class _FormatCache(dict):
+    """str(v) per distinct value, made on first use: a table has few
+    distinct counts, so each is formatted once instead of once per cell."""
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = str(v)
+        return text
+
+
+def _write_csv_line(fobj, values: np.ndarray, cache: _FormatCache) -> None:
+    fobj.write(",".join(map(cache.__getitem__, values.tolist())))
+    fobj.write("\n")
+
+
 def write_table_csv(table: SpectrumTable, fobj) -> None:
     """Header `kind,p,n,d_or_table`, then p^n rows of p^n counts."""
     fobj.write(f"{table.kind.upper()},{table.field.p},{table.field.n},{table.map_label}\n")
+    cache = _FormatCache()
     for row in table.entries:
-        fobj.write(",".join(map(str, row.tolist())))
-        fobj.write("\n")
+        _write_csv_line(fobj, row, cache)
 
 
 def write_row_csv(field: Field, kind: str, label: str, row: np.ndarray, fobj) -> None:
     fobj.write(f"{kind.upper()},{field.p},{field.n},{label}\n")
-    fobj.write(",".join(map(str, row.tolist())))
-    fobj.write("\n")
+    _write_csv_line(fobj, row, _FormatCache())

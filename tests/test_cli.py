@@ -125,6 +125,9 @@ def test_cli_error_exit_codes(capsys, tmp_path):
     code, _, _ = run(capsys, "spectra", "sozd", "--field", "p=2;n=4",
                      "--table", str(tmp_path / "absent.txt"))
     assert code == 2
+    # a row past the exp/log table cap, inside the element bound
+    code, _, err = run(capsys, "spectra", "ddt", "--field", "p=2;n=21", "--power", "7", "--row")
+    assert code == 2 and "exp/log tables not built for order 2097152 > 1048576" in err
 
 
 def test_verify_exit_codes(capsys):

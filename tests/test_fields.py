@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -19,7 +20,8 @@ from sbox_spectra import (
     make_field,
     parse_field_spec,
 )
-from sbox_spectra.fields import MAX_SIZE_ENV
+from sbox_spectra._conway import CONWAY_POLYNOMIALS
+from sbox_spectra.fields import MAX_SIZE_ENV, Field
 
 
 # -- construction ------------------------------------------------------------
@@ -314,3 +316,82 @@ def test_vector_ops_match_scalar(p, n):
     tab = f.power_map_table(5)
     for x in range(N):
         assert tab[x] == f.pow(x, 5)
+
+
+# -- exp/log tables ------------------------------------------------------------
+
+def sequential_tables(f):
+    """Reference build: the first g (by encoding) whose powers, taken one
+    _mul_raw at a time, run through all q - 1 nonzero elements."""
+    m = f.order - 1
+    for g in range(1, f.order):
+        exp = [1]
+        while len(exp) < m:
+            nxt = f._mul_raw(exp[-1], g)
+            if nxt == 1:
+                break
+            exp.append(nxt)
+        if len(exp) == m and f._mul_raw(exp[-1], g) == 1:
+            log = [-1] * f.order
+            for i, e in enumerate(exp):
+                log[e] = i
+            return g, exp, log
+    raise AssertionError("no generator")
+
+
+CONWAY_UP_TO_2_12 = sorted(k for k in CONWAY_POLYNOMIALS if k[0] ** k[1] <= 1 << 12)
+NON_CONWAY_MODULI = [
+    (2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1]),  # AES x^8+x^4+x^3+x+1: x is not primitive
+    (2, 10, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]),  # x^10+x^3+1
+    (2, 5, [1, 0, 0, 1, 0, 1]),  # x^5+x^3+1
+    (3, 3, [1, 2, 0, 1]),  # x^3+2x+1
+]
+
+
+@pytest.mark.parametrize("p,n,mod", [(p, n, None) for p, n in CONWAY_UP_TO_2_12]
+                         + [(2, 1, None), (3, 1, None), (11, 1, None)] + NON_CONWAY_MODULI)
+def test_tables_equal_sequential_build(p, n, mod):
+    f = make_field(p, n, mod)
+    g, exp, log = sequential_tables(f)
+    assert f.generator == g
+    assert f._exp == exp and f._log == log
+    assert all(type(v) is int for v in f._exp) and all(type(v) is int for v in f._log)
+    assert f._np_exp.dtype == np.int64 and f._np_log.dtype == np.int64
+    assert f._np_exp.tolist() == exp and f._np_log.tolist() == log
+
+
+@pytest.mark.parametrize("p,n", [(2, 20), (3, 12)])
+def test_tables_at_the_cap(p, n):
+    f = make_field(p, n)
+    q, g = f.order, f.generator
+    exp, log = f._np_exp, f._np_log
+    assert np.array_equal(np.sort(exp), np.arange(1, q))
+    assert np.array_equal(log[exp], np.arange(q - 1))
+    assert log[0] == -1
+    for i in np.random.default_rng(20).integers(0, q - 2, 1000).tolist():
+        assert f._exp[i + 1] == f._mul_raw(f._exp[i], g)
+    assert f._mul_raw(f._exp[-1], g) == 1
+
+
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 9)])
+def test_table_build_makes_few_scalar_products(monkeypatch, p, n):
+    # the build is O(n log q) scalar products, not one per element
+    calls = 0
+    mul_raw = Field._mul_raw
+
+    def counting(self, i, j):
+        nonlocal calls
+        calls += 1
+        return mul_raw(self, i, j)
+
+    monkeypatch.setattr(Field, "_mul_raw", counting)
+    f = make_field(p, n)
+    f._ensure_tables()
+    assert 0 < calls < 20 * n * math.log2(f.order)
+
+
+def test_scalar_ops_past_the_table_cap():
+    f = make_field(2, 21)
+    with pytest.raises(UnsupportedSizeError, match="exp/log tables not built"):
+        f._ensure_tables()
+    assert f.mul(3, 5) == f._mul_raw(3, 5)  # scalar ops fall back to polynomials

@@ -25,7 +25,7 @@ from sbox_spectra import (
     sozd_uniformity,
     write_table_csv,
 )
-from sbox_spectra.spectra import power_row_summary, power_rows, rows_histogram
+from sbox_spectra.spectra import power_row_summary, power_rows, rows_histogram, write_row_csv
 
 
 def hist(entries):
@@ -345,6 +345,36 @@ def test_csv_format_small():
     assert len(lines) == 5
     assert lines[1] == "4,0,0,0"
     assert lines[2] == "0,4,0,0"  # difference of x is constant a
+
+
+def csv_mismatch(written, header, rows):
+    """First line where `written` differs from the reference
+    `",".join(map(str, row.tolist()))` serialization, or None."""
+    lines = [header, *(",".join(map(str, row.tolist())) for row in rows)]
+    if not written.endswith("\n"):
+        return "no final newline"
+    got = written[:-1].split("\n")
+    if len(got) != len(lines):
+        return f"{len(got)} lines, expected {len(lines)}"
+    return next((i for i, (a, b) in enumerate(zip(got, lines)) if a != b), None)
+
+
+def test_csv_bytes_equal_reference():
+    f10 = make_field(2, 10)
+    fbct = sozd_table(f10, PowerMap(7))
+    assert fbct.entries.min() == 0 and fbct.entries.max() == 1024
+    f35 = make_field(3, 5)
+    rng = np.random.default_rng(11)
+    sbox = TableMap(tuple(rng.integers(0, 64, 64).tolist()))
+    random_table = sozd_table(make_field(2, 6), sbox)
+    for table, header in [(fbct, "SOZD,2,10,7"), (random_table, f"SOZD,2,6,{random_table.map_label}")]:
+        buf = io.StringIO()
+        write_table_csv(table, buf)
+        assert csv_mismatch(buf.getvalue(), header, table.entries) is None
+    for field, kind, row in [(f10, "fbct", fbct.entries[1]), (f35, "sozd", sozd_row_power(f35, 7))]:
+        buf = io.StringIO()
+        write_row_csv(field, kind, "7", row, buf)
+        assert csv_mismatch(buf.getvalue(), f"{kind.upper()},{field.p},{field.n},7", [row]) is None
 
 
 def test_spectrum_table_kind_flags(f26, f33):
