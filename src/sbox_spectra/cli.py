@@ -13,6 +13,7 @@ compatibility with existing command lines and changes neither output nor work.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import shlex
 import sys
@@ -23,16 +24,21 @@ from .errors import SpectraError, WrongLengthError
 from .fields import Field, parse_field_spec
 from .spectra import (
     PowerMap,
+    RunningSummary,
     TableMap,
-    ddt_table,
     fbct_property_check,
+    fbct_row_property_check,
+    iter_rows,
+    kernel_rows,
+    map_label,
     power_row_summary,
     power_rows,
+    power_table_summary,
     property_report_to_dict,
+    row_scale,
     sozd_table,
-    differential_uniformity,
-    sozd_uniformity,
     summary_to_dict,
+    uses_power_rows,
     write_row_csv,
     write_table_csv,
 )
@@ -232,26 +238,53 @@ def _cmd_spectra(args) -> int:
         _emit({"row": "a=1", **summary_to_dict(power_row_summary(field, kind, row))})
         return 0
 
-    table = (ddt_table if kind == "ddt" else sozd_table)(field, fmap, method=args.method)
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            write_table_csv(table, fh)
-    summary = (
-        differential_uniformity(field, table=table)
-        if kind == "ddt"
-        else sozd_uniformity(table)
-    )
+    if args.check_properties and (kind == "ddt" or field.p != 2):
+        raise SpectraError("--check-properties applies to FBCT tables (p = 2)")
+    if uses_power_rows(fmap, args.method):
+        summary, report = _power_table(args, field, kind, fmap.d)
+    else:
+        summary, report = _kernel_table(args, field, kind, fmap)
     out = summary_to_dict(summary)
     exit_code = 0
-    if args.check_properties:
-        if not table.is_fbct:
-            raise SpectraError("--check-properties applies to FBCT tables (p = 2)")
-        report = fbct_property_check(table)
+    if report is not None:
         out["properties"] = property_report_to_dict(report)
         if not report.ok:
             exit_code = 1
     _emit(out)
     return exit_code
+
+
+def _power_table(args, field: Field, kind: str, d: int):
+    """Summary, property report and CSV of the table of x^d, all from its
+    rows 0 and 1 in O(q) memory."""
+    rows = power_rows(field, kind, d)
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            write_table_csv(field, kind, str(d), iter_rows(field, rows, row_scale(kind, d)), fh)
+    report = fbct_row_property_check(field, rows) if args.check_properties else None
+    return power_table_summary(field, kind, rows), report
+
+
+def _kernel_table(args, field: Field, kind: str, fmap):
+    """The same from the row kernel, streamed one row a at a time.  A power
+    map's property check reads rows 0 and 1; a table map's holds the whole
+    table, the one q x q path, because it reads columns."""
+    rows = kernel_rows(field, fmap, kind)
+    report = None
+    if args.check_properties and isinstance(fmap, PowerMap):
+        report = fbct_row_property_check(field, power_rows(field, kind, fmap.d))
+    elif args.check_properties:
+        table = sozd_table(field, fmap, method=args.method)
+        report = fbct_property_check(table)
+        rows = table.entries
+    running = RunningSummary(field, kind)
+    rows = map(running.add, rows)
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            write_table_csv(field, kind, map_label(fmap), rows, fh)
+    else:
+        collections.deque(rows, maxlen=0)
+    return running.summary(), report
 
 
 def _cmd_verify(args) -> int:

@@ -37,6 +37,7 @@ from .spectra import (
     expand_rows,
     power_row_summary,
     power_rows,
+    row_scale,
     rows_histogram,
     sozd_row_power,
 )
@@ -285,7 +286,7 @@ def _report(target: str, params: dict, fld: Field, kind: str, claim: np.ndarray,
     the report and the spectrum rows for family-specific extras."""
     d = params["d"]
     actual = np.stack(power_rows(fld, kind, d))
-    matches, n_bad, listing = _diff(fld, actual, claim, d if kind == "ddt" else 1)
+    matches, n_bad, listing = _diff(fld, actual, claim, row_scale(kind, d))
     actual_u = power_row_summary(fld, kind, actual[1]).uniformity
     report = VerificationReport(
         target=target,

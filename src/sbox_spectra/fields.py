@@ -10,11 +10,14 @@ A Field caches exp/log tables over a generator once multiplication is first
 needed (for orders up to TABLE_CAP), turning mul/inv/pow/character into O(1)
 lookups; larger fields fall back to direct polynomial arithmetic for scalar
 operations, while the vectorized ones (and so every spectrum row) need the
-tables.  The tables are built by doubling: with exp[:L] = g^0..g^(L-1)
-filled, exp[L:2L] = g^L * exp[:L].  Multiplying by a fixed c is F_p-linear
-on coefficient vectors, so n scalar products give c times each basis element
-p^j, and the whole block is mapped at once (XOR of byte lookup tables for
-p = 2, a digit matrix mod p for odd p): O(n log q) scalar products in all.
+tables.  The tables are int64 arrays; the scalar ops read Python-list copies
+of them, made on the first scalar call, so a run that makes none (a spectrum
+row, say) never pays for the lists.  The tables are built by doubling: with
+exp[:L] = g^0..g^(L-1) filled, exp[L:2L] = g^L * exp[:L].  Multiplying by a
+fixed c is F_p-linear on coefficient vectors, so n scalar products give c
+times each basis element p^j, and the whole block is mapped at once (XOR of
+byte lookup tables for p = 2, a digit matrix mod p for odd p): O(n log q)
+scalar products in all.
 Fields and elements are immutable values; lazy cache builds are idempotent,
 so sharing across threads is safe.
 """
@@ -210,7 +213,7 @@ class Field:
         raise RuntimeError("no generator found")  # unreachable for a true field
 
     def _ensure_tables(self):
-        if self._exp is not None:
+        if self._np_exp is not None:
             return
         if self.order > TABLE_CAP:
             raise UnsupportedSizeError(
@@ -228,13 +231,11 @@ class Field:
             c = self._mul_raw(c, c)
         log = np.full(self.order, -1, dtype=np.int64)
         log[exp] = np.arange(m, dtype=np.int64)
-        # _exp is the readiness sentinel: assign it last so concurrent lazy
+        # _np_exp is the readiness sentinel: assign it last so concurrent lazy
         # builds (idempotent under the GIL) never observe a half-built state
         self._generator = g
         self._np_log = log
         self._np_exp = exp
-        self._log = log.tolist()
-        self._exp = exp.tolist()
 
     def _scale_vec(self, c: int, v: np.ndarray) -> np.ndarray:
         """c * v for an array of encodings v, through the F_p-linear map
@@ -262,9 +263,19 @@ class Field:
         self._ensure_tables()
         return self._generator
 
+    def log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The int64 arrays exp (exp[k] = g^k, k < q - 1) and log (log[0] = -1)."""
+        self._ensure_tables()
+        return self._np_exp, self._np_log
+
     def _have_tables(self) -> bool:
+        """Whether the scalar ops can use the Python-list mirrors _exp/_log of
+        the tables; they are made on the first scalar call, since the
+        vectorised ops read only the arrays."""
         if self._exp is None and self.order <= TABLE_CAP:
             self._ensure_tables()
+            self._log = self._np_log.tolist()
+            self._exp = self._np_exp.tolist()  # sentinel last
         return self._exp is not None
 
     # -- scalar field operations ---------------------------------------------

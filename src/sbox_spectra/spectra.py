@@ -6,12 +6,19 @@ solutions x of
   DDT:   F(x+a) - F(x) = b
   SOZD:  F(x+a+b) - F(x+a) - F(x+b) + F(x) = 0
 
-over F_{p^n}.  For p = 2 the SOZD table is the FBCT.  Power maps x^d admit
-a fast path: one exhaustive row at a = 1 determines every other nonzero row
-by the scalings DDT(a, b) = DDT(1, b/a^d) and SOZD(a, b) = SOZD(1, b/a);
-the brute-force path is kept selectable for cross-validation.  `power_rows`
-gives rows 0 and 1, `expand_rows` the full table from them, and
-`power_row_summary` / `rows_histogram` its summary without building it.
+over F_{p^n}.  For p = 2 the SOZD table is the FBCT.
+
+A power map x^d is fixed by its rows a = 0 and a = 1 (`power_rows`): every
+other row follows by the scalings DDT(a, b) = DDT(1, b/a^d) and SOZD(a, b) =
+SOZD(1, b/a).  Read in log order, b = g^k, row a is row 1 in log order
+rotated by log(a^d) (DDT) or log(a) (SOZD), so `iter_rows` yields the table
+one row at a time at one gather per row, and `expand_rows` stacks it.  The
+table's summary (`power_table_summary`), its FBCT property check
+(`fbct_row_property_check`: each count is row 0's plus q - 1 times row 1's)
+and its CSV (`write_table_csv` of `iter_rows`) all come from the two rows in
+O(q) memory.  The brute-force path, `kernel_rows`, runs the row kernel at
+every a for any map; it is kept selectable for cross-validation, and
+`RunningSummary` summarizes its rows as they stream.
 
 Both paths count rows through the derivative D_aF(x) = F(x+a) - F(x), with
 the same code for every characteristic.  A DDT row is the histogram of D_aF,
@@ -100,22 +107,29 @@ def _sozd_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
     """SOZD(a, b) = #{x : D_aF(x+b) = D_aF(x)}.  With x sorted by D_aF, the
     pairs x != y of equal derivative sit j = 1, 2, ... places apart, and each
     adds to the entries at b = y - x and b = x - y.  The first j with no such
-    pair ends the scan: a longer run of equal values would have one."""
+    pair ends the scan: a longer run of equal values would have one.  The
+    differences are binned once at least q of them are pending, so there are
+    at most sum_c DDT(a, c)^2 / q + 1 bincounts of length q."""
     q = field.order
     deriv = _derivative(field, tab, a)
     order = np.argsort(deriv)
     deriv = deriv[order]
     row = np.zeros(q, dtype=np.int64)
     row[0] = q
+    pending, size = [], 0
     starts = np.arange(q - 1)  # i with deriv[i] == deriv[i + j - 1]
     j = 1
     while True:
         starts = starts[deriv[starts + j] == deriv[starts]]
+        if starts.size:
+            x, y = order[starts], order[starts + j]
+            pending += (field.sub_vec(y, x), field.sub_vec(x, y))
+            size += 2 * starts.size
+        if pending and (size >= q or not starts.size):
+            row += np.bincount(np.concatenate(pending), minlength=q)
+            pending, size = [], 0
         if not starts.size:
             return row
-        x, y = order[starts], order[starts + j]
-        row += np.bincount(field.sub_vec(y, x), minlength=q)
-        row += np.bincount(field.sub_vec(x, y), minlength=q)
         j += 1
         starts = starts[starts + j < q]
 
@@ -162,12 +176,6 @@ def sozd_row_power(field: Field, d: int) -> np.ndarray:
     return _sozd_row(field, field.power_map_table(d), 1)
 
 
-def _require_power(fmap) -> int:
-    if not isinstance(fmap, PowerMap):
-        raise NotAPowerMapError("fast path needs a power map")
-    return fmap.d
-
-
 def ddt_table(field: Field, fmap, method: str = "auto") -> SpectrumTable:
     """Full DDT.  method: "auto" (fast path for power maps), "fast", or
     "bruteforce" (the oracle path, selectable for cross-validation)."""
@@ -181,6 +189,12 @@ def sozd_table(field: Field, fmap, method: str = "auto") -> SpectrumTable:
     return SpectrumTable("sozd", field, map_label(fmap), entries)
 
 
+def row_scale(kind: str, d: int) -> int:
+    """The scale of x^d's row expansion (see iter_rows): d for the DDT, 1 for
+    the SOZD table."""
+    return d if kind == "ddt" else 1
+
+
 def power_rows(field: Field, kind: str, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows a = 0 and a = 1 of the DDT or SOZD table of x^d.  Row 0 is the
     same for every map: DDT(0, b) = q at b = 0 only, SOZD(0, b) = q."""
@@ -192,33 +206,60 @@ def power_rows(field: Field, kind: str, d: int) -> tuple[np.ndarray, np.ndarray]
     return np.full(q, q, dtype=np.int64), sozd_row_power(field, d)
 
 
-def expand_rows(field: Field, rows, scale: int) -> np.ndarray:
-    """The table whose row 0 is rows[0] and whose row a != 0 reads rows[1]
-    at u = b / a^scale (scale d for the DDT of x^d, 1 for its SOZD table).
-    Trailing axes of the rows are carried along."""
+def iter_rows(field: Field, rows, scale: int):
+    """Rows a = 0, 1, ..., q - 1, one at a time, of the table whose row 0 is
+    rows[0] and whose row a != 0 reads rows[1] at u = b / a^scale (see
+    row_scale).  With b = g^k, row a in log order is row 1 in log order
+    rotated by log(a^scale), so each row is one gather.  Trailing axes of the
+    rows are carried along.  Row 0 is rows[0] itself; every later row is a
+    new array."""
     row0, row1 = rows
-    q = field.order
-    xs = field.xs()
-    out = np.empty((q,) + row1.shape, dtype=row1.dtype)
-    out[0] = row0
-    for a in range(1, q):
-        out[a] = row1[field.div_vec(xs, np.int64(field.pow(a, scale)))]
-    return out
+    yield row0
+    exp, log = field.log_tables()
+    m = field.order - 1
+    doubled = row1[np.concatenate((exp, exp))]  # row 1 in log order, twice
+    logs = log[1:]
+    for shift in ((scale % m) * logs % m).tolist():
+        out = np.empty_like(row1)
+        out[0] = row1[0]
+        # indices are in range; "clip" lets take write into out unbuffered
+        np.take(doubled[m - shift:], logs, axis=0, out=out[1:], mode="clip")
+        yield out
 
 
-def _table(field: Field, fmap, method: str, kind: str) -> np.ndarray:
+def expand_rows(field: Field, rows, scale: int) -> np.ndarray:
+    """The whole table of iter_rows."""
+    row1 = rows[1]
+    return np.fromiter(iter_rows(field, rows, scale), count=field.order,
+                       dtype=np.dtype((row1.dtype, row1.shape)))
+
+
+def kernel_rows(field: Field, fmap, kind: str):
+    """Rows a = 0, 1, ..., q - 1, one at a time, of the DDT or SOZD table of
+    any map, each from the row kernel: the brute-force path."""
+    tab = image_table(field, fmap)
+    kernel = _ddt_row if kind == "ddt" else _sozd_row
+    return (kernel(field, tab, a) for a in range(field.order))
+
+
+def uses_power_rows(fmap, method: str) -> bool:
+    """Whether `method` takes the table from rows 0 and 1 ("fast", or "auto"
+    on a power map) rather than from kernel_rows ("bruteforce", or "auto" on
+    a table map)."""
     if method not in ("auto", "fast", "bruteforce"):
         raise SpectraError(f"unknown method {method!r}")
     if method == "fast" or (method == "auto" and isinstance(fmap, PowerMap)):
-        d = _require_power(fmap)
-        return expand_rows(field, power_rows(field, kind, d), d if kind == "ddt" else 1)
-    tab = image_table(field, fmap)
-    kernel = _ddt_row if kind == "ddt" else _sozd_row
-    n = field.order
-    out = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        out[a] = kernel(field, tab, a)
-    return out
+        if not isinstance(fmap, PowerMap):
+            raise NotAPowerMapError("fast path needs a power map")
+        return True
+    return False
+
+
+def _table(field: Field, fmap, method: str, kind: str) -> np.ndarray:
+    if uses_power_rows(fmap, method):
+        return expand_rows(field, power_rows(field, kind, fmap.d), row_scale(kind, fmap.d))
+    q = field.order
+    return np.fromiter(kernel_rows(field, fmap, kind), dtype=np.dtype((np.int64, (q,))), count=q)
 
 
 # -- uniformities and histograms ----------------------------------------------
@@ -244,18 +285,74 @@ def _domain(field: Field, kind: str) -> str:
     return "a, b nonzero and a != b" if field.p == 2 else "a, b nonzero"
 
 
-def power_row_summary(field: Field, kind: str, row: np.ndarray) -> SpectrumSummary:
-    """Uniformity of x^d from its a = 1 row, and the histogram of that row.
-
-    Every row a != 0 is the a = 1 row read at u = b/a^d (DDT) or u = b/a
-    (SOZD), so b = 0 and b = a sit at u = 0 and u = 1: the SOZD maximum skips
-    u = 0, and u = 1 too for p = 2, exactly as sozd_uniformity's domain."""
+def _row_uniformity(field: Field, kind: str, row: np.ndarray) -> int:
+    """The uniformity of x^d from its a = 1 row.  Every row a != 0 is the
+    a = 1 row read at u = b/a^d (DDT) or u = b/a (SOZD), so b = 0 and b = a
+    sit at u = 0 and u = 1: the SOZD maximum skips u = 0, and u = 1 too for
+    p = 2, exactly as the domain of RunningSummary."""
     skip = 0 if kind == "ddt" else 2 if field.p == 2 else 1
+    return int(row[skip:].max()) if row.size > skip else 0
+
+
+def power_row_summary(field: Field, kind: str, row: np.ndarray) -> SpectrumSummary:
+    """Uniformity of x^d from its a = 1 row, and the histogram of that row."""
     return SpectrumSummary(
-        uniformity=int(row[skip:].max()) if row.size > skip else 0,
+        uniformity=_row_uniformity(field, kind, row),
         histogram=value_histogram(row),
         domain=f"{_domain(field, kind)} (from the a = 1 row of a power map)",
     )
+
+
+def power_table_summary(field: Field, kind: str, rows) -> SpectrumSummary:
+    """The summary of the whole table of x^d (as RunningSummary gives it)
+    from its rows 0 and 1 alone."""
+    return SpectrumSummary(
+        uniformity=_row_uniformity(field, kind, rows[1]),
+        histogram=rows_histogram(field, rows),
+        domain=_domain(field, kind),
+    )
+
+
+class RunningSummary:
+    """Uniformity and histogram of a DDT or SOZD table fed one row at a time,
+    in order of a, in O(q) memory.  The maximum ranges over a != 0: all b
+    for the DDT; for the SOZD table b != 0, and b != a too for p = 2 (the
+    Feistel boomerang uniformity).  The histogram covers all p^2n pairs."""
+
+    def __init__(self, field: Field, kind: str):
+        self.field = field
+        self.kind = kind
+        self._a = 0
+        self._counts = np.zeros(field.order + 1, dtype=np.int64)  # entries lie in [0, q]
+        self._max = 0
+
+    def add(self, row: np.ndarray) -> np.ndarray:
+        """Count the next row and return it."""
+        a = self._a
+        self._counts += np.bincount(row, minlength=self._counts.size)
+        if a and self.kind == "ddt":
+            self._max = max(self._max, int(row.max()))
+        elif a:
+            cut = a if self.field.p == 2 else row.size
+            self._max = max(self._max, int(row[1:cut].max(initial=0)),
+                            int(row[cut + 1:].max(initial=0)))
+        self._a = a + 1
+        return row
+
+    def summary(self) -> SpectrumSummary:
+        values = np.flatnonzero(self._counts)
+        return SpectrumSummary(
+            uniformity=self._max,
+            histogram=tuple(zip(values.tolist(), self._counts[values].tolist())),
+            domain=_domain(self.field, self.kind),
+        )
+
+
+def _table_summary(table: SpectrumTable) -> SpectrumSummary:
+    running = RunningSummary(table.field, table.kind)
+    for row in table.entries:
+        running.add(row)
+    return running.summary()
 
 
 def differential_uniformity(field: Field, fmap=None,
@@ -265,36 +362,14 @@ def differential_uniformity(field: Field, fmap=None,
         table = ddt_table(field, fmap)
     elif table.kind != "ddt":
         raise SpectraError("differential uniformity needs a DDT table")
-    e = table.entries
-    return SpectrumSummary(
-        uniformity=int(e[1:, :].max()) if e.shape[0] > 1 else 0,
-        histogram=value_histogram(e),
-        domain=_domain(field, "ddt"),
-    )
+    return _table_summary(table)
 
 
 def sozd_uniformity(table: SpectrumTable) -> SpectrumSummary:
-    """Second-order zero differential uniformity.
-
-    The max ranges over a, b nonzero with a != b for p = 2 (the Feistel
-    boomerang uniformity) and over a, b nonzero for p > 2.  The histogram
-    still covers all p^2n pairs.
-    """
+    """Second-order zero differential uniformity (see RunningSummary)."""
     if table.kind != "sozd":
         raise SpectraError("sozd uniformity needs a SOZD table")
-    e = table.entries
-    n = e.shape[0]
-    mask = np.ones((n, n), dtype=bool)
-    mask[0, :] = False
-    mask[:, 0] = False
-    if table.field.p == 2:
-        np.fill_diagonal(mask, False)
-    uniformity = int(e[mask].max()) if mask.any() else 0
-    return SpectrumSummary(
-        uniformity=uniformity,
-        histogram=value_histogram(e),
-        domain=_domain(table.field, "sozd"),
-    )
+    return _table_summary(table)
 
 
 def summary_to_dict(summary: SpectrumSummary) -> dict:
@@ -323,38 +398,90 @@ class PropertyReport:
 
 
 _VIOLATION_CAP = 50
+_PROPERTIES = ("symmetry", "fixed-values", "multiplicity-mod-4", "translate-equality")
+
+
+def _flagged_cells(q: int, pairs):
+    """(property, a, flagged b's, detail of a flagged b) for each row a of an
+    FBCT over F_{2^n}, q = 2^n, and each identity, given (row a, column a)
+    in order of a.  The identities: symmetry; the trivial cells, ab(a+b) = 0
+    (row 0, column 0, the diagonal), equal q; the others are 0 (mod 4); and
+    entry (a, b) = entry (a, a+b)."""
+    xs = np.arange(q)
+    for a, (row, col) in enumerate(pairs):
+        trivial = (xs == 0) | (xs == a) if a else np.ones(q, dtype=bool)
+        shifted = row[xs ^ a]
+        yield "symmetry", a, row != col, lambda b, row=row, col=col: f"{row[b]} != {col[b]}"
+        yield "fixed-values", a, trivial & (row != q), lambda b, row=row: f"{row[b]} != {q}"
+        yield ("multiplicity-mod-4", a, ~trivial & (row % 4 != 0),
+               lambda b, row=row: f"{row[b]} % 4 != 0")
+        yield ("translate-equality", a, row != shifted,
+               lambda b, row=row, shifted=shifted: f"{row[b]} != {shifted[b]}")
+
+
+def _property_report(flagged, counts: dict[str, int] | None = None) -> PropertyReport:
+    """The report on flagged cells walked in order of a: per property, the
+    first _VIOLATION_CAP cells in (a, b) order.  Without counts the walk
+    counts every cell; with them it stops once every listing is complete."""
+    found = dict.fromkeys(_PROPERTIES, 0)
+    listing: dict[str, list] = {prop: [] for prop in _PROPERTIES}
+    for prop, a, bad, detail in flagged:
+        bs = np.flatnonzero(bad)
+        found[prop] += bs.size
+        room = _VIOLATION_CAP - len(listing[prop])
+        listing[prop] += [PropertyViolation(prop, a, b, detail(b)) for b in bs[:room].tolist()]
+        if counts is not None and all(
+                len(listing[p]) == min(counts[p], _VIOLATION_CAP) for p in _PROPERTIES):
+            break
+    counts = found if counts is None else counts
+    return PropertyReport(ok=not any(counts.values()), counts=counts,
+                          violations=[v for prop in _PROPERTIES for v in listing[prop]])
 
 
 def fbct_property_check(table: SpectrumTable) -> PropertyReport:
     """Check the structural FBCT identities on a p = 2 SOZD table:
-    symmetry, first line/column/diagonal = 2^n, every entry = 0 (mod 4),
-    and entry (a, b) = entry (a, a+b)."""
+    symmetry, first line/column/diagonal = 2^n, every other entry = 0
+    (mod 4), and entry (a, b) = entry (a, a+b)."""
     if not table.is_fbct:
         raise SpectraError("property check applies to SOZD tables over p = 2")
     e = table.entries
-    n = e.shape[0]
-    xs = np.arange(n)
-    counts: dict[str, int] = {}
-    violations: list[PropertyViolation] = []
+    return _property_report(_flagged_cells(e.shape[0], zip(e, e.T)))
 
-    def record(prop, mask, detail_fn):
-        idx = np.argwhere(mask)
-        counts[prop] = len(idx)
-        for a, b in idx[:_VIOLATION_CAP]:
-            violations.append(PropertyViolation(prop, int(a), int(b), detail_fn(a, b)))
 
-    record("symmetry", e != e.T, lambda a, b: f"{e[a, b]} != {e[b, a]}")
-    fixed = np.zeros((n, n), dtype=bool)
-    fixed[0, :] = e[0, :] != n
-    fixed[:, 0] |= e[:, 0] != n
-    fixed[xs, xs] |= e[xs, xs] != n
-    record("fixed-values", fixed, lambda a, b: f"{e[a, b]} != {n}")
-    record("multiplicity-mod-4", e % 4 != 0, lambda a, b: f"{e[a, b]} % 4 != 0")
-    shift = e[xs[:, None], xs[:, None] ^ xs[None, :]]  # entry (a, a^b)
-    record("translate-equality", e != shift, lambda a, b: f"{e[a, b]} != {e[a, a ^ b]}")
+def fbct_row_property_check(field: Field, rows) -> PropertyReport:
+    """fbct_property_check of the FBCT given by rows 0 and 1 (see iter_rows,
+    scale 1), without building it.  Entry (a, b) is row1[u] for a != 0,
+    u = b/a, so each count is row 0's plus q - 1 times row 1's: symmetry
+    compares row1[u] with row1[1/u] and row 0 with column 0 (= row1[0]);
+    the trivial cells are row 0, u = 0 and u = 1; translation takes u to
+    u + 1.  The listing walks the rows and columns in order of a, only when
+    some count is nonzero."""
+    if field.p != 2:
+        raise SpectraError("property check applies to SOZD tables over p = 2")
+    row0, row1 = rows
+    q = field.order
+    xs = field.xs()
+    inv = row1.copy()  # inv[u] = row1[1/u]; column a != 0 reads it at b/a
+    inv[1:] = row1[field.div_vec(1, xs[1:])]
 
-    total = sum(counts.values())
-    return PropertyReport(ok=total == 0, counts=counts, violations=violations)
+    def n(bad) -> int:
+        return int(np.count_nonzero(bad))
+
+    counts = {
+        "symmetry": 2 * n(row0[1:] != row1[0]) + (q - 1) * n(row1 != inv),
+        "fixed-values": n(row0 != q) + (q - 1) * n(row1[:2] != q),
+        "multiplicity-mod-4": (q - 1) * n(row1[2:] % 4 != 0),
+        "translate-equality": (q - 1) * n(row1 != row1[xs ^ 1]),
+    }
+    if not any(counts.values()):
+        return PropertyReport(ok=True, counts=counts, violations=[])
+
+    def columns():
+        for a, col in enumerate(iter_rows(field, (np.full(q, row1[0]), inv), 1)):
+            col[0] = row0[a]  # entry (0, a)
+            yield col
+
+    return _property_report(_flagged_cells(q, zip(iter_rows(field, rows, 1), columns())), counts)
 
 
 def property_report_to_dict(report: PropertyReport) -> dict:
@@ -370,28 +497,39 @@ def property_report_to_dict(report: PropertyReport) -> dict:
 
 # -- serialization ---------------------------------------------------------------
 
-class _FormatCache(dict):
-    """str(v) per distinct value, made on first use: a table has few
-    distinct counts, so each is formatted once instead of once per cell."""
+class _CountText:
+    """Decimal strings of counts through a lookup array indexed by the count:
+    each distinct count is formatted once, and a line is one gather."""
 
-    def __missing__(self, v: int) -> str:
-        text = self[v] = str(v)
-        return text
+    def __init__(self):
+        self._text = np.empty(0, dtype=object)
+        self._known = np.zeros(0, dtype=bool)
+
+    def __call__(self, row: np.ndarray) -> list[str]:
+        if row.min() < 0:
+            raise SpectraError("a CSV row of counts holds a negative value")
+        size = int(row.max()) + 1
+        if size > self._text.size:
+            self._text = np.concatenate((self._text, np.empty(size - self._text.size, dtype=object)))
+            self._known = np.concatenate((self._known, np.zeros(size - self._known.size, dtype=bool)))
+        missing = row[~self._known[row]]
+        if missing.size:
+            values = np.flatnonzero(np.bincount(missing))
+            self._text[values] = np.array([str(v) for v in values.tolist()], dtype=object)
+            self._known[values] = True
+        return self._text[row].tolist()
 
 
-def _write_csv_line(fobj, values: np.ndarray, cache: _FormatCache) -> None:
-    fobj.write(",".join(map(cache.__getitem__, values.tolist())))
-    fobj.write("\n")
-
-
-def write_table_csv(table: SpectrumTable, fobj) -> None:
-    """Header `kind,p,n,d_or_table`, then p^n rows of p^n counts."""
-    fobj.write(f"{table.kind.upper()},{table.field.p},{table.field.n},{table.map_label}\n")
-    cache = _FormatCache()
-    for row in table.entries:
-        _write_csv_line(fobj, row, cache)
+def write_table_csv(field: Field, kind: str, label: str, rows, fobj) -> None:
+    """Header `kind,p,n,d_or_table`, then one line per row of counts: p^n
+    rows of p^n counts for a whole table.  The rows may stream, as those of
+    iter_rows and kernel_rows do."""
+    fobj.write(f"{kind.upper()},{field.p},{field.n},{label}\n")
+    text = _CountText()
+    for row in rows:
+        fobj.write(",".join(text(row)))
+        fobj.write("\n")
 
 
 def write_row_csv(field: Field, kind: str, label: str, row: np.ndarray, fobj) -> None:
-    fobj.write(f"{kind.upper()},{field.p},{field.n},{label}\n")
-    _write_csv_line(fobj, row, _FormatCache())
+    write_table_csv(field, kind, label, [row], fobj)

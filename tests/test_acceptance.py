@@ -164,7 +164,7 @@ def test_c04_m3_anomaly_probe(x13_table, tmp_path):
     actual_max = sozd_uniformity(table).uniformity
     recorded = tmp_path / "sozd_x13_f2_6.csv"
     with open(recorded, "w") as fh:
-        write_table_csv(table, fh)
+        write_table_csv(f, table.kind, table.map_label, table.entries, fh)
     elapsed = time.time() - t0
     ok = (
         rerun.uniformity_actual == actual_max

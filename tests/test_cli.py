@@ -62,6 +62,65 @@ def test_spectra_csv_and_properties(tmp_path, capsys):
     assert len(lines) == 65
 
 
+@pytest.mark.parametrize("field", ["p=2;n=6", "p=2;n=6;mod=1,1,0,0,0,0,1", "p=3;n=3"])
+@pytest.mark.parametrize("kind", ["ddt", "sozd"])
+def test_streamed_csv_equals_bruteforce_csv(tmp_path, capsys, field, kind):
+    # the power path gathers rows 0 and 1, the brute force runs the kernel per a
+    outs = []
+    for method in ("auto", "bruteforce"):
+        csv = tmp_path / f"{method}.csv"
+        code, out, _ = run(capsys, "spectra", kind, "--field", field, "--power", "11",
+                           "--full", "--method", method, "--csv", str(csv))
+        assert code == 0
+        outs.append((out, csv.read_bytes()))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ddt", "--field", "p=2;n=12", "--power", "67"],
+    ["sozd", "--field", "p=3;n=5", "--power", "7"],
+    ["sozd", "--field", "p=3;n=5", "--power", "7", "--method", "bruteforce"],
+])
+def test_check_properties_is_validated_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def no_table_work(*args):
+        pytest.fail("spectrum computed before the parameter check")
+
+    monkeypatch.setattr(spectra, "_sozd_row", no_table_work)
+    monkeypatch.setattr(spectra, "_ddt_row", no_table_work)
+    csv = tmp_path / "t.csv"
+    code, out, err = run(capsys, "spectra", *argv, "--full", "--csv", str(csv),
+                         "--check-properties")
+    assert code == 2 and out == "" and "applies to FBCT tables (p = 2)" in err
+    assert not csv.exists()
+
+
+def test_f2_fbct_check_properties_pass(capsys):
+    # every F_2 FBCT entry is 2 = q, on the trivial cells only
+    code, out, _ = run(capsys, "spectra", "fbct", "--field", "p=2;n=1", "--power", "3",
+                       "--full", "--check-properties")
+    d = json.loads(out)
+    assert code == 0 and d["properties"]["ok"] and not any(d["properties"]["counts"].values())
+
+
+def test_full_fbct_f2_14_within_one_gib():
+    # q = 2^14: a q x q int64 table alone would take 2 GiB
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(sbox_spectra.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sbox_spectra", "spectra", "fbct", "--field", "p=2;n=14",
+         "--power", "67", "--full", "--check-properties"],
+        capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    d = json.loads(proc.stdout)
+    assert d["properties"]["ok"]
+    assert sum(c for _, c in d["histogram"]) == 4**14
+
+
 def test_spectra_deterministic_across_jobs(tmp_path, capsys):
     outs = []
     for jobs in ("1", "8"):

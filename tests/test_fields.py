@@ -19,6 +19,7 @@ from sbox_spectra import (
     UnsupportedSizeError,
     make_field,
     parse_field_spec,
+    sozd_row_power,
 )
 from sbox_spectra._conway import CONWAY_POLYNOMIALS
 from sbox_spectra.fields import MAX_SIZE_ENV, Field
@@ -354,6 +355,7 @@ def test_tables_equal_sequential_build(p, n, mod):
     f = make_field(p, n, mod)
     g, exp, log = sequential_tables(f)
     assert f.generator == g
+    f.mul(1, 1)  # the list mirrors are made on the first scalar call
     assert f._exp == exp and f._log == log
     assert all(type(v) is int for v in f._exp) and all(type(v) is int for v in f._log)
     assert f._np_exp.dtype == np.int64 and f._np_log.dtype == np.int64
@@ -368,6 +370,7 @@ def test_tables_at_the_cap(p, n):
     assert np.array_equal(np.sort(exp), np.arange(1, q))
     assert np.array_equal(log[exp], np.arange(q - 1))
     assert log[0] == -1
+    f.mul(1, 1)  # the list mirrors are made on the first scalar call
     for i in np.random.default_rng(20).integers(0, q - 2, 1000).tolist():
         assert f._exp[i + 1] == f._mul_raw(f._exp[i], g)
     assert f._mul_raw(f._exp[-1], g) == 1
@@ -388,6 +391,22 @@ def test_table_build_makes_few_scalar_products(monkeypatch, p, n):
     f = make_field(p, n)
     f._ensure_tables()
     assert 0 < calls < 20 * n * math.log2(f.order)
+
+
+def test_rows_leave_the_list_mirrors_unbuilt():
+    # the vectorised row path reads only the int64 tables
+    f = make_field(2, 16)
+    row = sozd_row_power(f, 7)
+    assert f._np_exp is not None and f._exp is None and f._log is None
+    fresh = make_field(2, 16)
+    fresh.mul(1, 1)
+    rng = np.random.default_rng(16)
+    for i, j in rng.integers(1, f.order, (200, 2)).tolist():
+        assert f.mul(i, j) == fresh.mul(i, j) == f._mul_raw(i, j)
+        assert f.div(i, j) == fresh.div(i, j) and f.inv(i) == fresh.inv(i)
+        assert f.pow(i, j) == fresh.pow(i, j)
+    assert f._exp == fresh._exp and f._log == fresh._log
+    assert np.array_equal(row, sozd_row_power(fresh, 7))
 
 
 def test_scalar_ops_past_the_table_cap():

@@ -10,6 +10,7 @@ from sbox_spectra import (
     NotAPowerMapError,
     PowerMap,
     SpectraError,
+    SpectrumTable,
     TableMap,
     WrongLengthError,
     ddt_entry,
@@ -25,7 +26,18 @@ from sbox_spectra import (
     sozd_uniformity,
     write_table_csv,
 )
-from sbox_spectra.spectra import power_row_summary, power_rows, rows_histogram, write_row_csv
+from sbox_spectra import spectra
+from sbox_spectra.spectra import (
+    expand_rows,
+    fbct_row_property_check,
+    iter_rows,
+    power_row_summary,
+    power_rows,
+    power_table_summary,
+    row_scale,
+    rows_histogram,
+    write_row_csv,
+)
 
 
 def hist(entries):
@@ -183,6 +195,13 @@ def test_power_row_summary_equals_table_summary(p, n, kind, d):
     assert summary.uniformity == whole.uniformity
     assert summary.domain.startswith(whole.domain)
     assert rows_histogram(f, rows) == whole.histogram
+    assert power_table_summary(f, kind, rows) == whole
+    assert whole.histogram == hist_pairs(table.entries)
+
+
+def hist_pairs(entries):
+    values, counts = np.unique(entries, return_counts=True)
+    return tuple(zip(values.tolist(), counts.tolist()))
 
 
 def test_histograms_cover_all_pairs(f26, f33):
@@ -238,8 +257,11 @@ SBOX_FIELDS = (
 def sboxes(draw):
     field = draw(st.sampled_from(SBOX_FIELDS))
     q = field.order
-    top = draw(st.integers(0, q - 1))  # a narrow image range forces many collisions
-    images = draw(st.lists(st.integers(0, top), min_size=q, max_size=q))
+    if draw(st.booleans()):  # at most 4 image values: long runs of equal derivative
+        values = st.sampled_from(draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=4)))
+    else:
+        values = st.integers(0, draw(st.integers(0, q - 1)))  # a narrow image range
+    images = draw(st.lists(values, min_size=q, max_size=q))
     return field, TableMap(tuple(images))
 
 
@@ -254,6 +276,56 @@ def test_row_kernels_match_definitions(case):
         assert ddt[a].tolist() == [ddt_entry(field, tm, a, b) for b in range(q)], a
         assert sozd[a].tolist() == [sozd_entry(field, tm, a, b) for b in range(q)], a
     assert np.array_equal(sozd.sum(axis=1), (ddt**2).sum(axis=1))
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 10, 35), (2, 10, 7), (2, 8, 2), (3, 6, 4), (3, 5, 2)])
+def test_sozd_row_flushes_are_bounded_by_the_pairs(monkeypatch, p, n, d):
+    # the pair differences are binned once per >= q pairs, not once per shift
+    f = make_field(p, n)
+    tab = f.power_map_table(d)
+    ddt1 = spectra._ddt_row(f, tab, 1)
+    flushes = 0
+    bincount = np.bincount
+
+    def counting(*args, **kwargs):
+        nonlocal flushes
+        flushes += 1
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    row = spectra._sozd_row(f, tab, 1)
+    monkeypatch.undo()
+    assert flushes <= (ddt1**2).sum() / f.order + 2, flushes
+    assert np.array_equal(row, sozd_table(f, PowerMap(d), method="bruteforce").entries[1])
+
+
+# -- streamed rows -------------------------------------------------------------------
+
+ROW_FIELDS = (
+    make_field(2, 1),
+    make_field(2, 5),
+    make_field(2, 6),
+    make_field(2, 6, [1, 1, 0, 0, 0, 0, 1]),  # x^6 + x + 1, not the Conway modulus
+    make_field(3, 1),
+    make_field(3, 3),
+    make_field(3, 3, [1, 2, 0, 1]),  # x^3 + 2x + 1, not the Conway modulus
+    make_field(5, 2),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ROW_FIELDS), st.integers(1, 200), st.sampled_from(["ddt", "sozd"]))
+def test_streamed_rows_equal_bruteforce(field, d, kind):
+    brute = (ddt_table if kind == "ddt" else sozd_table)(field, PowerMap(d), method="bruteforce")
+    rows = power_rows(field, kind, d)
+    streamed = list(iter_rows(field, rows, row_scale(kind, d)))
+    assert len(streamed) == field.order
+    for a, row in enumerate(streamed):
+        assert np.array_equal(row, brute.entries[a]), a
+    # trailing axes ride along
+    pairs = [np.stack([r, -r], axis=-1) for r in rows]
+    both = expand_rows(field, pairs, row_scale(kind, d))
+    assert np.array_equal(both[..., 0], brute.entries) and np.array_equal(both[..., 1], -brute.entries)
 
 
 # -- structural properties ------------------------------------------------------------
@@ -278,6 +350,88 @@ def test_property_check_catches_mutation(f26):
 def test_property_check_diagonal(f26):
     t = sozd_table(f26, PowerMap(11))
     assert (np.diag(t.entries) == 64).all()
+
+
+def reference_property_check(e):
+    """The identities on a whole table, cell masks in np.argwhere order."""
+    q = e.shape[0]
+    xs = np.arange(q)
+    trivial = (xs[:, None] == 0) | (xs[None, :] == 0) | (xs[:, None] == xs[None, :])
+    shift = e[xs[:, None], xs[:, None] ^ xs[None, :]]  # entry (a, a^b)
+    checks = [
+        ("symmetry", e != e.T, lambda a, b: f"{e[a, b]} != {e[b, a]}"),
+        ("fixed-values", trivial & (e != q), lambda a, b: f"{e[a, b]} != {q}"),
+        ("multiplicity-mod-4", ~trivial & (e % 4 != 0), lambda a, b: f"{e[a, b]} % 4 != 0"),
+        ("translate-equality", e != shift, lambda a, b: f"{e[a, b]} != {e[a, a ^ b]}"),
+    ]
+    counts, listing = {}, []
+    for prop, mask, detail in checks:
+        idx = np.argwhere(mask)
+        counts[prop] = len(idx)
+        listing += [(prop, int(a), int(b), detail(a, b)) for a, b in idx[:50]]
+    return counts, listing
+
+
+def as_tuples(report):
+    return report.counts, [(v.prop, v.a, v.b, v.detail) for v in report.violations]
+
+
+C9_MAPS = [(6, 11), (6, 13), (8, 19), (8, 21), (10, 37)]
+FBCT_FIELDS = [make_field(2, n) for n in (1, 2, 3, 6)] + [make_field(2, 6, [1, 1, 0, 0, 0, 0, 1])]
+
+
+def check_rows_against_table(field, rows):
+    table = SpectrumTable("sozd", field, "rows", expand_rows(field, rows, 1))
+    by_rows, by_table = fbct_row_property_check(field, rows), fbct_property_check(table)
+    expected = reference_property_check(table.entries)
+    assert as_tuples(by_rows) == as_tuples(by_table) == expected
+    assert by_rows.ok == by_table.ok == (not any(expected[0].values()))
+    return by_rows
+
+
+@pytest.mark.parametrize("n,d", C9_MAPS)
+def test_row_property_check_on_c9_maps(n, d):
+    f = make_field(2, n)
+    report = check_rows_against_table(f, power_rows(f, "sozd", d))
+    assert report.ok and report.violations == []
+
+
+@pytest.mark.parametrize("prop,r,u,delta", [  # rows[r][u] += delta, q = 64
+    ("symmetry", 1, 3, 4),
+    ("symmetry", 0, 63, -64),
+    ("fixed-values", 0, 0, -4),
+    ("fixed-values", 1, 1, -64),
+    ("multiplicity-mod-4", 1, 5, 2),
+    ("translate-equality", 1, 62, 8),
+])
+def test_row_property_check_catches_each_mutation(prop, r, u, delta):
+    f = make_field(2, 6)
+    rows = [row.copy() for row in power_rows(f, "sozd", 11)]
+    rows[r][u] += delta
+    report = check_rows_against_table(f, rows)
+    assert report.counts[prop] > 0 and not report.ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FBCT_FIELDS), st.integers(1, 100), st.data())
+def test_row_property_check_equals_table_check(field, d, data):
+    q = field.order
+    rows = [r.copy() for r in power_rows(field, "sozd", d)]
+    cells = st.tuples(st.integers(0, 1), st.integers(0, q - 1), st.integers(-q, q))
+    for r, u, delta in data.draw(st.lists(cells, max_size=4)):
+        rows[r][u] = max(rows[r][u] + delta, 0)
+    check_rows_against_table(field, rows)
+
+
+def test_f2_fbct_passes_and_trivial_cells_are_fixed_values():
+    f = make_field(2, 1)
+    table = sozd_table(f, PowerMap(3))
+    assert (table.entries == 2).all()
+    report = fbct_property_check(table)
+    assert report.ok and not any(report.counts.values())
+    table.entries[0, 1] = 0  # a trivial cell: fixed-values, never mod 4
+    counts = fbct_property_check(table).counts
+    assert counts["fixed-values"] == 1 and counts["multiplicity-mod-4"] == 0
 
 
 def test_property_check_requires_fbct(f33, f26):
@@ -339,7 +493,7 @@ def test_csv_format_small():
     f = make_field(2, 2)
     t = ddt_table(f, PowerMap(1))
     buf = io.StringIO()
-    write_table_csv(t, buf)
+    write_table_csv(f, "ddt", "1", t.entries, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "DDT,2,2,1"
     assert len(lines) == 5
@@ -369,7 +523,7 @@ def test_csv_bytes_equal_reference():
     random_table = sozd_table(make_field(2, 6), sbox)
     for table, header in [(fbct, "SOZD,2,10,7"), (random_table, f"SOZD,2,6,{random_table.map_label}")]:
         buf = io.StringIO()
-        write_table_csv(table, buf)
+        write_table_csv(table.field, table.kind, table.map_label, table.entries, buf)
         assert csv_mismatch(buf.getvalue(), header, table.entries) is None
     for field, kind, row in [(f10, "fbct", fbct.entries[1]), (f35, "sozd", sozd_row_power(f35, 7))]:
         buf = io.StringIO()
