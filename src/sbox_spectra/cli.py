@@ -278,7 +278,7 @@ def _kernel_table(args, field: Field, kind: str, fmap):
         report = fbct_property_check(table)
         rows = table.entries
     running = RunningSummary(field, kind)
-    rows = map(running.add, rows)
+    rows = (running.add(row, a) for a, row in enumerate(rows))
     if args.csv:
         with open(args.csv, "w") as fh:
             write_table_csv(field, kind, map_label(fmap), rows, fh)

@@ -8,37 +8,39 @@ Four prediction families are implemented, one per published closed form:
   t3: SOZD of x^(p^k+1) over F_{p^n}, p odd, 1 <= k < n
   t4: DDT of x^4 over F_{3^n}
 
-Each claim is encoded once, by a scalar per-pair predictor; `verify_*`
-computes the exhaustive spectrum and reports every (a, b) where claim and
-computation disagree, plus the claimed-versus-actual uniformity.  Where the
-published case analysis proves only a bound, the predictor carries an
-interval and the verifier checks containment.  The registry holds
-power-function families with published second-order zero differential
-uniformities for bulk cross-checking.
+Each claim is encoded once, as a vectorised function `_claim_*` of arrays
+of cells (a, b): per cell, the case that fires and the inclusive (lo, hi)
+span it predicts.  Where the published case analysis proves only a bound,
+the span is that interval and the verifier checks containment.  The
+`predict_*` functions read one cell of it, the `predicted_*_table` helpers
+every cell.  `verify_*` computes the exhaustive spectrum and reports every
+(a, b) where claim and computation disagree, plus the claimed-versus-actual
+uniformity.  The registry holds power-function families with published
+second-order zero differential uniformities for bulk cross-checking.
 
 Claims and spectra alike are fixed by their rows a = 0 and a = 1: a row
 a != 0 is the a = 1 row read at b/a (b/a^d for the DDT of x^d).  So
 verification and the registry read two O(q) rows, q = p^n, and build no
 q x q table: counts are row 0 plus (q - 1) times row 1, and the capped
-mismatch listing is expanded row by row in (a, b) order.  The
-`predicted_*_table` helpers expand the claim rows into full tables.
+mismatch listing is expanded row by row in (a, b) order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 
 from .errors import BadParametersError, EvenCharacteristicError
 from .fields import Field, make_field
 from .spectra import (
-    expand_rows,
+    SpectrumSummary,
     power_row_summary,
     power_rows,
+    power_table_summary,
     row_scale,
-    rows_histogram,
     sozd_row_power,
 )
 
@@ -86,40 +88,6 @@ def _m_of(field: Field) -> int:
     return m
 
 
-def predict_fbct_2m3(field: Field, a, b) -> Prediction:
-    """Per-pair FBCT claim for x^(2^m+3): 2^n degenerate, 2^m on the
-    subfield coset b in a*F_{2^m}^*, 4 otherwise."""
-    m = _m_of(field)
-    a = field.as_index(a)
-    b = field.as_index(b)
-    if a == 0 or b == 0 or a == b:
-        return Prediction("degenerate", value=field.order)
-    u = field.div(b, a)
-    if field.pow(u, (1 << m) - 1) == 1:
-        return Prediction("subfield-coset", value=1 << m)
-    return Prediction("residual", value=4)
-
-
-def predict_fbct_2m5(field: Field, a, b) -> Prediction:
-    """Per-pair FBCT claim for x^(2^m+5): 2^n degenerate; on a^3 = b^3 the
-    value eps = 4 (m odd) or 0 (m even); 2^m on the subfield coset; else 16.
-
-    At m = 3 the residual claim (16) exceeds the claimed uniformity 2^3, so
-    the residual case is downgraded to the proven interval [0, 16]."""
-    m = _m_of(field)
-    a = field.as_index(a)
-    b = field.as_index(b)
-    if a == 0 or b == 0 or a == b:
-        return Prediction("degenerate", value=field.order)
-    if field.pow(field.div(a, b), 3) == 1:
-        return Prediction("cube-equal", value=4 if m % 2 else 0)
-    if field.pow(field.div(b, a), (1 << m) - 1) == 1:
-        return Prediction("subfield-coset", value=1 << m)
-    if m == 3:
-        return Prediction("residual-bound-only", bounds=(0, 16))
-    return Prediction("residual", value=16)
-
-
 def _check_pk1(field: Field, k: int, condition: str = "exact") -> None:
     if field.p == 2:
         raise EvenCharacteristicError("x^(p^k+1) family needs odd p")
@@ -129,64 +97,168 @@ def _check_pk1(field: Field, k: int, condition: str = "exact") -> None:
         raise BadParametersError(f"unknown condition {condition!r}")
 
 
-def predict_sozd_pk1(field: Field, k: int, a, b) -> DualPrediction:
-    """Dual per-pair claim for x^(p^k+1), p odd.
+def _check_x4(field: Field) -> None:
+    if field.p != 3:
+        raise BadParametersError("this family lives over F_{3^n}")
+
+
+# -- the claims, each encoded once ---------------------------------------------------
+#
+# A claim maps int64 arrays a, b of one shape to the case that fires at each
+# cell (a, b) and the inclusive (lo, hi) span it predicts there.  It tests
+# (a, b) themselves rather than u = b/a, so the invariance under
+# (a, b) -> (ca, cb) ((ca, c^4 b) for t4) that row-first verification rests
+# on stays a property to test.
+
+@dataclass(frozen=True)
+class _Claim:
+    names: tuple[str, ...]  # case names by case index
+    case: np.ndarray        # per cell, the index of the case that fires
+    span: np.ndarray        # per cell, inclusive (lo, hi): shape case.shape + (2,)
+
+
+def _first_case(*cases) -> _Claim:
+    """Ordered cases (name, condition, span), the conditions boolean arrays
+    of one shape and span an int or an inclusive (lo, hi): at each cell the
+    first case whose condition holds fires.  The last case has no condition
+    (None) and fires where no other does."""
+    case = np.full(cases[0][1].shape, len(cases) - 1)
+    for i in range(len(cases) - 2, -1, -1):
+        case[cases[i][1]] = i
+    spans = np.array([(s, s) if isinstance(s, int) else s for _, _, s in cases], dtype=np.int64)
+    return _Claim(tuple(name for name, _, _ in cases), case, spans[case])
+
+
+def _claim_fbct_2m3(field: Field, a: np.ndarray, b: np.ndarray) -> _Claim:
+    """FBCT of x^(2^m+3): 2^n degenerate, 2^m on the subfield coset b in
+    a*F_{2^m}^*, 4 otherwise."""
+    m = _m_of(field)
+    e = (1 << m) - 1  # b/a in F_{2^m}^* iff a^e = b^e
+    return _first_case(
+        ("degenerate", (a == 0) | (b == 0) | (a == b), field.order),
+        ("subfield-coset", field.pow_vec(a, e) == field.pow_vec(b, e), 1 << m),
+        ("residual", None, 4),
+    )
+
+
+def _claim_fbct_2m5(field: Field, a: np.ndarray, b: np.ndarray) -> _Claim:
+    """FBCT of x^(2^m+5): 2^n degenerate; on a^3 = b^3 the value eps = 4
+    (m odd) or 0 (m even); 2^m on the subfield coset; else 16.
+
+    At m = 3 the residual claim (16) exceeds the claimed uniformity 2^3, so
+    the residual case is downgraded to the proven interval [0, 16]."""
+    m = _m_of(field)
+    e = (1 << m) - 1
+    return _first_case(
+        ("degenerate", (a == 0) | (b == 0) | (a == b), field.order),
+        ("cube-equal", field.pow_vec(a, 3) == field.pow_vec(b, 3), 4 if m % 2 else 0),
+        ("subfield-coset", field.pow_vec(a, e) == field.pow_vec(b, e), 1 << m),
+        ("residual-bound-only", None, (0, 16)) if m == 3 else ("residual", None, 16),
+    )
+
+
+def _claim_sozd_pk1(field: Field, a: np.ndarray, b: np.ndarray, k: int,
+                    condition: str) -> _Claim:
+    """SOZD of x^(p^k+1), p odd, under one of two conditions.
 
     exact: p^n iff a*b*(a^(p^k-1) + b^(p^k-1)) = 0, else 0.  The defining
     equation collapses to this x-free condition, so it is ground truth.
     stated: p^n iff b = 0 or (a/b)^2 lies in F_{p^s}, s = gcd(n, k); this
     is the published membership condition, kept as a claim under test.
     """
-    _check_pk1(field, k)
-    a = field.as_index(a)
-    b = field.as_index(b)
+    _check_pk1(field, k, condition)
     pn = field.order
-    e = field.p**k - 1
-    cond = field.mul(field.mul(a, b), field.add(field.pow(a, e), field.pow(b, e)))
-    exact = Prediction(
-        "vanishing-difference" if cond == 0 else "nonvanishing",
-        value=pn if cond == 0 else 0,
+    if condition == "exact":
+        e = field.p**k - 1
+        total = field.add_vec(field.pow_vec(a, e), field.pow_vec(b, e))
+        vanishes = (a == 0) | (b == 0) | (total == 0)
+        return _first_case(("vanishing-difference", vanishes, pn), ("nonvanishing", None, 0))
+    square = field.pow_vec(field.div_vec(a, np.where(b == 0, 1, b)), 2)  # (a/b)^2 where b != 0
+    frobenius = field.p ** math.gcd(field.n, k)  # x in F_{p^s} iff x^(p^s) = x
+    return _first_case(
+        ("b-zero", b == 0, pn),
+        ("square-ratio-in-subfield", field.pow_vec(square, frobenius) == square, pn),
+        ("outside-subfield", None, 0),
     )
-    s = math.gcd(field.n, k)
-    if b == 0:
-        stated = Prediction("b-zero", value=pn)
-    else:
-        u = field.div(a, b)
-        if field.in_subfield(field.mul(u, u), s):
-            stated = Prediction("square-ratio-in-subfield", value=pn)
-        else:
-            stated = Prediction("outside-subfield", value=0)
+
+
+def _claim_ddt_x4(field: Field, a: np.ndarray, b: np.ndarray) -> _Claim:
+    """DDT of x^4 over F_{3^n}: 3^n at (0,0), 0 on the rest of row zero; rows
+    a != 0 are all-ones for odd n (the map is planar) and for even n carry
+    entries in [0, 3] with row maximum 3."""
+    _check_x4(field)
+    return _first_case(
+        ("zero-row", (a == 0) & (b == 0), field.order),
+        ("zero-row", a == 0, 0),
+        ("planar-row", None, 1) if field.n % 2 else ("even-degree-row", None, (0, 3)),
+    )
+
+
+def _one_cell(field: Field, claim, a, b) -> Prediction:
+    """A claim's Prediction at the single cell (a, b)."""
+    cell = claim(field, np.array([field.as_index(a)]), np.array([field.as_index(b)]))
+    lo, hi = cell.span[0].tolist()
+    name = cell.names[cell.case[0]]
+    return Prediction(name, value=lo) if lo == hi else Prediction(name, bounds=(lo, hi))
+
+
+def _claim_rows(field: Field, claim, rows=(0, 1)) -> np.ndarray:
+    """A claim's inclusive (lo, hi) spans on the rows a in `rows` at every b,
+    shape (len(rows), q, 2).  Rows 0 and 1 decide a claim, as they decide
+    the spectra of the power maps: the claims are invariant under the same
+    row scalings."""
+    return claim(field, *np.broadcast_arrays(np.asarray(rows)[:, None], field.xs())).span
+
+
+def predict_fbct_2m3(field: Field, a, b) -> Prediction:
+    """Per-pair FBCT claim for x^(2^m+3) (see _claim_fbct_2m3)."""
+    _m_of(field)
+    return _one_cell(field, _claim_fbct_2m3, a, b)
+
+
+def predict_fbct_2m5(field: Field, a, b) -> Prediction:
+    """Per-pair FBCT claim for x^(2^m+5) (see _claim_fbct_2m5)."""
+    _m_of(field)
+    return _one_cell(field, _claim_fbct_2m5, a, b)
+
+
+def predict_sozd_pk1(field: Field, k: int, a, b) -> DualPrediction:
+    """Dual per-pair claim for x^(p^k+1), p odd (see _claim_sozd_pk1)."""
+    _check_pk1(field, k)
+    exact, stated = (_one_cell(field, partial(_claim_sozd_pk1, k=k, condition=c), a, b)
+                     for c in ("exact", "stated"))
     return DualPrediction(exact=exact, stated=stated)
 
 
 def predict_ddt_x4_f3n(field: Field, a, b) -> Prediction:
-    """Per-pair DDT claim for x^4 over F_{3^n}: 3^n at (0,0), 0 on the rest
-    of row zero; rows a != 0 are all-ones for odd n (the map is planar) and
-    for even n carry entries in [0, 3] with row maximum 3."""
-    if field.p != 3:
-        raise BadParametersError("this family lives over F_{3^n}")
-    a = field.as_index(a)
-    b = field.as_index(b)
-    if a == 0:
-        return Prediction("zero-row", value=field.order if b == 0 else 0)
-    if field.n % 2:
-        return Prediction("planar-row", value=1)
-    return Prediction("even-degree-row", bounds=(0, 3))
+    """Per-pair DDT claim for x^4 over F_{3^n} (see _claim_ddt_x4)."""
+    _check_x4(field)
+    return _one_cell(field, _claim_ddt_x4, a, b)
 
 
-# -- claims as rows a = 0 and a = 1 ------------------------------------------------
-#
-# Every claim is invariant under (a, b) -> (ca, cb) (t4's rows a != 0 are
-# constant), as the spectra of the power maps are under their row scalings,
-# so rows 0 and 1 of claim and computation decide every pair.
+def predicted_fbct_2m3_table(field: Field) -> np.ndarray:
+    return _claim_rows(field, _claim_fbct_2m3, field.xs())[..., 0]
 
-def _claim_rows(field: Field, predict) -> np.ndarray:
-    """Rows a = 0 and a = 1 of a claim as inclusive (lo, hi) bounds, shape
-    (2, q, 2); predict(a, b) returns a Prediction."""
-    q = field.order
-    spans = (v for a in (0, 1) for b in range(q) for v in predict(a, b).span)
-    return np.fromiter(spans, dtype=np.int64, count=4 * q).reshape(2, q, 2)
 
+def predicted_fbct_2m5_table(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (values, interval_mask): cells under interval_mask carry the
+    proven bound [0, 16] instead of an exact value (m = 3 residual case)."""
+    table = _claim_rows(field, _claim_fbct_2m5, field.xs())
+    return table[..., 0], table[..., 0] != table[..., 1]
+
+
+def predicted_sozd_pk1_table(field: Field, k: int, condition: str = "exact") -> np.ndarray:
+    return _claim_rows(field, partial(_claim_sozd_pk1, k=k, condition=condition),
+                       field.xs())[..., 0]
+
+
+def predicted_ddt_x4_table(field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (values, interval_mask) as predicted_fbct_2m5_table."""
+    table = _claim_rows(field, _claim_ddt_x4, field.xs())
+    return table[..., 0], table[..., 0] != table[..., 1]
+
+
+# -- diffs on rows a = 0 and a = 1 ---------------------------------------------
 
 def _cells(field: Field, bad: np.ndarray, scale: int, cap: int) -> list:
     """The first `cap` flagged cells of a table given by the boolean rows 0
@@ -218,30 +290,6 @@ def _diff(field: Field, actual: np.ndarray, claim: np.ndarray,
         listing.append([a, b, lo if lo == hi else [lo, hi], int(actual[r, u])])
     n_bad = _count(field, bad)
     return field.order**2 - n_bad, n_bad, listing
-
-
-def predicted_fbct_2m3_table(field: Field) -> np.ndarray:
-    rows = _claim_rows(field, lambda a, b: predict_fbct_2m3(field, a, b))
-    return expand_rows(field, rows, 1)[..., 0]
-
-
-def predicted_fbct_2m5_table(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (values, interval_mask): cells under interval_mask carry the
-    proven bound [0, 16] instead of an exact value (m = 3 residual case)."""
-    table = expand_rows(field, _claim_rows(field, lambda a, b: predict_fbct_2m5(field, a, b)), 1)
-    return table[..., 0], table[..., 0] != table[..., 1]
-
-
-def predicted_sozd_pk1_table(field: Field, k: int, condition: str = "exact") -> np.ndarray:
-    _check_pk1(field, k, condition)
-    rows = _claim_rows(field, lambda a, b: getattr(predict_sozd_pk1(field, k, a, b), condition))
-    return expand_rows(field, rows, 1)[..., 0]
-
-
-def predicted_ddt_x4_table(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (values, interval_mask) as predicted_fbct_2m5_table."""
-    table = expand_rows(field, _claim_rows(field, lambda a, b: predict_ddt_x4_f3n(field, a, b)), 4)
-    return table[..., 0], table[..., 0] != table[..., 1]
 
 
 # -- verification reports -------------------------------------------------------
@@ -281,13 +329,15 @@ class VerificationReport:
 
 
 def _report(target: str, params: dict, fld: Field, kind: str, claim: np.ndarray,
-            claimed_u: int) -> tuple[VerificationReport, np.ndarray]:
+            claimed_u: int) -> tuple[VerificationReport, np.ndarray, SpectrumSummary]:
     """Diff the claim rows against the spectrum rows of x^params["d"]; returns
-    the report and the spectrum rows for family-specific extras."""
+    the report, and the spectrum rows and their table summary for
+    family-specific extras."""
     d = params["d"]
     actual = np.stack(power_rows(fld, kind, d))
     matches, n_bad, listing = _diff(fld, actual, claim, row_scale(kind, d))
-    actual_u = power_row_summary(fld, kind, actual[1]).uniformity
+    summary = power_table_summary(fld, kind, actual)
+    actual_u = summary.uniformity
     report = VerificationReport(
         target=target,
         params=params,
@@ -299,7 +349,7 @@ def _report(target: str, params: dict, fld: Field, kind: str, claim: np.ndarray,
         mismatch_count=n_bad,
         mismatches=listing,
     )
-    return report, actual
+    return report, actual, summary
 
 
 _RESIDUAL_NOTE = (
@@ -310,9 +360,9 @@ _RESIDUAL_NOTE = (
 
 def verify_fbct_2m3(m: int) -> VerificationReport:
     fld = make_field(2, 2 * m)
-    claim = _claim_rows(fld, lambda a, b: predict_fbct_2m3(fld, a, b))
-    report, actual = _report("t1", {"m": m, "d": (1 << m) + 3}, fld, "sozd", claim, 1 << m)
-    report.extras["value_histogram"] = dict(rows_histogram(fld, actual))
+    claim = _claim_rows(fld, _claim_fbct_2m3)
+    report, _, summary = _report("t1", {"m": m, "d": (1 << m) + 3}, fld, "sozd", claim, 1 << m)
+    report.extras["value_histogram"] = dict(summary.histogram)
     if report.mismatch_count:
         report.notes.append(_RESIDUAL_NOTE)
     return report
@@ -320,9 +370,9 @@ def verify_fbct_2m3(m: int) -> VerificationReport:
 
 def verify_fbct_2m5(m: int) -> VerificationReport:
     fld = make_field(2, 2 * m)
-    claim = _claim_rows(fld, lambda a, b: predict_fbct_2m5(fld, a, b))
-    report, actual = _report("t2", {"m": m, "d": (1 << m) + 5}, fld, "sozd", claim, 1 << m)
-    report.extras["value_histogram"] = dict(rows_histogram(fld, actual))
+    claim = _claim_rows(fld, _claim_fbct_2m5)
+    report, _, summary = _report("t2", {"m": m, "d": (1 << m) + 5}, fld, "sozd", claim, 1 << m)
+    report.extras["value_histogram"] = dict(summary.histogram)
     if m == 3:
         report.notes.append(
             f"residual class checked by containment in [0, 16]; exhaustive "
@@ -338,16 +388,16 @@ def verify_sozd_pk1(p: int, k: int, n: int, condition: str = "exact") -> Verific
     fld = make_field(p, n)
     _check_pk1(fld, k, condition)
     claims = {
-        cond: _claim_rows(fld, lambda a, b: getattr(predict_sozd_pk1(fld, k, a, b), cond))
+        cond: _claim_rows(fld, partial(_claim_sozd_pk1, k=k, condition=cond))
         for cond in ("exact", "stated")
     }
     s = math.gcd(n, k)
     claimed = p**n if (n // s) % 2 == 0 else 0
     params = {"p": p, "k": k, "n": n, "d": p**k + 1, "condition": condition}
-    report, actual = _report("t3", params, fld, "sozd", claims[condition], claimed)
+    report, _, summary = _report("t3", params, fld, "sozd", claims[condition], claimed)
     disc = claims["exact"][..., 0] != claims["stated"][..., 0]
     report.extras = {
-        "entry_values": [v for v, _ in rows_histogram(fld, actual)],
+        "entry_values": [v for v, _ in summary.histogram],
         "stated_vs_exact_discrepancies": _count(fld, disc),
         "stated_vs_exact_examples": [[a, b] for a, b, _, _ in _cells(fld, disc, 1, 20)],
     }
@@ -360,8 +410,8 @@ def verify_sozd_pk1(p: int, k: int, n: int, condition: str = "exact") -> Verific
 
 def verify_ddt_x4(n: int) -> VerificationReport:
     fld = make_field(3, n)
-    claim = _claim_rows(fld, lambda a, b: predict_ddt_x4_f3n(fld, a, b))
-    report, actual = _report("t4", {"n": n, "d": 4}, fld, "ddt", claim, 1 if n % 2 else 3)
+    claim = _claim_rows(fld, _claim_ddt_x4)
+    report, actual, _ = _report("t4", {"n": n, "d": 4}, fld, "ddt", claim, 1 if n % 2 else 3)
     row1 = actual[1]  # every row a != 0 is a permutation of it
     if n % 2 == 0:
         row_max_ok = bool(row1.max() == 3)

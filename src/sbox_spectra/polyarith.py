@@ -204,36 +204,6 @@ def gcd2(a: int, b: int) -> int:
     return a
 
 
-def is_irreducible2(f: int, n: int) -> bool:
-    if n == 1:
-        return True
-    x = 2
-    xq = x
-    for _ in range(n):
-        xq = mulmod2(xq, xq, f, n)
-    if xq != x:
-        return False
-    for q in prime_factors(n):
-        xr = x
-        for _ in range(n // q):
-            xr = mulmod2(xr, xr, f, n)
-        if gcd2(xr ^ x, f) != 1:
-            return False
-    return True
-
-
-def is_primitive2(f: int, n: int, order_factors: list[int] | None = None) -> bool:
-    if not is_irreducible2(f, n):
-        return False
-    order = (1 << n) - 1
-    if order_factors is None:
-        order_factors = prime_factors(order)
-    for r in order_factors:
-        if powmod2(2, order // r, f, n) == 1:
-            return False
-    return True
-
-
 def int_to_coeffs(f: int, p: int = 2) -> list[int]:
     """Unpack a base-p packed polynomial into a coefficient list."""
     out = []

@@ -33,7 +33,8 @@ row, q = p^n; summed over b the row gives sum_c DDT(a, c)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -264,94 +265,63 @@ def _table(field: Field, fmap, method: str, kind: str) -> np.ndarray:
 
 # -- uniformities and histograms ----------------------------------------------
 
-def value_histogram(entries: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """(value, count) for every distinct value, ascending."""
-    values, counts = np.unique(entries, return_counts=True)
-    return tuple((int(v), int(c)) for v, c in zip(values, counts))
-
-
-def rows_histogram(field: Field, rows) -> tuple[tuple[int, int], ...]:
-    """value_histogram of a table given by rows 0 and 1 (see expand_rows):
-    row 0 counts once, row 1 once for each of the q - 1 rows a != 0."""
-    counts = dict(value_histogram(rows[0]))
-    for v, c in value_histogram(rows[1]):
-        counts[v] = counts.get(v, 0) + (field.order - 1) * c
-    return tuple(sorted(counts.items()))
-
-
 def _domain(field: Field, kind: str) -> str:
     if kind == "ddt":
         return "a != 0"
     return "a, b nonzero and a != b" if field.p == 2 else "a, b nonzero"
 
 
-def _row_uniformity(field: Field, kind: str, row: np.ndarray) -> int:
-    """The uniformity of x^d from its a = 1 row.  Every row a != 0 is the
-    a = 1 row read at u = b/a^d (DDT) or u = b/a (SOZD), so b = 0 and b = a
-    sit at u = 0 and u = 1: the SOZD maximum skips u = 0, and u = 1 too for
-    p = 2, exactly as the domain of RunningSummary."""
-    skip = 0 if kind == "ddt" else 2 if field.p == 2 else 1
-    return int(row[skip:].max()) if row.size > skip else 0
-
-
-def power_row_summary(field: Field, kind: str, row: np.ndarray) -> SpectrumSummary:
-    """Uniformity of x^d from its a = 1 row, and the histogram of that row."""
-    return SpectrumSummary(
-        uniformity=_row_uniformity(field, kind, row),
-        histogram=value_histogram(row),
-        domain=f"{_domain(field, kind)} (from the a = 1 row of a power map)",
-    )
-
-
-def power_table_summary(field: Field, kind: str, rows) -> SpectrumSummary:
-    """The summary of the whole table of x^d (as RunningSummary gives it)
-    from its rows 0 and 1 alone."""
-    return SpectrumSummary(
-        uniformity=_row_uniformity(field, kind, rows[1]),
-        histogram=rows_histogram(field, rows),
-        domain=_domain(field, kind),
-    )
-
-
 class RunningSummary:
-    """Uniformity and histogram of a DDT or SOZD table fed one row at a time,
-    in order of a, in O(q) memory.  The maximum ranges over a != 0: all b
-    for the DDT; for the SOZD table b != 0, and b != a too for p = 2 (the
-    Feistel boomerang uniformity).  The histogram covers all p^2n pairs."""
+    """Uniformity and histogram of a DDT or SOZD table fed as rows, in O(q)
+    memory.  The maximum ranges over a != 0: all b for the DDT; for the SOZD
+    table b != 0, and b != a too for p = 2 (the Feistel boomerang
+    uniformity).  The histogram covers all p^2n pairs.  A row may stand for
+    several rows a of the same values and the same maximum, as row 1 of a
+    power map does for every row a != 0: it is added once with that
+    multiplicity."""
 
     def __init__(self, field: Field, kind: str):
         self.field = field
         self.kind = kind
-        self._a = 0
-        self._counts = np.zeros(field.order + 1, dtype=np.int64)  # entries lie in [0, q]
+        self._counts = Counter()  # value -> pair count
         self._max = 0
 
-    def add(self, row: np.ndarray) -> np.ndarray:
-        """Count the next row and return it."""
-        a = self._a
-        self._counts += np.bincount(row, minlength=self._counts.size)
+    def add(self, row: np.ndarray, a: int, multiplicity: int = 1) -> np.ndarray:
+        """Count row a, `multiplicity` times, and return it."""
+        values, counts = np.unique(row, return_counts=True)
+        self._counts.update(dict(zip(values.tolist(), (multiplicity * counts).tolist())))
         if a and self.kind == "ddt":
             self._max = max(self._max, int(row.max()))
         elif a:
             cut = a if self.field.p == 2 else row.size
             self._max = max(self._max, int(row[1:cut].max(initial=0)),
                             int(row[cut + 1:].max(initial=0)))
-        self._a = a + 1
         return row
 
     def summary(self) -> SpectrumSummary:
-        values = np.flatnonzero(self._counts)
         return SpectrumSummary(
             uniformity=self._max,
-            histogram=tuple(zip(values.tolist(), self._counts[values].tolist())),
+            histogram=tuple(sorted(self._counts.items())),
             domain=_domain(self.field, self.kind),
         )
 
 
-def _table_summary(table: SpectrumTable) -> SpectrumSummary:
-    running = RunningSummary(table.field, table.kind)
-    for row in table.entries:
-        running.add(row)
+def power_row_summary(field: Field, kind: str, row: np.ndarray) -> SpectrumSummary:
+    """Uniformity of x^d from its a = 1 row, and the histogram of that row:
+    every row a != 0 is the a = 1 row read at u = b/a^d (DDT) or u = b/a
+    (SOZD), so b = 0 and b = a sit at u = 0 and u = 1."""
+    running = RunningSummary(field, kind)
+    running.add(row, 1)
+    summary = running.summary()
+    return replace(summary, domain=f"{summary.domain} (from the a = 1 row of a power map)")
+
+
+def power_table_summary(field: Field, kind: str, rows) -> SpectrumSummary:
+    """The summary of the whole table of x^d from its rows 0 and 1 alone:
+    row 1 stands for each of the q - 1 rows a != 0."""
+    running = RunningSummary(field, kind)
+    running.add(rows[0], 0)
+    running.add(rows[1], 1, field.order - 1)
     return running.summary()
 
 
@@ -362,14 +332,20 @@ def differential_uniformity(field: Field, fmap=None,
         table = ddt_table(field, fmap)
     elif table.kind != "ddt":
         raise SpectraError("differential uniformity needs a DDT table")
-    return _table_summary(table)
+    running = RunningSummary(table.field, "ddt")
+    for a, row in enumerate(table.entries):
+        running.add(row, a)
+    return running.summary()
 
 
 def sozd_uniformity(table: SpectrumTable) -> SpectrumSummary:
     """Second-order zero differential uniformity (see RunningSummary)."""
     if table.kind != "sozd":
         raise SpectraError("sozd uniformity needs a SOZD table")
-    return _table_summary(table)
+    running = RunningSummary(table.field, table.kind)
+    for a, row in enumerate(table.entries):
+        running.add(row, a)
+    return running.summary()
 
 
 def summary_to_dict(summary: SpectrumSummary) -> dict:

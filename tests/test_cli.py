@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import sbox_spectra
-from sbox_spectra import spectra
+from sbox_spectra import closed_forms, spectra
 from sbox_spectra.cli import RunConfig, load_table_map, main
 from sbox_spectra.errors import UnparsableElementError, WrongLengthError
 from sbox_spectra.fields import make_field
@@ -211,6 +211,24 @@ def test_verify_t3_checks_parameters_before_computing(capsys, monkeypatch):
     assert code == 2 and out == "" and "k=7 outside [1, n)" in err
     code, out, err = run(capsys, "verify", "--theorem", "t3", "--p", "2", "--k", "1", "--n", "5")
     assert code == 2 and out == "" and "needs odd p" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--theorem", "t1", "--m", "8"], 1),
+    (["--theorem", "t2", "--m", "4"], 1),
+    (["--theorem", "t3", "--p", "3", "--k", "1", "--n", "3"], 0),
+    (["--theorem", "t3", "--p", "3", "--k", "1", "--n", "3", "--condition", "stated"], 1),
+    (["--theorem", "t4", "--n", "4"], 0),
+], ids=["t1-m8", "t2-m4", "t3-exact", "t3-stated", "t4-n4"])
+def test_verify_makes_no_scalar_prediction(capsys, monkeypatch, argv, code):
+    # verification reads each claim's vectorised encoding on rows 0 and 1
+    def no_scalar_prediction(*args):
+        pytest.fail("scalar predictor called during verification")
+
+    for name in ("predict_fbct_2m3", "predict_fbct_2m5", "predict_sozd_pk1", "predict_ddt_x4_f3n"):
+        monkeypatch.setattr(closed_forms, name, no_scalar_prediction)
+        monkeypatch.setattr(sbox_spectra, name, no_scalar_prediction)
+    assert run(capsys, "verify", *argv)[0] == code
 
 
 def test_verify_t1_m8_within_two_gib():

@@ -7,8 +7,12 @@ where they differ from the published per-entry claims, the registry and
 verify reports are required to flag the difference rather than hide it.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbox_spectra import (
     BadParametersError,
@@ -30,12 +34,17 @@ from sbox_spectra import (
     verify_theorem,
 )
 from sbox_spectra.closed_forms import (
+    _claim_ddt_x4,
+    _claim_fbct_2m3,
+    _claim_fbct_2m5,
+    _claim_rows,
+    _claim_sozd_pk1,
     predicted_ddt_x4_table,
     predicted_fbct_2m3_table,
     predicted_fbct_2m5_table,
     predicted_sozd_pk1_table,
 )
-from sbox_spectra.spectra import value_histogram
+from sbox_spectra.spectra import expand_rows
 
 
 # -- scalar predictors ---------------------------------------------------------
@@ -133,58 +142,136 @@ def test_coset_test_agrees_with_subfield_membership(f26, f28):
 def test_predictor_value_domains(f26, f28):
     f10 = make_field(2, 10)
     # x^(2^m+3): values in {4, 2^m, 2^n}
-    vals = {predict_fbct_2m3(f26, a, b).value for a in range(0, 64, 7) for b in range(64)}
-    assert vals <= {4, 8, 64}
+    assert set(predicted_fbct_2m3_table(f26)[::7].ravel().tolist()) <= {4, 8, 64}
     # x^(2^m+5), m >= 4 exact: values in {0, 4, 16, 2^m, 2^n}
-    vals8 = {predict_fbct_2m5(f28, a, b).value for a in range(0, 256, 31) for b in range(256)}
-    assert vals8 <= {0, 4, 16, 256}
-    vals10 = {predict_fbct_2m5(f10, a, b).value for a in (0, 1, 77) for b in range(1024)}
-    assert vals10 <= {0, 4, 16, 32, 1024}
+    vals8, interval8 = predicted_fbct_2m5_table(f28)
+    assert set(vals8[::31].ravel().tolist()) <= {0, 4, 16, 256}
+    assert not interval8.any()
+    vals10, interval10 = predicted_fbct_2m5_table(f10)
+    assert set(vals10[[0, 1, 77]].ravel().tolist()) <= {0, 4, 16, 32, 1024}
+    assert not interval10.any()
 
 
-# -- vectorized tables agree with scalar predictors -------------------------------
+# -- predicted tables agree with the claim rows expanded by row scaling ----------
+#
+# A predicted table evaluates its claim at every cell; rows 0 and 1 of the
+# claim, expanded by the row scaling, must give the same table.
+
+def _expanded_claim(field, claim, scale=1):
+    return expand_rows(field, _claim_rows(field, claim), scale)
+
 
 def test_vectorized_2m3_matches_scalar(f26):
-    table = predicted_fbct_2m3_table(f26)
-    for a in range(64):
-        for b in range(64):
-            assert table[a, b] == predict_fbct_2m3(f26, a, b).value
+    rows = _expanded_claim(f26, _claim_fbct_2m3)
+    assert np.array_equal(predicted_fbct_2m3_table(f26), rows[..., 0])
 
 
 def test_vectorized_2m5_matches_scalar(f26, f28):
     for field in (f26, f28):
         table, interval = predicted_fbct_2m5_table(field)
-        n = field.order
-        for a in range(n):
-            for b in range(n):
-                p = predict_fbct_2m5(field, a, b)
-                if p.is_exact:
-                    assert not interval[a, b]
-                    assert table[a, b] == p.value
-                else:
-                    assert interval[a, b]
+        rows = _expanded_claim(field, _claim_fbct_2m5)
+        assert np.array_equal(table, rows[..., 0])
+        assert np.array_equal(interval, rows[..., 0] != rows[..., 1])
 
 
 def test_vectorized_pk1_matches_scalar(f33):
-    ex = predicted_sozd_pk1_table(f33, 1, "exact")
-    stated = predicted_sozd_pk1_table(f33, 1, "stated")
-    for a in range(27):
-        for b in range(27):
-            dp = predict_sozd_pk1(f33, 1, a, b)
-            assert ex[a, b] == dp.exact.value
-            assert stated[a, b] == dp.stated.value
+    for condition in ("exact", "stated"):
+        rows = _expanded_claim(f33, partial(_claim_sozd_pk1, k=1, condition=condition))
+        assert np.array_equal(predicted_sozd_pk1_table(f33, 1, condition), rows[..., 0])
 
 
 def test_vectorized_ddt_x4_matches_scalar(f33, f32):
     for field in (f33, f32):
         table, interval = predicted_ddt_x4_table(field)
-        for a in range(field.order):
-            for b in range(field.order):
-                p = predict_ddt_x4_f3n(field, a, b)
-                if p.is_exact:
-                    assert table[a, b] == p.value and not interval[a, b]
-                else:
-                    assert interval[a, b]
+        rows = _expanded_claim(field, _claim_ddt_x4, 4)
+        assert np.array_equal(table, rows[..., 0])
+        assert np.array_equal(interval, rows[..., 0] != rows[..., 1])
+
+
+# -- the claims on their own -----------------------------------------------------------
+
+def _claims():
+    """(id, field, claim, e) for every claim and the fields it is tested over:
+    row-first verification assumes claim(ca, c^e b) = claim(a, b), c != 0."""
+    out = []
+    for n in (6, 8):
+        f = make_field(2, n)
+        out += [(f"t1-2^{n}", f, _claim_fbct_2m3, 1), (f"t2-2^{n}", f, _claim_fbct_2m5, 1)]
+    for p, n in ((3, 3), (3, 4), (5, 2)):
+        f = make_field(p, n)
+        out += [(f"t3-{p}^{n}-k{k}-{c}", f, partial(_claim_sozd_pk1, k=k, condition=c), 1)
+                for k in range(1, n) for c in ("exact", "stated")]
+    out += [(f"t4-3^{n}", make_field(3, n), _claim_ddt_x4, 4) for n in (2, 3)]
+    return out
+
+
+CLAIMS = _claims()
+
+
+@pytest.mark.parametrize("field,claim,e", [c[1:] for c in CLAIMS], ids=[c[0] for c in CLAIMS])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_claims_are_invariant_under_row_scaling(field, claim, e, data):
+    q = field.order
+    cells = data.draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)),
+                               min_size=1, max_size=64))
+    c = data.draw(st.integers(1, q - 1))
+    a, b = np.array(cells).T
+    base = claim(field, a, b)
+    scaled = claim(field, field.mul_vec(c, a), field.mul_vec(field.pow(c, e), b))
+    assert scaled.names == base.names
+    assert np.array_equal(scaled.case, base.case)
+    assert np.array_equal(scaled.span, base.span)
+
+
+def _stride(field):
+    """Every cell up to q = 64; every 7th cell in (a, b) order above, where
+    the one-cell calls (about 30 us each) would dominate the suite."""
+    return 1 if field.order <= 64 else 7
+
+
+def _grid_predictions(field, claim):
+    """(case name, (lo, hi)) at the checked cells, in (a, b) order, from one
+    call over the whole grid."""
+    xs = field.xs()
+    grid = claim(field, *np.broadcast_arrays(xs[:, None], xs))
+    names = np.array(grid.names)[grid.case].ravel().tolist()
+    return list(zip(names, map(tuple, grid.span.reshape(-1, 2).tolist())))[::_stride(field)]
+
+
+def _cell_predictions(field, predict, conditions=None):
+    """The same from the one-cell predictor; with conditions, one list per
+    condition of a DualPrediction."""
+    q = field.order
+    cells = [predict(*divmod(i, q)) for i in range(0, q * q, _stride(field))]
+    if conditions is None:
+        return [(p.case, p.span) for p in cells]
+    return [[(getattr(d, c).case, getattr(d, c).span) for d in cells] for c in conditions]
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_one_cell_fbct_predictions_equal_the_grid(n):
+    f = make_field(2, n)
+    for predict, claim in ((predict_fbct_2m3, _claim_fbct_2m3),
+                           (predict_fbct_2m5, _claim_fbct_2m5)):
+        assert _cell_predictions(f, partial(predict, f)) == _grid_predictions(f, claim)
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (3, 4), (5, 2)])
+def test_one_cell_pk1_predictions_equal_the_grid(p, n):
+    f = make_field(p, n)
+    conditions = ("exact", "stated")
+    for k in range(1, n):
+        one_cell = _cell_predictions(f, partial(predict_sozd_pk1, f, k), conditions)
+        assert one_cell == [_grid_predictions(f, partial(_claim_sozd_pk1, k=k, condition=c))
+                            for c in conditions]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_cell_ddt_x4_predictions_equal_the_grid(n):
+    f = make_field(3, n)
+    one_cell = _cell_predictions(f, partial(predict_ddt_x4_f3n, f))
+    assert one_cell == _grid_predictions(f, _claim_ddt_x4)
 
 
 # -- verification harness -----------------------------------------------------------
@@ -267,13 +354,9 @@ def test_verification_report_serializable():
 
 # -- row-first verification against the brute-force oracle -----------------------------
 
-def _oracle_claims(field, predict):
-    """Every cell's claim as inclusive (lo, hi), straight from the predictor."""
-    q = field.order
-    cells = [[predict(a, b) for b in range(q)] for a in range(q)]
-    return np.array(
-        [[(c.value, c.value) if c.is_exact else c.bounds for c in row] for row in cells]
-    )
+def _oracle_claims(field, claim):
+    """Every cell's claim as inclusive (lo, hi), from one call over all (a, b)."""
+    return _claim_rows(field, claim, field.xs())
 
 
 def _oracle_diff(entries, claims):
@@ -295,14 +378,15 @@ def _assert_diff(report, entries, claims):
 @pytest.mark.parametrize("theorem,m", [("t1", 3), ("t1", 4), ("t2", 3), ("t2", 4)])
 def test_row_first_fbct_verify_matches_oracle(theorem, m):
     f = make_field(2, 2 * m)
-    d, predict, verify = {
-        "t1": ((1 << m) + 3, predict_fbct_2m3, verify_fbct_2m3),
-        "t2": ((1 << m) + 5, predict_fbct_2m5, verify_fbct_2m5),
+    d, claim, verify = {
+        "t1": ((1 << m) + 3, _claim_fbct_2m3, verify_fbct_2m3),
+        "t2": ((1 << m) + 5, _claim_fbct_2m5, verify_fbct_2m5),
     }[theorem]
     table = sozd_table(f, PowerMap(d), method="bruteforce").entries
     report = verify(m)
-    _assert_diff(report, table, _oracle_claims(f, lambda a, b: predict(f, a, b)))
-    assert report.extras["value_histogram"] == dict(value_histogram(table))
+    _assert_diff(report, table, _oracle_claims(f, claim))
+    values, counts = np.unique(table, return_counts=True)
+    assert report.extras["value_histogram"] == dict(zip(values.tolist(), counts.tolist()))
 
 
 @pytest.mark.parametrize("condition", ["exact", "stated"])
@@ -311,14 +395,14 @@ def test_row_first_pk1_verify_matches_oracle(p, k, n, condition):
     f = make_field(p, n)
     table = sozd_table(f, PowerMap(p**k + 1), method="bruteforce").entries
     claims = {
-        c: _oracle_claims(f, lambda a, b: getattr(predict_sozd_pk1(f, k, a, b), c))
+        c: _oracle_claims(f, partial(_claim_sozd_pk1, k=k, condition=c))
         for c in ("exact", "stated")
     }
     report = verify_sozd_pk1(p, k, n, condition)
     _assert_diff(report, table, claims[condition])
     disc = np.argwhere(claims["exact"][..., 0] != claims["stated"][..., 0])
     assert report.extras == {
-        "entry_values": [v for v, _ in value_histogram(table)],
+        "entry_values": np.unique(table).tolist(),
         "stated_vs_exact_discrepancies": len(disc),
         "stated_vs_exact_examples": disc[:20].tolist(),
     }
@@ -329,7 +413,7 @@ def test_row_first_ddt_x4_verify_matches_oracle(n):
     f = make_field(3, n)
     table = ddt_table(f, PowerMap(4), method="bruteforce").entries
     report = verify_ddt_x4(n)
-    _assert_diff(report, table, _oracle_claims(f, lambda a, b: predict_ddt_x4_f3n(f, a, b)))
+    _assert_diff(report, table, _oracle_claims(f, _claim_ddt_x4))
     if n % 2:
         assert report.extras == {"permutation_rows": bool((table[1:] == 1).all())}
     else:
