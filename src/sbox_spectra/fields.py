@@ -12,7 +12,11 @@ lookups; larger fields fall back to direct polynomial arithmetic for scalar
 operations, while the vectorized ones (and so every spectrum row) need the
 tables.  The tables are int64 arrays; the scalar ops read Python-list copies
 of them, made on the first scalar call, so a run that makes none (a spectrum
-row, say) never pays for the lists.  The tables are built by doubling: with
+row, say) never pays for the lists.  For odd p that first call also builds
+the Zech logarithms zech[k] = log(1 + g^k) (-1 where 1 + g^k = 0), so scalar
+add/sub/neg are O(1) lookups too (Huber, IEEE Trans. IT 36(4), 1990):
+g^i + g^j = g^(i + zech[j - i]) and -g^i = g^(i + (q-1)/2).  Without tables
+they work digit by digit.  The tables are built by doubling: with
 exp[:L] = g^0..g^(L-1) filled, exp[L:2L] = g^L * exp[:L].  Multiplying by a
 fixed c is F_p-linear on coefficient vectors, so n scalar products give c
 times each basis element p^j, and the whole block is mapped at once (XOR of
@@ -79,6 +83,7 @@ class Field:
         self._modint = pa.coeffs_to_int(list(self.modulus), p) if p == 2 else 0
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int] | None = None
         self._generator: int | None = None
         self._np_exp: np.ndarray | None = None
         self._np_log: np.ndarray | None = None
@@ -270,10 +275,14 @@ class Field:
 
     def _have_tables(self) -> bool:
         """Whether the scalar ops can use the Python-list mirrors _exp/_log of
-        the tables; they are made on the first scalar call, since the
-        vectorised ops read only the arrays."""
+        the tables (and, for odd p, the Zech logarithms _zech); they are made
+        on the first scalar call, since the vectorised ops read only the
+        arrays.  Callers test `self._exp is not None` first, which skips this
+        call once the mirrors exist."""
         if self._exp is None and self.order <= TABLE_CAP:
             self._ensure_tables()
+            if self.p != 2:
+                self._zech = self._np_log[self.add_vec(self._np_exp, 1)].tolist()
             self._log = self._np_log.tolist()
             self._exp = self._np_exp.tolist()  # sentinel last
         return self._exp is not None
@@ -283,6 +292,13 @@ class Field:
     def add(self, i: int, j: int) -> int:
         if self.p == 2:
             return i ^ j
+        if i == 0 or j == 0:
+            return i or j
+        if self._exp is not None or self._have_tables():
+            log, m = self._log, self._m
+            li = log[i]
+            z = self._zech[(log[j] - li) % m]
+            return 0 if z < 0 else self._exp[(li + z) % m]
         p = self.p
         out = 0
         mult = 1
@@ -294,8 +310,10 @@ class Field:
         return out
 
     def neg(self, i: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or i == 0:
             return i
+        if self._exp is not None or self._have_tables():
+            return self._exp[(self._log[i] + self._m // 2) % self._m]
         p = self.p
         out = 0
         mult = 1
@@ -315,14 +333,14 @@ class Field:
     def mul(self, i: int, j: int) -> int:
         if i == 0 or j == 0:
             return 0
-        if self._have_tables():
+        if self._exp is not None or self._have_tables():
             return self._exp[(self._log[i] + self._log[j]) % self._m]
         return self._mul_raw(i, j)
 
     def inv(self, i: int) -> int:
         if i == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._have_tables():
+        if self._exp is not None or self._have_tables():
             return self._exp[(self._m - self._log[i]) % self._m]
         return self._pow_raw(i, self._m - 1)
 
@@ -331,7 +349,7 @@ class Field:
             raise ZeroDivisionError("division by zero")
         if i == 0:
             return 0
-        if self._have_tables():
+        if self._exp is not None or self._have_tables():
             return self._exp[(self._log[i] - self._log[j]) % self._m]
         return self.mul(i, self.inv(j))
 
@@ -340,7 +358,7 @@ class Field:
             raise BadParametersError("exponent must be nonnegative")
         if i == 0:
             return 1 if e == 0 else 0
-        if self._have_tables():
+        if self._exp is not None or self._have_tables():
             return self._exp[(self._log[i] * e) % self._m] if self._m else 1
         return self._pow_raw(i, e)
 
@@ -365,7 +383,7 @@ class Field:
             raise EvenCharacteristicError("quadratic character needs odd p")
         if i == 0:
             return 0
-        if self._have_tables():
+        if self._exp is not None or self._have_tables():
             return -1 if self._log[i] & 1 else 1
         return 1 if self._pow_raw(i, self._m // 2) == 1 else -1
 
@@ -375,8 +393,19 @@ class Field:
         return self.frobenius(i, d) == i
 
     def subfield_indices(self, d: int) -> list[int]:
-        """All p^d encodings lying in the subfield F_{p^d}."""
-        return [i for i in range(self.order) if self.in_subfield(i, d)]
+        """All p^d encodings lying in the subfield F_{p^d}, ascending: 0 and
+        the powers of zeta = g^((q-1)/(p^d-1)), which generates F_{p^d}*.
+        O(p^d) products; g comes from the generator search, which also works
+        without tables."""
+        if d <= 0 or self.n % d:
+            raise NotADivisorError(f"d={d} does not divide n={self.n}")
+        g = self._generator if self._generator is not None else self._find_generator()
+        zeta = self.pow(g, self._m // (self.p**d - 1))
+        out, x = [0], 1
+        for _ in range(self.p**d - 1):
+            out.append(x)
+            x = self.mul(x, zeta)
+        return sorted(out)
 
     def power_facts(self, d: int) -> PowerFacts:
         if d < 1:

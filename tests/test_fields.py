@@ -193,6 +193,24 @@ def test_subfield_counts(f26):
         f26.in_subfield(1, 5)
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (3, 1), (3, 4), (5, 2), (7, 2)])
+def test_subfield_indices_equal_the_scan(p, n):
+    f = make_field(p, n)
+    for d in range(1, n + 1):
+        if n % d == 0:
+            assert f.subfield_indices(d) == [i for i in range(f.order) if f.in_subfield(i, d)]
+    with pytest.raises(NotADivisorError):
+        f.subfield_indices(n + 1)
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 22, 2), (2, 22, 11), (3, 14, 2)])
+def test_subfield_indices_past_the_table_cap(p, n, d):
+    f = make_field(p, n)
+    sub = f.subfield_indices(d)
+    assert len(sub) == p**d and sub == sorted(set(sub)) and sub[:2] == [0, 1]
+    assert all(f.frobenius(x, d) == x for x in sub[:: max(1, len(sub) // 50)])
+
+
 # -- quadratic character ------------------------------------------------------
 
 def test_quadratic_character_basics(f33):
@@ -290,6 +308,57 @@ def test_element_parsing(f26, f33):
         f26.parse_element("zz")
     assert f26.format_element(11) == "0x0b"
     assert f33.format_element(5) == "2,1,0"  # all n digits, constant term first
+
+
+# -- odd-p addition by Zech logarithms --------------------------------------------
+
+def digit_add(f, i, j, sign=1):
+    return f.from_coeffs((x + sign * y) % f.p for x, y in zip(f.coeffs(i), f.coeffs(j)))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 3), (5, 2), (7, 2)])
+def test_zech_arithmetic_every_pair(p, n):
+    f = make_field(p, n)
+    for i in range(f.order):
+        assert f.neg(i) == digit_add(f, 0, i, -1)
+        for j in range(f.order):
+            assert f.add(i, j) == digit_add(f, i, j)
+            assert f.sub(i, j) == digit_add(f, i, j, -1)
+    assert f._zech is not None
+
+
+@pytest.mark.parametrize("p,n", [(3, 6), (11, 2)])
+def test_zech_arithmetic_sampled_pairs(p, n):
+    f = make_field(p, n)
+    rng = np.random.default_rng(p * n)
+    for i, j in rng.integers(0, f.order, (3000, 2)).tolist():
+        assert f.add(i, j) == digit_add(f, i, j)
+        assert f.sub(i, j) == digit_add(f, i, j, -1)
+        assert f.neg(i) == digit_add(f, 0, i, -1)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 3), (7, 1)])
+def test_zech_cells_where_one_plus_g_k_vanishes(p, n):
+    f = make_field(p, n)
+    f.mul(1, 1)  # the first scalar call builds the Zech table
+    half = (f.order - 1) // 2  # g^half = -1
+    assert f._zech.count(-1) == 1 and f._zech[half] == -1
+    exp = f._np_exp.tolist()
+    for s in range(f.order - 1):
+        i, j = exp[s], exp[(s + half) % (f.order - 1)]
+        assert f.add(i, j) == 0 == digit_add(f, i, j)
+        assert f.sub(i, f.neg(j)) == 0 and f.neg(i) == j
+
+
+def test_zech_table_is_built_only_by_a_scalar_call():
+    f = make_field(3, 5)
+    f.power_map_table(7)
+    assert f._zech is None and f._exp is None
+    f.mul(1, 1)
+    assert len(f._zech) == f.order - 1
+    f2 = make_field(2, 6)
+    f2.mul(1, 1)
+    assert f2._zech is None  # p = 2 adds by XOR
 
 
 # -- vectorized operations agree with scalar ------------------------------------

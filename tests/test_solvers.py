@@ -3,6 +3,9 @@ evaluation over the whole field (the oracle never goes through the solver
 logic); the full-scale sweeps demanded by the acceptance suite live in
 test_acceptance.py, smaller instances here for fast feedback."""
 
+import gc
+import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -23,6 +26,9 @@ from sbox_spectra import (
     solve_quadratic,
     sqrt_in_field,
 )
+from sbox_spectra import solvers
+from sbox_spectra.fields import Field
+from sbox_spectra.polyarith import int_to_coeffs, is_irreducible
 
 
 def quadratic_roots_oracle(f, a2, a1, a0):
@@ -170,6 +176,122 @@ def test_trinomial_count_trichotomy(f26):
                 assert res.count in (0, 1, 2**d)
                 seen.add(res.count)
     assert {0, 1}.issubset(seen)
+
+
+def reference_trinomial(f, k, a, b):
+    """The per-call closed forms the solver's linear maps are built from:
+    beta and alpha, the trace construction of the representative with the
+    first element (in enumeration order) of nonzero trace, and the first
+    direction tau (in enumeration order) with tau^(2^k - 1) = a."""
+    d = math.gcd(k, f.n)
+    t = f.n // d
+    m = f.order - 1
+    alpha = f.pow(a, sum(1 << (k * j) for j in range(t)))
+    a_pows = [f.pow(a, sum(1 << (k * (j + 1)) for j in range(i, t - 1))) for i in range(t)]
+    b_exps = [(1 << (k * i)) % m if m > 1 else 1 for i in range(t)]
+    beta = 0
+    for i in range(t):
+        beta ^= f.mul(a_pows[i], f.pow(b, b_exps[i]))
+    if alpha != 1:
+        return "unique", f.div(beta, 1 ^ alpha), None
+    if beta != 0:
+        return "none", None, None
+    c = next(i for i in range(1, f.order) if f.trace(i, d) != 0)
+    acc = gamma = 0
+    for i in range(t):
+        gamma ^= f.pow(c, b_exps[i])
+        acc ^= f.mul(gamma, f.mul(a_pows[i], f.pow(b, b_exps[i])))
+    x0 = f.mul(f.inv(f.trace(c, d)), acc)
+    tau = next(x for x in range(1, f.order) if f.pow(x, (1 << k) - 1) == a)
+    return "subspace", x0, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_trinomial_matches_per_call_closed_forms(data):
+    n = data.draw(st.integers(1, 9), label="n")
+    # the first irreducible x^n + ... + 1 at or after a drawn middle part
+    middle = data.draw(st.integers(0, (1 << (n - 1)) - 1), label="middle")
+    while True:
+        mod = int_to_coeffs((1 << n) | (middle << 1) | 1)
+        if len(mod) == n + 1 and is_irreducible(mod, 2):
+            break
+        middle = (middle + 1) % (1 << (n - 1))
+    f = make_field(2, n, mod)
+    k = data.draw(st.integers(0, n - 1), label="k")
+    a = data.draw(st.integers(1, f.order - 1), label="a")
+    if data.draw(st.booleans(), label="a is a (2^k - 1)th power"):
+        a = f.pow(a, (1 << k) - 1)  # the drawn a is then in the kernel: the subspace case
+    b = data.draw(st.integers(0, f.order - 1), label="b")
+    roots = np.flatnonzero(trinomial_value_table(f, k, a) == b).tolist()
+    kind, x, tau = reference_trinomial(f, k, a, b)
+    res = solve_linearized_trinomial(f, k, a, b, enumerate_roots=True)
+    assert (res.kind, res.count, list(res.roots)) == (kind, len(roots), roots)
+    if kind == "unique":
+        assert res.root == x
+    if kind == "subspace":
+        assert (res.representative, res.direction) == (x, tau)
+    plain = solve_linearized_trinomial(f, k, a, b)
+    assert plain.kind == res.kind and plain.count == res.count
+    assert (plain.representative, plain.direction) == (res.representative, res.direction)
+
+
+def raw_trinomial(f, k, a, x):
+    return f._pow_raw(x, 1 << k) ^ f._mul_raw(a, x)
+
+
+def test_trinomial_past_the_table_cap(monkeypatch):
+    f = make_field(2, 22)
+    a_cube = f._pow_raw(123457, 3)  # gcd(3, 2^22 - 1) = 3: a nontrivial kernel for k = 2
+    calls = 0
+    mul_raw = Field._mul_raw
+
+    def counting(self, i, j):
+        nonlocal calls
+        calls += 1
+        return mul_raw(self, i, j)
+
+    monkeypatch.setattr(Field, "_mul_raw", counting)
+    res = solve_linearized_trinomial(f, 2, a_cube, 0)
+    # one build per (k, a), independent of q: a scan for tau would take millions
+    assert 0 < calls < 50_000
+    monkeypatch.undo()
+    assert res.kind == "subspace" and res.count == 4 and res.representative == 0
+    assert f._pow_raw(res.direction, 3) == a_cube
+    for k, a, b in ((2, a_cube, 987654), (2, a_cube, raw_trinomial(f, 2, a_cube, 4242)),
+                    (1, 123457, 77), (3, 5, 3_000_000), (0, 9, 1 << 21)):
+        res = solve_linearized_trinomial(f, k, a, b)
+        assert res.count == (0 if res.kind == "none" else 1 if res.kind == "unique" else 4)
+        if res.kind == "unique":
+            assert raw_trinomial(f, k, a, res.root) == b
+        if res.kind == "subspace":
+            assert raw_trinomial(f, k, a, res.representative) == b
+            assert f._pow_raw(res.direction, (1 << k) - 1) == a
+            assert raw_trinomial(f, k, a, res.direction) == 0
+    # b = L(4242) is solvable; its root set is the representative's kernel coset
+    res = solve_linearized_trinomial(f, 2, a_cube, raw_trinomial(f, 2, a_cube, 4242),
+                                     enumerate_roots=True)
+    assert 4242 in res.roots and len(res.roots) == 4
+
+
+def test_solver_cache_dies_with_its_field():
+    f = make_field(2, 6)
+    solve_linearized_trinomial(f, 3, 5, 7)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+
+
+def test_solver_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(solvers, "_CACHE_ENTRIES", 5)
+    f = make_field(2, 5)
+    for a in range(1, 12):
+        for b in (0, 3):
+            res = solve_linearized_trinomial(f, 1, a, b)
+            assert res.count == int(np.count_nonzero(trinomial_value_table(f, 1, a) == b))
+        assert len(solvers._caches[f]) == min(a, 5)
+    assert list(solvers._caches[f]) == [(1, a) for a in range(7, 12)]  # the oldest go first
 
 
 def test_trinomial_errors(f26, f33):
