@@ -273,6 +273,14 @@ class Field:
         self._ensure_tables()
         return self._np_exp, self._np_log
 
+    def log_lists(self) -> tuple[list[int], list[int]] | None:
+        """The Python-list mirrors (exp, log) of `log_tables` that the scalar
+        ops read, made on first use; None above TABLE_CAP, where the scalar
+        ops use polynomial arithmetic."""
+        if self._exp is not None or self._have_tables():
+            return self._exp, self._log
+        return None
+
     def _have_tables(self) -> bool:
         """Whether the scalar ops can use the Python-list mirrors _exp/_log of
         the tables (and, for odd p, the Zech logarithms _zech); they are made

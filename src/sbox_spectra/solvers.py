@@ -3,7 +3,10 @@
 Three solvers, each with an exhaustive-evaluation oracle in the test suite:
 
 * quadratics a2 x^2 + a1 x + a0 over odd characteristic, solved through the
-  discriminant and a Tonelli-Shanks square root in F_{p^n}*;
+  discriminant delta: where the exp/log tables exist (order <= TABLE_CAP),
+  eta(delta) is the parity of log delta, a square root of delta is
+  g^(log delta / 2) and 1/(2 a2) one log subtraction; above the cap the
+  square root comes from Tonelli-Shanks in F_{p^n}*;
 * trinomials x^(2^k) + a x + b over F_{2^n}, classified into no root, a
   unique root, or a coset of a 2^d-dimensional F_2-subspace (d = gcd(k, n));
   for fixed (k, a) the root, the solvability value and the representative
@@ -11,11 +14,13 @@ Three solvers, each with an exhaustive-evaluation oracle in the test suite:
   is stored as XOR lookup tables built from its images of the n basis
   elements, and the direction is the smallest nonzero kernel element;
 * general affine polynomials L(x) + b with L linearized over F_{2^n},
-  counted via the rank of the associated n x n 2-circulant matrix, found by
-  forward elimination.
+  counted via the F_2-rank of L, which equals the rank of the associated
+  n x n 2-circulant matrix A_L (Wu & Liu, Finite Fields Appl. 22, 2013):
+  the images L(2^j) of the basis are eliminated as n-bit words.
 
-The trinomial tables live in a per-Field cache of at most _CACHE_ENTRIES
-(k, a) pairs, which is freed with its Field.
+The trinomial tables, and the Frobenius images (2^j)^(2^i) the affine
+counter reads, live in a per-Field cache of at most _CACHE_ENTRIES entries,
+which is freed with its Field.
 
 All element arguments and results are canonical encodings (ints); pass
 FieldElement values and they are coerced.
@@ -62,79 +67,147 @@ class RootResult:
         return self.roots[0]
 
 
-_NO_ROOTS = RootResult(kind="none", count=0, roots=())  # immutable, so shared
+_new = object.__new__
+_set = object.__setattr__  # frozen: RootResult's own __setattr__ raises
+
+
+def _result(kind, count, roots, representative=None, direction=None) -> RootResult:
+    """A RootResult equal to the dataclass-built one, without the frozen
+    __init__'s call overhead.  The fields are set one by one, as __init__
+    does: filling __dict__ in one update is faster, but gives every result
+    a dict of its own, about 60-120 bytes more per result."""
+    r = _new(RootResult)
+    _set(r, "kind", kind)
+    _set(r, "count", count)
+    _set(r, "roots", roots)
+    _set(r, "representative", representative)
+    _set(r, "direction", direction)
+    return r
+
+
+_NO_ROOTS = _result("none", 0, ())  # immutable, so shared
 
 
 def sqrt_in_field(field: Field, s: int) -> int:
     """Square root of a nonzero square s in F_{p^n}, p odd.
 
-    Uses the (p^n+1)/4 exponent shortcut when p^n = 3 (mod 4), otherwise
-    generic Tonelli-Shanks in the multiplicative group with the first
-    nonsquare (in enumeration order) as the auxiliary nonresidue.  Returns
+    Where the exp/log tables exist, s is a square iff log s is even, and then
+    g^(log s / 2) is a root; above TABLE_CAP, see _tonelli_shanks.  Returns
     the smaller encoding of the two roots.
     """
     if field.p == 2:
         raise EvenCharacteristicError("square roots via eta need odd p")
-    s = field.as_index(s)
+    s = s if type(s) is int and 0 <= s < field.order else field.as_index(s)
     if s == 0:
         return 0
-    if field.quadratic_character(s) != 1:
-        raise BadParametersError("argument is not a square")
+    tables = field.log_lists()
+    if tables is None:
+        if field.quadratic_character(s) != 1:
+            raise BadParametersError("argument is not a square")
+        r = _tonelli_shanks(field, s)
+    else:
+        exp, log = tables
+        if log[s] & 1:
+            raise BadParametersError("argument is not a square")
+        r = exp[log[s] >> 1]
+    return min(r, field.neg(r))
+
+
+def _tonelli_shanks(field: Field, s: int) -> int:
+    """A square root of the nonzero square s by polynomial arithmetic: the
+    (p^n+1)/4 exponent shortcut when p^n = 3 (mod 4), otherwise generic
+    Tonelli-Shanks in the multiplicative group with the first nonsquare (in
+    enumeration order) as the auxiliary nonresidue."""
     order = field.order
     if order % 4 == 3:
-        r = field.pow(s, (order + 1) // 4)
-    else:
-        q, e = order - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            e += 1
-        z = next(i for i in range(1, order) if field.quadratic_character(i) == -1)
-        c = field.pow(z, q)
-        r = field.pow(s, (q + 1) // 2)
-        t = field.pow(s, q)
-        m = e
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = field.mul(t2, t2)
-                i += 1
-            b = field.pow(c, 1 << (m - i - 1))
-            r = field.mul(r, b)
-            c = field.mul(b, b)
-            t = field.mul(t, c)
-            m = i
-    return min(r, field.neg(r))
+        return field.pow(s, (order + 1) // 4)
+    q, e = order - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = next(i for i in range(1, order) if field.quadratic_character(i) == -1)
+    c = field.pow(z, q)
+    r = field.pow(s, (q + 1) // 2)
+    t = field.pow(s, q)
+    m = e
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = field.mul(t2, t2)
+            i += 1
+        b = field.pow(c, 1 << (m - i - 1))
+        r = field.mul(r, b)
+        c = field.mul(b, b)
+        t = field.mul(t, c)
+        m = i
+    return r
 
 
 def solve_quadratic(field: Field, a2, a1, a0) -> RootResult:
     """Roots of a2 x^2 + a1 x + a0 over F_{p^n}, p odd.
 
     The root count is 1 + eta(delta) with delta = a1^2 - 4 a0 a2; roots are
-    always returned explicitly.
+    always returned explicitly, as -a1/(2 a2) +- sqrt(delta)/(2 a2).  Which
+    square root is taken does not matter: the pair is returned sorted.
     """
-    if field.p == 2:
+    p = field.p
+    if p == 2:
         raise EvenCharacteristicError("quadratic solver requires odd p")
-    a2 = field.as_index(a2)
-    a1 = field.as_index(a1)
-    a0 = field.as_index(a0)
+    q = field.order
+    a2 = a2 if type(a2) is int and 0 <= a2 < q else field.as_index(a2)
+    a1 = a1 if type(a1) is int and 0 <= a1 < q else field.as_index(a1)
+    a0 = a0 if type(a0) is int and 0 <= a0 < q else field.as_index(a0)
     if a2 == 0:
         raise LeadingCoefficientZeroError("a2 must be nonzero")
-    four = 4 % field.p
-    delta = field.sub(field.mul(a1, a1), field.mul(four, field.mul(a0, a2)))
-    eta = field.quadratic_character(delta)
-    if eta == -1:
-        return _NO_ROOTS
-    inv2a2 = field.inv(field.mul(2 % field.p, a2))
-    x = field.mul(field.neg(a1), inv2a2)  # -a1/(2 a2)
-    if eta == 0:
-        return RootResult(kind="unique", count=1, roots=(x,))
-    s = field.mul(sqrt_in_field(field, delta), inv2a2)
-    lo, hi = sorted((field.add(x, s), field.sub(x, s)))
-    return RootResult(kind="pair", count=2, roots=(lo, hi))
+    delta = field.add(field.mul(a1, a1), field.mul(-4 % p, field.mul(a0, a2)))
+    tables = field.log_lists()
+    if tables is None:
+        eta = field.quadratic_character(delta)
+        if eta == -1:
+            return _NO_ROOTS
+        inv2a2 = field.inv(field.mul(2 % p, a2))
+        x = field.mul(field.neg(a1), inv2a2)  # -a1/(2 a2)
+        if eta == 0:
+            return _result("unique", 1, (x,))
+        s = field.mul(_tonelli_shanks(field, delta), inv2a2)
+        minus_s = field.neg(s)
+    else:
+        exp, log = tables
+        m = q - 1
+        log_2a2 = log[2 % p] + log[a2]
+        if delta and log[delta] & 1:
+            return _NO_ROOTS
+        x = exp[(log[a1] + (m >> 1) - log_2a2) % m] if a1 else 0  # -1 = g^(m/2)
+        if delta == 0:
+            return _result("unique", 1, (x,))
+        log_s = ((log[delta] >> 1) - log_2a2) % m
+        s, minus_s = exp[log_s], exp[(log_s + (m >> 1)) % m]
+    lo, hi = sorted((field.add(x, s), field.add(x, minus_s)))
+    return _result("pair", 2, (lo, hi))
 
 
-_CACHE_ENTRIES = 2048  # (k, a) pairs kept per Field; every pair of F_{2^8} fits
+_CACHE_ENTRIES = 2048  # entries kept per Field; every (k, a) pair of F_{2^8} fits
+# keys: (k, a) for the trinomial maps, "frobenius" for the affine counter
 _caches: weakref.WeakKeyDictionary[Field, dict] = weakref.WeakKeyDictionary()
+
+
+def _cache_entry(field: Field, key, build, *args):
+    """The `key` entry of the Field's cache, built by build(field, *args) on
+    first use.  The cache lives as long as the Field and keeps at most
+    _CACHE_ENTRIES entries, dropping the oldest.  At n = 24 a trinomial
+    entry is three 256-entry int64 tables, about 7.1 KiB in all
+    (tracemalloc), so a full cache holds about 14.5 MiB; the one Frobenius
+    entry is n^2 ints."""
+    cache = _caches.get(field)
+    if cache is None:
+        cache = _caches.setdefault(field, {})
+    entry = cache.get(key)
+    if entry is None:
+        entry = build(field, *args)
+        if len(cache) >= _CACHE_ENTRIES:
+            cache.pop(next(iter(cache)), None)
+        cache[key] = entry
+    return entry
 
 
 class _Trinomial(NamedTuple):
@@ -150,26 +223,6 @@ class _Trinomial(NamedTuple):
     tables: tuple
     d: int
     tau: int | None
-
-
-def _trinomial_entry(field: Field, k: int, a: int) -> _Trinomial:
-    """The (k, a) entry of the Field's cache, built on first use.
-
-    The cache lives as long as the Field and keeps at most _CACHE_ENTRIES
-    entries, dropping the oldest.  At n = 24 an entry is three 256-entry
-    int64 tables, about 7.1 KiB in all (tracemalloc), so a full cache holds
-    about 14.5 MiB.
-    """
-    cache = _caches.get(field)
-    if cache is None:
-        cache = _caches.setdefault(field, {})
-    entry = cache.get((k, a))
-    if entry is None:
-        entry = _build_trinomial(field, k, a)
-        if len(cache) >= _CACHE_ENTRIES:
-            cache.pop(next(iter(cache)), None)
-        cache[(k, a)] = entry
-    return entry
 
 
 def _build_trinomial(field: Field, k: int, a: int) -> _Trinomial:
@@ -226,31 +279,38 @@ def _xor_tables(images: list[int]) -> tuple:
     return tuple(tables)
 
 
+def _reduce(pivots: dict, v: int) -> int:
+    """v reduced by pivots (leading bit -> word) until its leading bit is
+    not a pivot's; 0 when v lies in their span."""
+    while v:
+        pivot = pivots.get(v.bit_length() - 1)
+        if pivot is None:
+            break
+        v ^= pivot
+    return v
+
+
+def _echelon(words) -> dict:
+    """Pivot-by-leading-bit echelon form of the span of the words over F_2:
+    leading bit -> word; its size is the rank."""
+    pivots = {}
+    for v in words:
+        v = _reduce(pivots, v)
+        if v:
+            pivots[v.bit_length() - 1] = v
+    return pivots
+
+
 def _smallest_kernel_element(images: list[int]) -> int:
     """Smallest nonzero x with L(x) = 0, where images[j] = L(2^j) for an
-    F_2-linear L.  Elimination of the images by leading bit gives a kernel
-    basis; in echelon form by leading bit, the vector with the lowest pivot
-    is the smallest nonzero element of the span.  O(n^2) word operations."""
-    pivots = {}  # leading bit -> (reduced image, combination of basis bits)
-    kernel = {}  # leading bit -> kernel vector
-    for j, img in enumerate(images):
-        comb = 1 << j
-        while img:
-            top = img.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (img, comb)
-                break
-            pimg, pcomb = pivots[top]
-            img ^= pimg
-            comb ^= pcomb
-        else:
-            while comb:
-                top = comb.bit_length() - 1
-                if top not in kernel:
-                    kernel[top] = comb
-                    break
-                comb ^= kernel[top]
-    return kernel[min(kernel)]
+    F_2-linear L.  The words (L(2^j) << n) | 2^j are eliminated together:
+    one whose image part reduces to 0 is a kernel vector, and the kernel
+    vectors form the pivots below bit n.  In echelon form by leading bit,
+    the vector with the lowest pivot is the smallest nonzero element of the
+    span.  O(n^2) word operations."""
+    n = len(images)
+    pivots = _echelon((img << n) | (1 << j) for j, img in enumerate(images))
+    return pivots[min(pivots)]
 
 
 def solve_linearized_trinomial(
@@ -267,18 +327,19 @@ def solve_linearized_trinomial(
     """
     if field.p != 2:
         raise OddCharacteristicError("trinomial solver requires p = 2")
-    a = field.as_index(a)
-    b = field.as_index(b)
+    q = field.order
+    a = a if type(a) is int and 0 <= a < q else field.as_index(a)
+    b = b if type(b) is int and 0 <= b < q else field.as_index(b)
     if a == 0:
         raise ZeroLinearCoefficientError("linear coefficient a must be nonzero")
     if not 0 <= k < field.n:
         raise BadParametersError(f"k={k} outside [0, n)")
-    unique, tables, d, tau = _trinomial_entry(field, k, a)
+    unique, tables, d, tau = _cache_entry(field, (k, a), _build_trinomial, k, a)
     v = 0
     for shift, table in tables:
         v ^= table[(b >> shift) & 0xFF]
     if unique:
-        return RootResult(kind="unique", count=1, roots=(v,))
+        return _result("unique", 1, (v,))
     n = field.n
     if v & ((1 << n) - 1):
         return _NO_ROOTS
@@ -288,19 +349,24 @@ def solve_linearized_trinomial(
         roots = tuple(
             sorted(x0 ^ field.mul(delta, tau) for delta in field.subfield_indices(d))
         )
-    return RootResult(
-        kind="subspace", count=1 << d, roots=roots, representative=x0, direction=tau
-    )
+    return _result("subspace", 1 << d, roots, x0, tau)
+
+
+def _linearized_coeffs(field: Field, coeffs) -> list[int]:
+    """The n coefficients a_i of L(x) = sum a_i x^(2^i), validated."""
+    if field.p != 2:
+        raise OddCharacteristicError("affine machinery requires p = 2")
+    q = field.order
+    cs = [c if type(c) is int and 0 <= c < q else field.as_index(c) for c in coeffs]
+    if len(cs) != field.n:
+        raise BadParametersError(f"need exactly {field.n} coefficients, got {len(cs)}")
+    return cs
 
 
 def build_AL(field: Field, coeffs) -> list[list[int]]:
     """The n x n matrix of L(x) = sum a_i x^(2^i): row i is the cyclic right
     shift of (a_0, ..., a_{n-1}) by i with every entry raised to 2^i."""
-    if field.p != 2:
-        raise OddCharacteristicError("affine machinery requires p = 2")
-    cs = [field.as_index(c) for c in coeffs]
-    if len(cs) != field.n:
-        raise BadParametersError(f"need exactly {field.n} coefficients, got {len(cs)}")
+    cs = _linearized_coeffs(field, coeffs)
     n = field.n
     return [
         [field.pow(cs[(j - i) % n], 1 << i) for j in range(n)]
@@ -308,26 +374,38 @@ def build_AL(field: Field, coeffs) -> list[list[int]]:
     ]
 
 
-def affine_root_count(field: Field, coeffs, b) -> int:
-    """Number of roots of L(x) + b: 2^(n - r) when rank(A_L) = rank(A_L | b)
-    = r, else 0.  Forward elimination over F_{2^n}, first-nonzero pivots:
-    the rows left below the r pivots are zero in A_L and must be zero in b."""
-    b = field.as_index(b)
-    A = build_AL(field, coeffs)
+def _frobenius_images(field: Field) -> list[list[int]]:
+    """Row i holds (2^j)^(2^i) for j < n.  Where the tables exist each entry
+    is stored as its log minus (q - 1), so exp[log c + entry] is
+    c * (2^j)^(2^i) by Python's negative indexing, with no modulo."""
     n = field.n
-    rows = [A[i] + [field.frobenius(b, i)] for i in range(n)]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
-        if piv is None:
+    tables = field.log_lists()
+    if tables is None:
+        return [[field.frobenius(1 << j, i) for j in range(n)] for i in range(n)]
+    log, m = tables[1], field.order - 1
+    return [[((log[1 << j] << i) % m) - m for j in range(n)] for i in range(n)]
+
+
+def affine_root_count(field: Field, coeffs, b) -> int:
+    """Number of roots of L(x) + b: 2^(n - r) when b lies in the image of L,
+    else 0, where r is the F_2-rank of L, equal to rank(A_L) (see build_AL).
+    The images L(2^j) = sum_i a_i (2^j)^(2^i) are eliminated as n-bit words
+    and b is reduced against them: O(n^2) lookups and word operations."""
+    b = b if type(b) is int and 0 <= b < field.order else field.as_index(b)
+    cs = _linearized_coeffs(field, coeffs)
+    frobenius = _cache_entry(field, "frobenius", _frobenius_images)
+    tables = field.log_lists()
+    images = [0] * field.n
+    for c, row in zip(cs, frobenius):
+        if not c:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot_row = rows[rank]
-        for r in range(rank + 1, n):
-            if rows[r][col] != 0:
-                factor = field.div(rows[r][col], pivot_row[col])
-                rows[r] = [rv ^ field.mul(factor, pv) for rv, pv in zip(rows[r], pivot_row)]
-        rank += 1
-    if any(rows[r][n] for r in range(rank, n)):
+        if tables is None:
+            images = [v ^ field.mul(c, y) for v, y in zip(images, row)]
+        else:
+            exp, log = tables
+            lc = log[c]
+            images = [v ^ exp[lc + y] for v, y in zip(images, row)]
+    pivots = _echelon(images)
+    if _reduce(pivots, b):
         return 0
-    return 1 << (n - rank)
+    return 1 << (field.n - len(pivots))

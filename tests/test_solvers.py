@@ -3,8 +3,14 @@ evaluation over the whole field (the oracle never goes through the solver
 logic); the full-scale sweeps demanded by the acceptance suite live in
 test_acceptance.py, smaller instances here for fast feedback."""
 
+import copy
+import dataclasses
 import gc
+import inspect
 import math
+import pickle
+import textwrap
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -17,7 +23,10 @@ from sbox_spectra import (
     BadParametersError,
     EvenCharacteristicError,
     LeadingCoefficientZeroError,
+    MixedFieldsError,
     OddCharacteristicError,
+    RootResult,
+    UnparsableElementError,
     ZeroLinearCoefficientError,
     affine_root_count,
     build_AL,
@@ -44,6 +53,17 @@ def trinomial_value_table(f, k, a):
     return f.pow_vec(xs, 1 << k) ^ f.mul_vec(np.int64(a), xs)
 
 
+def draw_binary_field(data, n):
+    """F_{2^n} with the first irreducible x^n + ... + 1 at or after a drawn
+    middle part."""
+    middle = data.draw(st.integers(0, (1 << (n - 1)) - 1), label="middle")
+    while True:
+        mod = int_to_coeffs((1 << n) | (middle << 1) | 1)
+        if len(mod) == n + 1 and is_irreducible(mod, 2):
+            return make_field(2, n, mod)
+        middle = (middle + 1) % (1 << (n - 1))
+
+
 def affine_value_table(f, coeffs, b):
     xs = f.xs()
     acc = np.full(f.order, b, dtype=np.int64)
@@ -65,6 +85,58 @@ def test_sqrt_exhaustive(p, n):
     with pytest.raises(BadParametersError):
         nonsq = next(x for x in range(1, f.order) if f.quadratic_character(x) == -1)
         sqrt_in_field(f, nonsq)
+
+
+def reference_sqrt(f, s):
+    """Tonelli-Shanks in F_{p^n}* by field.mul and field.pow, for every odd
+    order (e = 1 when p^n = 3 mod 4), with the first nonsquare as the
+    auxiliary nonresidue; the smaller of the two roots."""
+    q, e = f.order - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = next(i for i in range(1, f.order) if f.pow(i, (f.order - 1) // 2) != 1)
+    c, r, t, m = f.pow(z, q), f.pow(s, (q + 1) // 2), f.pow(s, q), e
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = f.mul(t2, t2)
+            i += 1
+        b = f.pow(c, 1 << (m - i - 1))
+        r, c = f.mul(r, b), f.mul(b, b)
+        t, m = f.mul(t, c), i
+    return min(r, f.neg(r))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6),
+                                 (5, 3), (7, 2), (11, 2)])
+def test_sqrt_table_path_equals_tonelli_shanks(p, n):
+    f = make_field(p, n)  # orders 3 and 1 mod 4 both occur
+    squares = sorted({f.mul(y, y) for y in range(1, f.order)})
+    assert [sqrt_in_field(f, s) for s in squares] == [reference_sqrt(f, s) for s in squares]
+    assert f._exp is not None  # the table path ran
+    nonsquares = set(range(1, f.order)) - set(squares)
+    for s in sorted(nonsquares)[:50]:
+        with pytest.raises(BadParametersError):
+            sqrt_in_field(f, s)
+
+
+@pytest.mark.parametrize("p,n", [(3, 13), (5, 9)])  # orders 3 and 1 mod 4, above TABLE_CAP
+def test_sqrt_and_quadratic_past_the_table_cap(p, n):
+    f = make_field(p, n)
+    s = f._mul_raw(123457, 123457)
+    r = sqrt_in_field(f, s)
+    assert f._mul_raw(r, r) == s and r == min(123457, f.neg(123457))
+    a2, r1, r2 = 5, 1000, 424242  # a2 (x - r1)(x - r2), expanded with raw ops
+    a1 = f.neg(f._mul_raw(a2, f.add(r1, r2)))
+    a0 = f._mul_raw(a2, f._mul_raw(r1, r2))
+    res = solve_quadratic(f, a2, a1, a0)
+    assert res.kind == "pair" and res.roots == tuple(sorted((r1, r2)))
+    nonsquare = 2  # 2 is a nonsquare in F_3 and F_5, so in their odd-degree extensions
+    with pytest.raises(BadParametersError):
+        sqrt_in_field(f, nonsquare)
+    assert solve_quadratic(f, 1, 0, f.neg(nonsquare)) is solvers._NO_ROOTS
+    assert f._np_exp is None and f._exp is None  # no table was built
 
 
 # -- quadratics ------------------------------------------------------------------
@@ -96,6 +168,23 @@ def test_quadratic_shifted_golden_example():
         res = solve_quadratic(f, 1, 1, f.neg(1))
         assert res.count == len(quadratic_roots_oracle(f, 1, 1, f.neg(1)))
         assert res.count == 1 + f.quadratic_character(2)
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (7, 2)])
+def test_quadratic_every_instance(p, n):
+    f = make_field(p, n)
+    xs = f.xs()
+    for a2 in range(1, f.order):
+        for a1 in range(f.order):
+            vals = f.add_vec(f.mul_vec(np.int64(a2), f.mul_vec(xs, xs)), f.mul_vec(np.int64(a1), xs))
+            order = np.argsort(vals, kind="stable")  # roots of a2 x^2 + a1 x = t, ascending
+            bounds = np.searchsorted(vals[order], np.arange(f.order + 1))
+            for a0 in range(f.order):
+                t = f.neg(a0)
+                roots = tuple(order[bounds[t]:bounds[t + 1]].tolist())
+                res = solve_quadratic(f, a2, a1, a0)
+                assert (res.count, res.roots) == (len(roots), roots), (a2, a1, a0)
+                assert res.kind == ("none", "unique", "pair")[len(roots)]
 
 
 def test_quadratic_errors(f26, f33):
@@ -210,14 +299,7 @@ def reference_trinomial(f, k, a, b):
 @given(st.data())
 def test_trinomial_matches_per_call_closed_forms(data):
     n = data.draw(st.integers(1, 9), label="n")
-    # the first irreducible x^n + ... + 1 at or after a drawn middle part
-    middle = data.draw(st.integers(0, (1 << (n - 1)) - 1), label="middle")
-    while True:
-        mod = int_to_coeffs((1 << n) | (middle << 1) | 1)
-        if len(mod) == n + 1 and is_irreducible(mod, 2):
-            break
-        middle = (middle + 1) % (1 << (n - 1))
-    f = make_field(2, n, mod)
+    f = draw_binary_field(data, n)
     k = data.draw(st.integers(0, n - 1), label="k")
     a = data.draw(st.integers(1, f.order - 1), label="a")
     if data.draw(st.booleans(), label="a is a (2^k - 1)th power"):
@@ -378,3 +460,182 @@ def test_rank_multiset_invariant_under_modulus_change():
 
     assert count_multiset(fa) == count_multiset(fc)
     assert count_multiset(fa) == count_multiset(fb)
+
+
+def reference_affine_count(f, coeffs, b):
+    """The count read off A_L itself: forward elimination over F_{2^n} of A_L
+    augmented by the column b^(2^i), first-nonzero pivots; 2^(n - rank) when
+    the rows left below the pivots are zero in b too, else 0."""
+    n = f.n
+    rows = [row + [f.frobenius(b, i)] for i, row in enumerate(build_AL(f, coeffs))]
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, n) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot_row = rows[rank]
+        for r in range(rank + 1, n):
+            if rows[r][col] != 0:
+                factor = f.div(rows[r][col], pivot_row[col])
+                rows[r] = [rv ^ f.mul(factor, pv) for rv, pv in zip(rows[r], pivot_row)]
+        rank += 1
+    if any(rows[r][n] for r in range(rank, n)):
+        return 0
+    return 1 << (n - rank)
+
+
+def affine_disagreements(count, f, coeffs, b):
+    """The oracles (exhaustive evaluation, the A_L elimination) that disagree
+    with count(f, coeffs, b)."""
+    got = count(f, coeffs, b)
+    out = []
+    if got != int(np.count_nonzero(affine_value_table(f, coeffs, b) == 0)):
+        out.append("exhaustive")
+    if got != reference_affine_count(f, coeffs, b):
+        out.append("A_L")
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_affine_matches_exhaustive_and_AL_elimination(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    f = make_field(2, n) if data.draw(st.booleans(), label="conway") else draw_binary_field(data, n)
+    element = st.integers(0, f.order - 1)
+    shape = data.draw(st.sampled_from(["dense", "sparse", "zero", "kernel"]), label="shape")
+    coeffs = [0] * n
+    if shape == "dense":
+        coeffs = data.draw(st.lists(element, min_size=n, max_size=n), label="coeffs")
+    elif shape == "sparse":
+        for i in data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2), label="support"):
+            coeffs[i] = data.draw(st.integers(1, f.order - 1), label="coefficient")
+    elif shape == "kernel":  # x^(2^k) + a x with a a (2^k - 1)th power: rank n - gcd(k, n)
+        k = data.draw(st.integers(1, n - 1), label="k") if n > 1 else 0
+        coeffs[k] ^= 1
+        coeffs[0] ^= f.pow(data.draw(st.integers(1, f.order - 1), label="a"), (1 << k) - 1)
+    b = data.draw(element, label="b")
+    if data.draw(st.booleans(), label="b in the image"):
+        b = int(affine_value_table(f, coeffs, 0)[b])
+    assert affine_disagreements(affine_root_count, f, coeffs, b) == []
+
+
+def test_affine_past_the_table_cap():
+    f = make_field(2, 22)
+    kernel = [0] * 22  # x^4 + a^3 x: a kernel of size 4
+    kernel[2], kernel[0] = 1, f._pow_raw(123457, 3)
+    dense = [f._pow_raw(3, 7 * i + 1) for i in range(22)]
+    image = f._pow_raw(4242, 4) ^ f._mul_raw(kernel[0], 4242)  # L(4242)
+    for coeffs, b, want in ((kernel, image, 4), (kernel, 987654, None), (dense, 3_000_000, None)):
+        count = affine_root_count(f, coeffs, b)
+        assert count == reference_affine_count(f, coeffs, b)
+        assert want is None or count == want
+    assert f._np_exp is None  # no table was built
+
+
+def test_affine_oracles_catch_a_dropped_consistency_test():
+    # a copy of affine_root_count without the test that b lies in the image
+    source = textwrap.dedent(inspect.getsource(solvers.affine_root_count))
+    consistency = "    if _reduce(pivots, b):\n        return 0\n"
+    assert consistency in source
+    namespace = dict(vars(solvers))
+    exec(source.replace(consistency, ""), namespace)
+    mutant = namespace["affine_root_count"]
+    f = make_field(2, 4)
+    coeffs = [1, 1, 0, 0]  # L(x) = x^2 + x: kernel F_2, image the elements of trace 0
+    caught = [b for b in range(16) if affine_disagreements(mutant, f, coeffs, b)]
+    assert caught == [b for b in range(16) if f.trace(b)]
+    assert all(affine_disagreements(affine_root_count, f, coeffs, b) == [] for b in range(16))
+
+
+# -- results and errors -----------------------------------------------------------------
+
+def test_results_equal_the_dataclass_built_ones(f24, f33):
+    results = {
+        "none": solve_linearized_trinomial(f24, 1, 1, next(b for b in range(16) if f24.trace(b))),
+        "unique": solve_quadratic(f33, 1, 0, 0),
+        "pair": solve_quadratic(f33, 1, 0, f33.neg(1)),
+        "subspace": solve_linearized_trinomial(f24, 1, 1, 0),
+        "subspace-enumerated": solve_linearized_trinomial(f24, 1, 1, 0, enumerate_roots=True),
+    }
+    assert results["subspace-enumerated"].roots == (0, 1)
+    for label, res in results.items():
+        assert type(res) is RootResult and res.kind == label.split("-")[0]
+        built = RootResult(**{fld.name: getattr(res, fld.name) for fld in dataclasses.fields(res)})
+        assert res == built and built == res and not res != built
+        assert hash(res) == hash(built) and repr(res) == repr(built)
+        assert vars(res) == vars(built) and dataclasses.asdict(res) == dataclasses.asdict(built)
+        assert pickle.loads(pickle.dumps(res)) == res and copy.copy(res) == res
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.count = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.extra = 1
+        if res.kind == "unique":
+            assert res.root == res.roots[0] == built.root
+        else:
+            with pytest.raises(ValueError):
+                res.root
+    assert results["unique"] != RootResult("unique", 1, (1,))
+    assert len({*results.values(), *(RootResult(**vars(r)) for r in results.values())}) == 5
+
+
+def test_results_take_no_more_memory_than_dataclass_built_ones():
+    def traced_bytes(build):
+        tracemalloc.start()
+        try:
+            kept = [build(i) for i in range(4000)]
+            return tracemalloc.get_traced_memory()[0], kept
+        finally:
+            tracemalloc.stop()
+
+    fast, _ = traced_bytes(lambda i: solvers._result("unique", 1, (i,)))
+    built, _ = traced_bytes(lambda i: RootResult("unique", 1, (i,)))
+    assert fast <= 1.05 * built  # a filled __dict__ per result would add about 60%
+
+
+def test_error_types_per_argument(f24, f26, f32, f33):
+    other24 = f24.element(1)  # an element of another field
+    affine_cases = [
+        (f33, [1, 0, 0], 0, OddCharacteristicError),
+        (f33, [1, 0], 0, OddCharacteristicError),
+        (f33, [1, 0, 0], 27, UnparsableElementError),  # b is coerced first
+        (f26, [1, 0, 0, 0, 0], 0, BadParametersError),
+        (f26, [1] * 7, 0, BadParametersError),
+        (f26, [1, 0, 0, 0, 0, 64], 0, UnparsableElementError),
+        (f26, [1, 0, 0, 0, 64], 0, UnparsableElementError),  # encodings before the count
+        (f26, [1, 0, 0, 0, 0, -1], 0, UnparsableElementError),
+        (f26, [1, 0, 0, 0, 0, 0], 64, UnparsableElementError),
+        (f26, [1, 0, 0, 0, 0], 64, UnparsableElementError),
+        (f26, [1, 0, 0, 0, 0, other24], 0, MixedFieldsError),
+        (f26, [1, 0, 0, 0, 0, 0], other24, MixedFieldsError),
+        (f26, [1, 0, 0, 0, 0, 0], "9", None),
+        (f26, [f26.element(1), np.int64(3), 0, 0, 0, True], f26.element(5), None),
+    ]
+    for f, coeffs, b, error in affine_cases:
+        if error is None:
+            assert affine_root_count(f, coeffs, b) == reference_affine_count(
+                f, [f.as_index(c) for c in coeffs], f.as_index(b))
+        else:
+            with pytest.raises(error):
+                affine_root_count(f, coeffs, b)
+    quadratic_cases = [
+        (f26, (1, 1, 1), EvenCharacteristicError),
+        (f26, (0, 1, 99), EvenCharacteristicError),
+        (f33, (0, 1, 1), LeadingCoefficientZeroError),
+        (f33, (0, 1, 27), UnparsableElementError),  # coerced before the a2 test
+        (f33, (27, 1, 1), UnparsableElementError),
+        (f33, (1, -1, 1), UnparsableElementError),
+        (f33, (1, 1, other24), MixedFieldsError),
+        (f33, (f32.element(1), 1, 1), MixedFieldsError),
+        (f33, (f33.element(2), np.int64(1), "1"), None),
+    ]
+    for f, args, error in quadratic_cases:
+        if error is None:
+            assert solve_quadratic(f, *args) == solve_quadratic(f, *(f.as_index(x) for x in args))
+        else:
+            with pytest.raises(error):
+                solve_quadratic(f, *args)
+    for f, s, error in ((f26, 1, EvenCharacteristicError), (f33, 27, UnparsableElementError),
+                        (f33, f32.element(1), MixedFieldsError), (f33, 2, BadParametersError)):
+        with pytest.raises(error):
+            sqrt_in_field(f, s)
