@@ -90,6 +90,7 @@ class Field:
         self._digits: np.ndarray | None = None
         self._ppows: np.ndarray | None = None
         self._xs: np.ndarray | None = None
+        self._solver_cache: dict = {}  # the root solvers' per-Field cache (solvers._cache_entry)
 
     # -- construction ------------------------------------------------------
 
@@ -404,10 +405,12 @@ class Field:
         """All p^d encodings lying in the subfield F_{p^d}, ascending: 0 and
         the powers of zeta = g^((q-1)/(p^d-1)), which generates F_{p^d}*.
         O(p^d) products; g comes from the generator search, which also works
-        without tables."""
+        without tables, and is kept for the next call."""
         if d <= 0 or self.n % d:
             raise NotADivisorError(f"d={d} does not divide n={self.n}")
-        g = self._generator if self._generator is not None else self._find_generator()
+        if self._generator is None:
+            self._generator = self._find_generator()
+        g = self._generator
         zeta = self.pow(g, self._m // (self.p**d - 1))
         out, x = [0], 1
         for _ in range(self.p**d - 1):

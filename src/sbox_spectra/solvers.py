@@ -29,7 +29,6 @@ FieldElement values and they are coerced.
 from __future__ import annotations
 
 import math
-import weakref
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -188,19 +187,16 @@ def solve_quadratic(field: Field, a2, a1, a0) -> RootResult:
 
 _CACHE_ENTRIES = 2048  # entries kept per Field; every (k, a) pair of F_{2^8} fits
 # keys: (k, a) for the trinomial maps, "frobenius" for the affine counter
-_caches: weakref.WeakKeyDictionary[Field, dict] = weakref.WeakKeyDictionary()
 
 
 def _cache_entry(field: Field, key, build, *args):
     """The `key` entry of the Field's cache, built by build(field, *args) on
-    first use.  The cache lives as long as the Field and keeps at most
-    _CACHE_ENTRIES entries, dropping the oldest.  At n = 24 a trinomial
-    entry is three 256-entry int64 tables, about 7.1 KiB in all
-    (tracemalloc), so a full cache holds about 14.5 MiB; the one Frobenius
-    entry is n^2 ints."""
-    cache = _caches.get(field)
-    if cache is None:
-        cache = _caches.setdefault(field, {})
+    first use.  The cache is the Field's own `_solver_cache` dict, so it
+    lives as long as the Field; it keeps at most _CACHE_ENTRIES entries,
+    dropping the oldest.  At n = 24 a trinomial entry is three 256-entry
+    int64 tables, about 7.1 KiB in all (tracemalloc), so a full cache holds
+    about 14.5 MiB; the one Frobenius entry is n^2 ints."""
+    cache = field._solver_cache
     entry = cache.get(key)
     if entry is None:
         entry = build(field, *args)

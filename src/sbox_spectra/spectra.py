@@ -16,7 +16,9 @@ one row at a time at one gather per row, and `expand_rows` stacks it.  The
 table's summary (`power_table_summary`), its FBCT property check
 (`fbct_row_property_check`: each count is row 0's plus q - 1 times row 1's)
 and its CSV (`write_table_csv` of `iter_rows`) all come from the two rows in
-O(q) memory.  The brute-force path, `kernel_rows`, runs the row kernel at
+O(q) memory.  The CSV writer turns counts into text by byte gathers from a
+lookup of formatted counts, one per piece of at most _PIECE counts of a
+line.  The brute-force path, `kernel_rows`, runs the row kernel at
 every a for any map; it is kept selectable for cross-validation, and
 `RunningSummary` summarizes its rows as they stream.
 
@@ -473,38 +475,74 @@ def property_report_to_dict(report: PropertyReport) -> dict:
 
 # -- serialization ---------------------------------------------------------------
 
+# Counts per write: 128 KiB at width 8.  Much larger pieces each come from a
+# fresh mmap that every write page-faults in, and a whole-row buffer adds the
+# line's bytes to peak memory.
+_PIECE = 1 << 14
+
+
 class _CountText:
-    """Decimal strings of counts through a lookup array indexed by the count:
-    each distinct count is formatted once, and a line is one gather."""
+    """Writes rows of counts as CSV lines through a lookup indexed by the
+    count.  Entry v is the decimal text of v and a comma, NUL-padded to a
+    width of 8 bytes while every count is below 10^7 (16 up to 10^15; always
+    a multiple of 8), and all NULs while v is not yet formatted.  A line is
+    written in pieces of at most _PIECE counts: each piece is one gather
+    into a reused buffer, the counts found unformatted are formatted once
+    each, the row's last cell gets a newline for its comma, and the NULs
+    are dropped.  The lookup grows to the largest count seen."""
 
     def __init__(self):
-        self._text = np.empty(0, dtype=object)
-        self._known = np.zeros(0, dtype=bool)
+        self._lookup = np.zeros(0, dtype=np.dtype((np.void, 8)))
+        self._buf = np.empty(_PIECE, dtype=self._lookup.dtype)
 
-    def __call__(self, row: np.ndarray) -> list[str]:
+    def _cover(self, top: int) -> None:
+        """Make the lookup reach count `top`, widening it if top needs it.
+        Only the formatted entries are copied, so the pages of counts never
+        seen stay untouched."""
+        old = self._lookup
+        if top < old.size:
+            return
+        width = 8 * (len(str(top)) // 8 + 1)  # digits and delimiter fit
+        lookup = np.zeros(top + 1, dtype=f"S{width}")
+        known = np.flatnonzero(old.view(np.uint64)[::old.itemsize // 8])
+        lookup[known] = old[known].view(f"S{old.itemsize}")
+        self._lookup = lookup.view(np.dtype((np.void, width)))
+        if width != old.itemsize:
+            self._buf = np.empty(_PIECE, dtype=self._lookup.dtype)
+
+    def write(self, row: np.ndarray, fobj) -> None:
         if row.min() < 0:
             raise SpectraError("a CSV row of counts holds a negative value")
-        size = int(row.max()) + 1
-        if size > self._text.size:
-            self._text = np.concatenate((self._text, np.empty(size - self._text.size, dtype=object)))
-            self._known = np.concatenate((self._known, np.zeros(size - self._known.size, dtype=bool)))
-        missing = row[~self._known[row]]
-        if missing.size:
-            values = np.flatnonzero(np.bincount(missing))
-            self._text[values] = np.array([str(v) for v in values.tolist()], dtype=object)
-            self._known[values] = True
-        return self._text[row].tolist()
+        self._cover(int(row.max()))
+        width = self._lookup.itemsize
+        for start in range(0, row.size, _PIECE):
+            piece = row[start:start + _PIECE]
+            out = self._buf[:piece.size]
+            # indices are in range; "clip" lets take write into out unbuffered
+            self._lookup.take(piece, out=out, mode="clip")
+            heads = out.view(np.uint64)[::width // 8]  # 0 where v is unformatted
+            if np.count_nonzero(heads) < piece.size:
+                blank = heads == 0
+                fresh = piece[blank]
+                values = list(set(fresh.tolist()))
+                text = np.array([b"%d," % v for v in values], dtype=f"S{width}")
+                self._lookup[values] = text.view(out.dtype)
+                out[blank] = self._lookup[fresh]
+            if start + _PIECE >= row.size:
+                out[-1] = out[-1].tobytes().replace(b",", b"\n")
+            fobj.write(out.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def write_table_csv(field: Field, kind: str, label: str, rows, fobj) -> None:
     """Header `kind,p,n,d_or_table`, then one line per row of counts: p^n
     rows of p^n counts for a whole table.  The rows may stream, as those of
-    iter_rows and kernel_rows do."""
+    iter_rows and kernel_rows do; each line is written in pieces of at most
+    _PIECE counts, so the writer holds O(largest count) bytes of lookup and
+    O(_PIECE) of buffers (see _CountText)."""
     fobj.write(f"{kind.upper()},{field.p},{field.n},{label}\n")
     text = _CountText()
     for row in rows:
-        fobj.write(",".join(text(row)))
-        fobj.write("\n")
+        text.write(row, fobj)
 
 
 def write_row_csv(field: Field, kind: str, label: str, row: np.ndarray, fobj) -> None:

@@ -19,6 +19,7 @@ from sbox_spectra import (
     UnsupportedSizeError,
     make_field,
     parse_field_spec,
+    solve_linearized_trinomial,
     sozd_row_power,
 )
 from sbox_spectra._conway import CONWAY_POLYNOMIALS
@@ -209,6 +210,19 @@ def test_subfield_indices_past_the_table_cap(p, n, d):
     sub = f.subfield_indices(d)
     assert len(sub) == p**d and sub == sorted(set(sub)) and sub[:2] == [0, 1]
     assert all(f.frobenius(x, d) == x for x in sub[:: max(1, len(sub) // 50)])
+
+
+def test_generator_search_runs_once_past_the_table_cap(monkeypatch):
+    calls = []
+    search = Field._find_generator
+    monkeypatch.setattr(Field, "_find_generator", lambda self: calls.append(1) or search(self))
+    f = make_field(2, 22)
+    a = f.pow(123457, 3)
+    first = solve_linearized_trinomial(f, 2, a, 0, enumerate_roots=True)
+    second = solve_linearized_trinomial(f, 2, a, 0, enumerate_roots=True)
+    assert first == second and first.count == len(first.roots) == 4
+    assert len(calls) == 1
+    assert f._np_exp is None  # the generator is kept without building tables
 
 
 # -- quadratic character ------------------------------------------------------

@@ -372,8 +372,8 @@ def test_solver_cache_is_bounded(monkeypatch):
         for b in (0, 3):
             res = solve_linearized_trinomial(f, 1, a, b)
             assert res.count == int(np.count_nonzero(trinomial_value_table(f, 1, a) == b))
-        assert len(solvers._caches[f]) == min(a, 5)
-    assert list(solvers._caches[f]) == [(1, a) for a in range(7, 12)]  # the oldest go first
+        assert len(f._solver_cache) == min(a, 5)
+    assert list(f._solver_cache) == [(1, a) for a in range(7, 12)]  # the oldest go first
 
 
 def test_trinomial_errors(f26, f33):

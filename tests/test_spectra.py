@@ -1,4 +1,6 @@
 import io
+import os
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -528,6 +530,85 @@ def test_csv_bytes_equal_reference():
         buf = io.StringIO()
         write_row_csv(field, kind, "7", row, buf)
         assert csv_mismatch(buf.getvalue(), f"{kind.upper()},{field.p},{field.n},7", [row]) is None
+
+
+_PIECE = spectra._PIECE
+# counts of 1 to 8 digits up to the largest order, 2^24, with the ends of the
+# 8-byte width
+_COUNTS = (st.integers(1, 8).flatmap(lambda k: st.integers(10 ** (k - 1), min(10**k - 1, 2**24)))
+           | st.sampled_from([0, 9_999_999, 10**7, 2**24]))
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    write_table_csv(make_field(2, 2), "ddt", "3", rows, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("length", [1, _PIECE - 1, _PIECE, _PIECE + 1, 3 * _PIECE + 7])
+@settings(max_examples=8, deadline=None)
+@given(pool=st.lists(_COUNTS, min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+def test_csv_row_bytes_equal_reference(length, pool, seed):
+    row = np.random.default_rng(seed).choice(np.array(pool, dtype=np.int64), size=length)
+    assert csv_mismatch(_csv([row]), "DDT,2,2,3", [row]) is None
+
+
+@settings(max_examples=15, deadline=None)
+@given(pools=st.lists(st.lists(_COUNTS, min_size=1, max_size=5), min_size=2, max_size=4),
+       wide=st.integers(10**7, 2**24 - 4), length=st.sampled_from([1, 7, _PIECE + 1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_csv_table_bytes_equal_reference_as_the_lookup_grows(pools, wide, length, seed):
+    """Each row's maximum is above the last one's, the first row's is below
+    10^7 and the last row's at least 10^7, so the lookup grows at each row
+    and widens from 8 to 16 bytes mid-table."""
+    rng = np.random.default_rng(seed)
+    rows, top = [], -1
+    for i, pool in enumerate(pools):
+        pool = [v % 10**7 for v in pool] if i == 0 else pool
+        row = rng.choice(np.array(pool, dtype=np.int64), size=length)
+        top = max(top + 1, int(row.max()), wide if i == len(pools) - 1 else 0)
+        row[rng.integers(length)] = top
+        rows.append(row)
+    assert max(rows[0]) < 10**7 <= max(rows[-1])
+    assert csv_mismatch(_csv(rows), "DDT,2,2,3", rows) is None
+
+
+def test_csv_file_and_string_buffer_agree(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = [rng.integers(0, top, size=size)
+            for top, size in [(10, 3), (10**4, _PIECE + 1), (10**3, 2 * _PIECE), (10, 5)]]
+    rows[2][[5, -1]] = 10**7, 2**24
+    path = tmp_path / "t.csv"
+    with open(path, "w") as fh:
+        write_table_csv(make_field(2, 2), "ddt", "3", rows, fh)
+    assert path.read_bytes() == _csv(rows).encode("ascii")
+    assert csv_mismatch(_csv(rows), "DDT,2,2,3", rows) is None
+
+
+@pytest.mark.parametrize("row", [[-1], [3, 0, -2], [5] * _PIECE + [-7]])
+def test_csv_negative_count_raises(row):
+    with pytest.raises(SpectraError):
+        _csv([np.array(row, dtype=np.int64)])
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["ddt-like", "fbct-like"])
+def test_csv_writer_memory_is_the_lookup_and_pieces(big):
+    """Writing a 2^20-count row allocates the lookup (8 bytes per count up to
+    the largest) and buffers for one piece of _PIECE counts, not a copy of
+    the row's text."""
+    q = 1 << 20
+    row = np.random.default_rng(3).integers(0, 7, size=q) * 2
+    if big:
+        row[:2] = q  # an FBCT row's b = 0 and b = 1
+    lookup = (int(row.max()) + 1) * 8
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            write_row_csv(make_field(2, 20), "fbct", "7", row, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= lookup + 2 * 2**20
 
 
 def test_spectrum_table_kind_flags(f26, f33):
