@@ -2,32 +2,32 @@
 
 Elements are canonically encoded as integers in [0, p^n): the residue
 polynomial c_0 + c_1 x + ... + c_{n-1} x^{n-1} packs to sum(c_i * p^i).
-For p = 2 this makes addition a single XOR; for odd p addition works on
-base-p digits.  Enumeration order is ascending encoding, zero first, which
-is also the row/column order of every CSV this package writes.
+For p = 2 addition is a single XOR.  For odd p an encoding is cut into
+base-P limbs (P = p^w, at most 256) and a pair of limbs is added or
+subtracted by one lookup in a P x P table, shared by every field of
+characteristic p (_limb_tables).  Enumeration order is ascending encoding,
+zero first, which is also the row/column order of every CSV written.
 
 A Field caches exp/log tables over a generator once multiplication is first
 needed (for orders up to TABLE_CAP), turning mul/inv/pow/character into O(1)
-lookups; larger fields fall back to direct polynomial arithmetic for scalar
-operations, while the vectorized ones (and so every spectrum row) need the
-tables.  The tables are int64 arrays; the scalar ops read Python-list copies
-of them, made on the first scalar call, so a run that makes none (a spectrum
-row, say) never pays for the lists.  For odd p that first call also builds
+lookups; larger fields fall back to polynomial arithmetic for these scalar
+ops, while the vectorized ones (and so every spectrum row) need the
+tables.  The scalar ops read Python-list copies of the int64 tables, made
+on the first scalar call (_have_tables), which for odd p also builds
 the Zech logarithms zech[k] = log(1 + g^k) (-1 where 1 + g^k = 0), so scalar
 add/sub/neg are O(1) lookups too (Huber, IEEE Trans. IT 36(4), 1990):
-g^i + g^j = g^(i + zech[j - i]) and -g^i = g^(i + (q-1)/2).  Without tables
-they work digit by digit.  The tables are built by doubling: with
-exp[:L] = g^0..g^(L-1) filled, exp[L:2L] = g^L * exp[:L].  Multiplying by a
-fixed c is F_p-linear on coefficient vectors, so n scalar products give c
-times each basis element p^j, and the whole block is mapped at once (XOR of
-byte lookup tables for p = 2, a digit matrix mod p for odd p): O(n log q)
-scalar products in all.
+g^i + g^j = g^(i + zech[j - i]) and -g^i = g^(i + (q-1)/2).  The tables are
+built by doubling: with exp[:L] = g^0..g^(L-1) filled, exp[L:2L] =
+g^L * exp[:L].  Multiplying by a fixed c is F_p-linear, so n scalar
+products give c times each basis element p^j, and a lookup table per byte
+(p = 2) or limb (odd p) maps the whole block: O(n log q) scalar products.
 Fields and elements are immutable values; lazy cache builds are idempotent,
 so sharing across threads is safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -51,6 +51,37 @@ from .errors import (
 DEFAULT_MAX_SIZE = 1 << 24
 MAX_SIZE_ENV = "SBOX_SPECTRA_MAX_SIZE"
 TABLE_CAP = 1 << 20  # largest order for which exp/log tables are built
+
+
+@functools.lru_cache(maxsize=8)
+def _limb_tables(p: int) -> tuple:
+    """(P, w, tables) for odd p: P = p^w is the largest power of p up to 256,
+    and tables[0][u, t] (tables[1][u, t]) is the limb of u plus (minus) t
+    digitwise mod p.  For p > 256 (p^2 entries) P = p, w = 1, tables None."""
+    if p > 256:
+        return p, 1, None
+    w = max(k for k in range(1, 9) if p**k <= 256)
+    base = np.arange(p)
+    one = np.stack([np.add.outer(base, base), np.subtract.outer(base, base)]) % p
+    tables = np.zeros((2, 1, 1), dtype=np.int64)
+    for k in range(1, w + 1):  # k-digit limbs u = p*v + d from the table at v and `one` at d
+        tables = (p * tables[:, :, None, :, None] + one[:, None, :, None]).reshape(2, p**k, -1)
+    tables = tables.astype(np.uint8)  # limbs are below 256
+    tables.setflags(write=False)  # shared by every Field of characteristic p
+    return p**w, w, tables
+
+
+def _xor_tables(images: list[int]) -> tuple:
+    """(shift, table) pairs for the F_2-linear map with these images of the
+    basis bits: table[v] is the XOR of the images of v's bits, by doubling."""
+    tables = []
+    for lo in range(0, len(images), 8):
+        chunk = images[lo:lo + 8]
+        table = np.zeros(1 << len(chunk), dtype=np.int64)
+        for j, img in enumerate(chunk):
+            table[1 << j:2 << j] = table[:1 << j] ^ img
+        tables.append((lo, table))
+    return tuple(tables)
 
 
 def configured_max_size() -> int:
@@ -87,8 +118,6 @@ class Field:
         self._generator: int | None = None
         self._np_exp: np.ndarray | None = None
         self._np_log: np.ndarray | None = None
-        self._digits: np.ndarray | None = None
-        self._ppows: np.ndarray | None = None
         self._xs: np.ndarray | None = None
         self._solver_cache: dict = {}  # the root solvers' per-Field cache (solvers._cache_entry)
 
@@ -246,23 +275,23 @@ class Field:
     def _scale_vec(self, c: int, v: np.ndarray) -> np.ndarray:
         """c * v for an array of encodings v, through the F_p-linear map
         y -> c*y: n scalar products give its images of the basis p^j."""
-        images = [self._mul_raw(c, self.p**j) for j in range(self.n)]
-        if self.p == 2:
+        p, n = self.p, self.n
+        images = [self._mul_raw(c, p**j) for j in range(n)]
+        if p == 2:
             out = np.zeros(v.shape, dtype=np.int64)
-            for lo in range(0, self.n, 8):  # table[b]: XOR of the images of b's bits
-                chunk = images[lo:lo + 8]
-                table = np.zeros(1 << len(chunk), dtype=np.int64)
-                for j, img in enumerate(chunk):
-                    table[1 << j:2 << j] = table[:1 << j] ^ img
+            for lo, table in _xor_tables(images):
                 out ^= table[(v >> lo) & 0xFF]
             return out
-        digits = np.empty((v.size, self.n), dtype=np.int64)
-        rest = v.copy()
-        for k in range(self.n):
-            digits[:, k] = rest % self.p
-            rest //= self.p
-        matrix = np.array([self.coeffs(img) for img in images], dtype=np.int64)  # row j: c*p^j
-        return ((digits @ matrix) % self.p) @ (self.p ** np.arange(self.n, dtype=np.int64))
+        P, w, _ = _limb_tables(p)
+        coeffs = np.array([self.coeffs(img) for img in images], dtype=np.int64)  # row j: c*p^j
+        ppows = p ** np.arange(n, dtype=np.int64)
+        for lo in range(0, n, w):  # table[u] = c * (u * p^lo) for each limb u
+            rows = coeffs[lo:lo + w]
+            digits = np.arange(p ** len(rows))[:, None] // p ** np.arange(len(rows)) % p
+            table = ((digits @ rows) % p) @ ppows
+            part = table[v // p**lo % P]
+            out = part if lo == 0 else self._add_or_sub(out, part, False)
+        return out
 
     @property
     def generator(self) -> int:
@@ -286,8 +315,8 @@ class Field:
         """Whether the scalar ops can use the Python-list mirrors _exp/_log of
         the tables (and, for odd p, the Zech logarithms _zech); they are made
         on the first scalar call, since the vectorised ops read only the
-        arrays.  Callers test `self._exp is not None` first, which skips this
-        call once the mirrors exist."""
+        arrays; above TABLE_CAP there are none.  Callers test `self._exp is
+        not None` first, which skips this call once the mirrors exist."""
         if self._exp is None and self.order <= TABLE_CAP:
             self._ensure_tables()
             if self.p != 2:
@@ -308,35 +337,16 @@ class Field:
             li = log[i]
             z = self._zech[(log[j] - li) % m]
             return 0 if z < 0 else self._exp[(li + z) % m]
-        p = self.p
-        out = 0
-        mult = 1
-        while i or j:
-            out += ((i % p + j % p) % p) * mult
-            i //= p
-            j //= p
-            mult *= p
-        return out
+        return int(self.add_vec(i, j))
 
     def neg(self, i: int) -> int:
         if self.p == 2 or i == 0:
             return i
         if self._exp is not None or self._have_tables():
             return self._exp[(self._log[i] + self._m // 2) % self._m]
-        p = self.p
-        out = 0
-        mult = 1
-        while i:
-            c = i % p
-            if c:
-                out += (p - c) * mult
-            i //= p
-            mult *= p
-        return out
+        return int(self.sub_vec(0, i))
 
     def sub(self, i: int, j: int) -> int:
-        if self.p == 2:
-            return i ^ j
         return self.add(i, self.neg(j))
 
     def mul(self, i: int, j: int) -> int:
@@ -431,33 +441,31 @@ class Field:
             self._xs = np.arange(self.order, dtype=np.int64)
         return self._xs
 
-    def _ensure_digits(self):
-        if self._digits is None:
-            digits = np.empty((self.order, self.n), dtype=np.int16)
-            v = self.xs().copy()
-            for k in range(self.n):
-                digits[:, k] = v % self.p
-                v //= self.p
-            self._ppows = (self.p ** np.arange(self.n)).astype(np.int64)
-            self._digits = digits  # sentinel last
-
     def add_vec(self, A, B) -> np.ndarray:
-        A = np.asarray(A, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
-        if self.p == 2:
-            return A ^ B
-        self._ensure_digits()
-        s = (self._digits[A] + self._digits[B]) % self.p
-        return s.astype(np.int64) @ self._ppows
+        return self._add_or_sub(A, B, False)
 
     def sub_vec(self, A, B) -> np.ndarray:
+        return self._add_or_sub(A, B, True)
+
+    def _add_or_sub(self, A, B, sub: bool) -> np.ndarray:
+        """A + B (A - B when sub); odd p goes limb by limb (_limb_tables)."""
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         if self.p == 2:
             return A ^ B
-        self._ensure_digits()
-        s = (self._digits[A] - self._digits[B]) % self.p
-        return s.astype(np.int64) @ self._ppows
+        P, w, tables = _limb_tables(self.p)
+        out = np.zeros(np.broadcast(A, B).shape, dtype=np.int64)
+        a, b = np.empty_like(out), np.empty_like(out)
+        for lo in range(0, self.n, w):
+            scale = self.p**lo
+            np.remainder(A // scale, P, out=a)
+            np.remainder(B // scale, P, out=b)
+            if tables is None:  # p > 256: one digit per limb
+                np.remainder(a - b if sub else a + b, P, out=b)
+            else:
+                b[...] = tables[int(sub)].take(a * P + b, mode="clip")  # flat [a, b]
+            out += b * scale
+        return out
 
     def mul_vec(self, A, B) -> np.ndarray:
         A = np.asarray(A, dtype=np.int64)

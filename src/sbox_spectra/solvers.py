@@ -40,7 +40,7 @@ from .errors import (
     OddCharacteristicError,
     ZeroLinearCoefficientError,
 )
-from .fields import Field
+from .fields import Field, _xor_tables
 
 
 @dataclass(frozen=True)
@@ -248,31 +248,22 @@ def _build_trinomial(field: Field, k: int, a: int) -> _Trinomial:
     basis = [1 << j for j in range(n)]
     if alpha != 1:
         images = [field.div(frobenius_sum(a_pows, e), 1 ^ alpha) for e in basis]
-        return _Trinomial(True, _xor_tables(images), d, None)
-    # the first c of nonzero trace is a power of two: if its top bit is 2^h,
-    # Tr(c - 2^h) = 0 as c - 2^h < c, so Tr(2^h) = Tr(c) != 0
-    c = next(e for e in basis if field.trace(e, d))
-    inv_trace_c = field.inv(field.trace(c, d))
-    x0_coeffs, gamma, y = [], 0, c
-    for ap in a_pows:
-        gamma ^= y
-        x0_coeffs.append(field.mul(inv_trace_c, field.mul(gamma, ap)))
-        y = field.frobenius(y, k)
-    images = [(frobenius_sum(x0_coeffs, e) << n) | frobenius_sum(a_pows, e) for e in basis]
-    kernel_images = [field.frobenius(e, k) ^ field.mul(a, e) for e in basis]
-    return _Trinomial(False, _xor_tables(images), d, _smallest_kernel_element(kernel_images))
-
-
-def _xor_tables(images: list[int]) -> tuple:
-    """(shift, table) pairs for the F_2-linear map with these images of the
-    basis bits: table[v] is the XOR of the images of v's bits, by doubling."""
-    tables = []
-    for lo in range(0, len(images), 8):
-        table = array("q", [0])
-        for img in images[lo:lo + 8]:
-            table += array("q", [v ^ img for v in table])
-        tables.append((lo, table))
-    return tuple(tables)
+        tau = None
+    else:
+        # the first c of nonzero trace is a power of two: if its top bit is
+        # 2^h, Tr(c - 2^h) = 0 as c - 2^h < c, so Tr(2^h) = Tr(c) != 0
+        c = next(e for e in basis if field.trace(e, d))
+        inv_trace_c = field.inv(field.trace(c, d))
+        x0_coeffs, gamma, y = [], 0, c
+        for ap in a_pows:
+            gamma ^= y
+            x0_coeffs.append(field.mul(inv_trace_c, field.mul(gamma, ap)))
+            y = field.frobenius(y, k)
+        images = [(frobenius_sum(x0_coeffs, e) << n) | frobenius_sum(a_pows, e) for e in basis]
+        tau = _smallest_kernel_element([field.frobenius(e, k) ^ field.mul(a, e) for e in basis])
+    # array("q") copies: compact, and fast to index with Python ints
+    tables = tuple((lo, array("q", t.tobytes())) for lo, t in _xor_tables(images))
+    return _Trinomial(alpha != 1, tables, d, tau)
 
 
 def _reduce(pivots: dict, v: int) -> int:

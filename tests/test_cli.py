@@ -276,6 +276,20 @@ def test_odd_p_row_above_2048_elements(capsys, kind):
     assert sum(c for _, c in d["histogram"]) == 3**7
 
 
+def test_spectra_row_over_a_large_prime_field(tmp_path, capsys):
+    # p >= 2^15: a digit does not fit in int16
+    p, csv = 40009, tmp_path / "row.csv"
+    code, _, _ = run(capsys, "spectra", "sozd", "--field", f"p={p};n=1;mod=0,1", "--power", "3",
+                     "--row", "--csv", str(csv))
+    assert code == 0
+    row = [int(c) for c in csv.read_text().splitlines()[1].split(",")]
+    assert len(row) == p
+    for b in (0, 1, 2, 20000, p - 1):  # SOZD(1, b) of x^3 from its definition
+        assert row[b] == sum(
+            (pow(x + 1 + b, 3, p) - pow(x + 1, 3, p) - pow(x + b, 3, p) + pow(x, 3, p)) % p == 0
+            for x in range(p))
+
+
 def test_verify_t4_over_f3_7(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "t4", "--n", "7")
     assert code == 0

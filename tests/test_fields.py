@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -23,7 +24,7 @@ from sbox_spectra import (
     sozd_row_power,
 )
 from sbox_spectra._conway import CONWAY_POLYNOMIALS
-from sbox_spectra.fields import MAX_SIZE_ENV, Field
+from sbox_spectra.fields import MAX_SIZE_ENV, TABLE_CAP, Field
 
 
 # -- construction ------------------------------------------------------------
@@ -324,31 +325,63 @@ def test_element_parsing(f26, f33):
     assert f33.format_element(5) == "2,1,0"  # all n digits, constant term first
 
 
-# -- odd-p addition by Zech logarithms --------------------------------------------
+# -- odd-p addition: Zech logarithms and limb tables ------------------------------
+
+# moduli for fields without a built-in one: x^2 - 2 over F_13, x^2 - 3 over
+# F_17 and F_257, all irreducible.  Limb widths: w = 2 for 13, w = 1 for 17,
+# and 257 > 256 has no limb table.
+NO_BUILTIN_MODULUS = {(13, 2): [11, 0, 1], (17, 2): [14, 0, 1], (257, 2): [254, 0, 1]}
+
+
+def odd_field(p, n):
+    return make_field(p, n, NO_BUILTIN_MODULUS.get((p, n)))
+
 
 def digit_add(f, i, j, sign=1):
     return f.from_coeffs((x + sign * y) % f.p for x, y in zip(f.coeffs(i), f.coeffs(j)))
 
 
-@pytest.mark.parametrize("p,n", [(3, 1), (3, 3), (5, 2), (7, 2)])
+def assert_digitwise(f, pairs):
+    """Scalar and vector add/sub/neg of f on these (i, j) equal digit_add."""
+    I, J = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    add, sub, neg = f.add_vec(I, J), f.sub_vec(I, J), f.sub_vec(0, I)
+    for k, (i, j) in enumerate(pairs):
+        assert f.add(i, j) == add[k] == digit_add(f, i, j)
+        assert f.sub(i, j) == sub[k] == digit_add(f, i, j, -1)
+        assert f.neg(i) == neg[k] == digit_add(f, 0, i, -1)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 3), (5, 2), (7, 2), (13, 2), (17, 2)])
 def test_zech_arithmetic_every_pair(p, n):
-    f = make_field(p, n)
-    for i in range(f.order):
-        assert f.neg(i) == digit_add(f, 0, i, -1)
-        for j in range(f.order):
-            assert f.add(i, j) == digit_add(f, i, j)
-            assert f.sub(i, j) == digit_add(f, i, j, -1)
+    f = odd_field(p, n)
+    assert_digitwise(f, [(i, j) for i in range(f.order) for j in range(f.order)])
     assert f._zech is not None
 
 
-@pytest.mark.parametrize("p,n", [(3, 6), (11, 2)])
+@pytest.mark.parametrize("p,n", [(3, 6), (11, 2), (257, 2), (3, 13), (5, 9)])
 def test_zech_arithmetic_sampled_pairs(p, n):
-    f = make_field(p, n)
+    # (3, 13) and (5, 9) lie above TABLE_CAP: no Zech logarithms there
+    f = odd_field(p, n)
     rng = np.random.default_rng(p * n)
-    for i, j in rng.integers(0, f.order, (3000, 2)).tolist():
-        assert f.add(i, j) == digit_add(f, i, j)
-        assert f.sub(i, j) == digit_add(f, i, j, -1)
-        assert f.neg(i) == digit_add(f, 0, i, -1)
+    assert_digitwise(f, rng.integers(0, f.order, (3000, 2)).tolist())
+    assert (f._zech is None) == (f.order > TABLE_CAP)
+
+
+def test_odd_p_addition_is_linear_memory():
+    f = make_field(3, 12)
+    q = f.order
+    A, B = np.random.default_rng(12).integers(0, q, (2, q))
+    make_field(3, 2).add_vec(1, 1)  # builds the tables shared by every field of characteristic 3
+    tracemalloc.start()
+    try:
+        s = f.add_vec(A, B)
+        d = f.sub_vec(A, B)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * q  # six q-length int64 arrays, results included
+    assert kept - s.nbytes - d.nbytes < 2 << 20  # nothing O(q) stays with the Field
+    assert np.array_equal(f.sub_vec(s, B), A) and np.array_equal(f.add_vec(d, B), A)
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 3), (7, 1)])
@@ -377,7 +410,7 @@ def test_zech_table_is_built_only_by_a_scalar_call():
 
 # -- vectorized operations agree with scalar ------------------------------------
 
-@pytest.mark.parametrize("p,n", [(2, 6), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p,n", [(2, 6), (3, 3), (5, 2), (7, 2), (11, 2)])
 def test_vector_ops_match_scalar(p, n):
     f = make_field(p, n)
     N = f.order
@@ -433,7 +466,8 @@ NON_CONWAY_MODULI = [
 
 
 @pytest.mark.parametrize("p,n,mod", [(p, n, None) for p, n in CONWAY_UP_TO_2_12]
-                         + [(2, 1, None), (3, 1, None), (11, 1, None)] + NON_CONWAY_MODULI)
+                         + [(2, 1, None), (3, 1, None), (11, 1, None)] + NON_CONWAY_MODULI
+                         + [(p, n, NO_BUILTIN_MODULUS[p, n]) for p, n in ((13, 2), (17, 2))])
 def test_tables_equal_sequential_build(p, n, mod):
     f = make_field(p, n, mod)
     g, exp, log = sequential_tables(f)
@@ -497,3 +531,9 @@ def test_scalar_ops_past_the_table_cap():
     with pytest.raises(UnsupportedSizeError, match="exp/log tables not built"):
         f._ensure_tables()
     assert f.mul(3, 5) == f._mul_raw(3, 5)  # scalar ops fall back to polynomials
+    f3 = make_field(3, 13)  # odd-p add/sub/neg run on one element through the limbs
+    for i, j in [(1, 2), (f3.order - 1, 1), (12345, 1594322), (797161, 797161)]:
+        assert f3.add(i, j) == digit_add(f3, i, j)
+        assert f3.sub(i, j) == digit_add(f3, i, j, -1)
+        assert f3.neg(i) == digit_add(f3, 0, i, -1)
+    assert f3._np_exp is None

@@ -133,6 +133,17 @@ def test_fbct_coset_cells_exact(f26):
             assert sozd_entry(f26, PowerMap(11), a, f26.mul(a, u)) == 8
 
 
+def test_sozd_entry_over_a_large_prime_field():
+    # p > 2^14: a sum of two digits does not fit in int16
+    p = 32749
+    f = make_field(p, 1, [0, 1])
+    for a, b in [(20000, 20000), (1, 2), (p - 1, 16375), (5, 0)]:
+        by_definition = sum(
+            (pow(x + a + b, 3, p) - pow(x + a, 3, p) - pow(x + b, 3, p) + pow(x, 3, p)) % p == 0
+            for x in range(p))
+        assert sozd_entry(f, PowerMap(3), a, b) == by_definition, (a, b)
+
+
 def test_sozd_fast_equals_bruteforce():
     for p, n, d in ((2, 6, 11), (3, 3, 4), (2, 8, 19), (5, 2, 6), (3, 4, 10)):
         f = make_field(p, n)
