@@ -8,12 +8,17 @@ Exit codes: 0 success, 1 verification mismatch or property violation (the
 report is always written first), 2 usage or configuration error.  Output is
 byte-deterministic for a fixed configuration.  --jobs is accepted for
 compatibility with existing command lines and changes neither output nor work.
+
+The argument parser is built once per process (build_parser is cached):
+`main` and `RunConfig.parse` share it, so repeated in-process calls do not
+rebuild the argparse tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import json
 import shlex
 import sys
@@ -103,7 +108,9 @@ class RunConfig:
         return cls.from_args(args, parse_field_spec(args.field))
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; one per process, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sbox-spectra",
         description="DDT / FBCT / second-order zero differential spectra over F_{p^n}",

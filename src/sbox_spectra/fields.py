@@ -23,6 +23,14 @@ products give c times each basis element p^j, and a lookup table per byte
 (p = 2) or limb (odd p) maps the whole block: O(n log q) scalar products.
 Fields and elements are immutable values; lazy cache builds are idempotent,
 so sharing across threads is safe.
+
+make_field interns the fields of order up to INTERN_MAX_ORDER (2^12): an LRU
+cache of at most INTERN_ENTRIES (32) Fields, keyed by (p, n, modulus) with
+the built-in modulus filled in, so each small field's tables and solver
+cache are built once per process.  Elements from two make_field calls for
+the same small field therefore mix.  The size bound is checked on every
+call; larger fields are built anew each time.  The intern holds at most
+about 200 MiB, nearly all of it full solver caches (see _interned_field).
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyarith as pa
+from ._conway import CONWAY_POLYNOMIALS
 from .errors import (
     BadParametersError,
     EvenCharacteristicError,
@@ -448,23 +457,45 @@ class Field:
         return self._add_or_sub(A, B, True)
 
     def _add_or_sub(self, A, B, sub: bool) -> np.ndarray:
-        """A + B (A - B when sub); odd p goes limb by limb (_limb_tables)."""
+        """A + B (A - B when sub); odd p goes limb by limb (_limb_tables).
+        The limbs a, b of A, B are never formed: with A = P * A' + a and
+        B = P * B' + b, the lookup index a * P + b (a +- b for p > 256) is
+        the one of (A, B) less P times the one of (A', B'), so each limb
+        costs two floor divides and no remainder (the slower ufunc), and
+        at most four arrays of A's size are live.  The top limbs are what
+        is left of A and B."""
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         if self.p == 2:
             return A ^ B
         P, w, tables = _limb_tables(self.p)
-        out = np.zeros(np.broadcast(A, B).shape, dtype=np.int64)
-        a, b = np.empty_like(out), np.empty_like(out)
-        for lo in range(0, self.n, w):
-            scale = self.p**lo
-            np.remainder(A // scale, P, out=a)
-            np.remainder(B // scale, P, out=b)
+
+        def index(X, Y):
             if tables is None:  # p > 256: one digit per limb
-                np.remainder(a - b if sub else a + b, P, out=b)
+                return X - Y if sub else X + Y
+            out = X * P
+            out += Y
+            return out
+
+        limbs = []  # lowest first
+        for lo in range(0, self.n, w):
+            c = index(A, B)
+            if lo + w < self.n:
+                A = A // P
+                B = B // P
+                rest = index(A, B)
+                rest *= P
+                c -= rest
+                del rest
+            if tables is None:
+                c -= c // P * P
             else:
-                b[...] = tables[int(sub)].take(a * P + b, mode="clip")  # flat [a, b]
-            out += b * scale
+                c = tables[int(sub)].take(c, mode="clip")  # flat [a, b]
+            limbs.append(c)
+        out = limbs.pop().astype(np.int64)
+        while limbs:
+            out *= P
+            out += limbs.pop()
         return out
 
     def mul_vec(self, A, B) -> np.ndarray:
@@ -581,7 +612,11 @@ def make_field(p: int, n: int, modulus=None, max_size: int | None = None) -> Fie
     With modulus omitted the built-in Conway polynomial table supplies one,
     making results reproducible bit for bit across runs.  The element-count
     bound (default 2^24) is configurable via max_size or the
-    SBOX_SPECTRA_MAX_SIZE environment variable.
+    SBOX_SPECTRA_MAX_SIZE environment variable, and is checked on every call.
+
+    Fields of order up to INTERN_MAX_ORDER are interned (see _interned_field):
+    calls with the same p, n and modulus return the same Field, whose tables
+    and solver cache are then built once per process.
     """
     if not isinstance(p, int) or not pa.is_prime(p):
         raise NotPrimeError(f"p={p} is not prime")
@@ -591,22 +626,41 @@ def make_field(p: int, n: int, modulus=None, max_size: int | None = None) -> Fie
     if p**n > bound:
         raise UnsupportedSizeError(f"p^n = {p}^{n} exceeds the element-count bound {bound}")
     if modulus is None:
-        from ._conway import CONWAY_POLYNOMIALS
-
-        entry = CONWAY_POLYNOMIALS.get((p, n))
-        if entry is None:
+        modulus = CONWAY_POLYNOMIALS.get((p, n))
+        if modulus is None:
             raise NoBuiltinModulusError(f"no built-in modulus for p={p}, n={n}")
-        return Field(p, n, entry)
-    mod = [int(c) for c in modulus]
-    if len(mod) != n + 1:
-        raise BadParametersError(f"modulus must have {n + 1} coefficients, got {len(mod)}")
-    if mod[-1] % p != 1:
-        raise BadParametersError("modulus must be monic")
-    if any(not 0 <= c < p for c in mod):
-        raise BadParametersError("modulus coefficients must lie in [0, p)")
-    if not pa.is_irreducible(mod, p):
-        raise ReduciblePolynomialError(f"modulus {mod} is reducible over Z_{p}")
-    return Field(p, n, tuple(mod))
+    mod = tuple(int(c) for c in modulus)
+    if p**n <= INTERN_MAX_ORDER:
+        return _interned_field(p, n, mod)
+    return _checked_field(p, n, mod)
+
+
+def _checked_field(p: int, n: int, mod: tuple[int, ...]) -> Field:
+    """A new Field, after validating a modulus that is not the built-in one."""
+    if mod != CONWAY_POLYNOMIALS.get((p, n)):
+        if len(mod) != n + 1:
+            raise BadParametersError(f"modulus must have {n + 1} coefficients, got {len(mod)}")
+        if mod[-1] % p != 1:
+            raise BadParametersError("modulus must be monic")
+        if any(not 0 <= c < p for c in mod):
+            raise BadParametersError("modulus coefficients must lie in [0, p)")
+        if not pa.is_irreducible(list(mod), p):
+            raise ReduciblePolynomialError(f"modulus {list(mod)} is reducible over Z_{p}")
+    return Field(p, n, mod)
+
+
+# The intern of small fields: one LRU cache of at most INTERN_ENTRIES Fields,
+# each of order at most INTERN_MAX_ORDER, keyed by (p, n, modulus) with the
+# built-in modulus filled in.  A call that raises stores nothing.  Worst case
+# per Field at q <= 2^12 (tracemalloc): the int64 exp/log tables and xs()
+# take about 100 KiB, the scalar ops' Python-list mirrors (exp, log and, for
+# odd p, the Zech logs) under 0.5 MiB, and for p = 2 a full solver cache of
+# 2048 trinomial entries about 5.6 MiB.  So the intern holds at most about
+# 200 MiB, and under 20 MiB while the solvers have not run.  Larger fields
+# are built anew on every call and die with their last reference.
+INTERN_MAX_ORDER = 1 << 12
+INTERN_ENTRIES = 32
+_interned_field = functools.lru_cache(maxsize=INTERN_ENTRIES)(_checked_field)
 
 
 def parse_field_spec(text: str, max_size: int | None = None) -> Field:

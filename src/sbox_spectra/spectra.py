@@ -126,7 +126,11 @@ def _sozd_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
         starts = starts[deriv[starts + j] == deriv[starts]]
         if starts.size:
             x, y = order[starts], order[starts + j]
-            pending += (field.sub_vec(y, x), field.sub_vec(x, y))
+            if field.p == 2:  # y - x = x - y
+                diff = field.sub_vec(y, x)
+                pending += (diff, diff)
+            else:  # y - x and x - y in one call
+                pending.append(field.sub_vec(np.concatenate((y, x)), np.concatenate((x, y))))
             size += 2 * starts.size
         if pending and (size >= q or not starts.size):
             row += np.bincount(np.concatenate(pending), minlength=q)

@@ -8,7 +8,7 @@ import pytest
 
 import sbox_spectra
 from sbox_spectra import closed_forms, spectra
-from sbox_spectra.cli import RunConfig, load_table_map, main
+from sbox_spectra.cli import RunConfig, build_parser, load_table_map, main
 from sbox_spectra.errors import UnparsableElementError, WrongLengthError
 from sbox_spectra.fields import make_field
 
@@ -318,3 +318,43 @@ def test_run_config_round_trip():
     )
     assert RunConfig.parse(cfg2.canonical()) == cfg2
     assert RunConfig.parse(cfg2.canonical()).canonical() == cfg2.canonical()
+
+
+def run_alone(argv):
+    """Exit code and stdout bytes of argv run alone, in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(sbox_spectra.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sbox_spectra", *argv],
+                          capture_output=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
+    # one parser serves every main call of the process; each call must write
+    # what the same argv writes alone
+    assert build_parser() is build_parser()
+    power = ["--field", "p=2;n=6", "--power", "11"]
+    runs = [
+        ["spectra", "fbct", *power, "--row", "--csv", "{}/row.csv"],
+        ["spectra", "fbct", *power, "--full", "--csv", "{}/full.csv"],
+        ["spectra", "fbct", *power, "--full", "--check-properties", "--csv", "{}/props.csv"],
+        ["spectra", "fbct", *power, "--full", "--csv", "{}/plain.csv"],
+        ["verify", "--theorem", "t4", "--n", "3"],
+        ["spectra", "ddt", "--field", "p=2;n=6", "--row"],  # usage error: no map
+        ["verify", "--theorem", "t4", "--n", "3"],
+        ["spectra", "sozd", "--field", "p=3;n=3", "--power", "7", "--full", "--csv", "{}/odd.csv"],
+    ]
+    for name in ("in", "alone"):
+        (tmp_path / name).mkdir()
+    results = {"in": [], "alone": []}
+    for argv in runs:
+        code = main([a.format(tmp_path / "in") for a in argv])
+        results["in"].append((code, capsys.readouterr().out.encode()))
+        results["alone"].append(run_alone([a.format(tmp_path / "alone") for a in argv]))
+    assert [code for code, _ in results["in"]] == [0, 0, 0, 0, 0, 2, 0, 0]
+    assert results["in"] == results["alone"]
+    csvs = sorted(p.name for p in (tmp_path / "in").iterdir())
+    assert csvs == ["full.csv", "odd.csv", "plain.csv", "props.csv", "row.csv"]
+    for csv in csvs:
+        assert (tmp_path / "in" / csv).read_bytes() == (tmp_path / "alone" / csv).read_bytes()

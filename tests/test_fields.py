@@ -1,5 +1,8 @@
+import gc
+import json
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -23,8 +26,10 @@ from sbox_spectra import (
     solve_linearized_trinomial,
     sozd_row_power,
 )
+from sbox_spectra import cli, fields
 from sbox_spectra._conway import CONWAY_POLYNOMIALS
 from sbox_spectra.fields import MAX_SIZE_ENV, TABLE_CAP, Field
+from sbox_spectra.polyarith import is_irreducible
 
 
 # -- construction ------------------------------------------------------------
@@ -69,6 +74,90 @@ def test_user_modulus_validation():
         make_field(3, 2, [1, 0, 2])  # not monic
     with pytest.raises(BadParametersError):
         make_field(3, 0)
+
+
+# -- the intern of small fields -----------------------------------------------
+
+def test_small_fields_are_interned():
+    f = make_field(2, 12)
+    assert make_field(2, 12) is f and parse_field_spec("p=2;n=12") is f
+    assert make_field(3, 7) is parse_field_spec(" p=3;n=7 ")
+    assert make_field(2, 6, [1, 1, 0, 0, 0, 0, 1]) is parse_field_spec("p=2;n=6;mod=1,1,0,0,0,0,1")
+    assert make_field(2, 6, [1, 1, 0, 0, 0, 0, 1]) is not make_field(2, 6)
+    assert make_field(2, 13) is not make_field(2, 13)  # above INTERN_MAX_ORDER
+    assert parse_field_spec("p=3;n=8") is not parse_field_spec("p=3;n=8")
+    assert make_field(2, 6).one == make_field(2, 6).one  # elements of the same Field mix
+
+
+def test_explicit_conway_modulus_shares_the_entry():
+    fields._interned_field.cache_clear()
+    f = make_field(3, 5)
+    assert make_field(3, 5, CONWAY_POLYNOMIALS[3, 5]) is f
+    assert make_field(3, 5, list(CONWAY_POLYNOMIALS[3, 5])) is f
+    assert parse_field_spec(f.spec_string()) is f
+    assert fields._interned_field.cache_info().currsize == 1
+
+
+def test_a_field_that_fails_validation_is_not_interned():
+    fields._interned_field.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ReduciblePolynomialError):
+            make_field(3, 2, [2, 0, 1])
+        with pytest.raises(BadParametersError):
+            make_field(3, 2, [1, 0, 2])
+    assert fields._interned_field.cache_info().currsize == 0
+
+
+def test_interned_field_keeps_the_size_bound(monkeypatch):
+    make_field(2, 7)
+    with pytest.raises(UnsupportedSizeError):
+        make_field(2, 7, max_size=64)
+    with pytest.raises(UnsupportedSizeError):
+        parse_field_spec("p=2;n=7", max_size=64)
+    monkeypatch.setenv(MAX_SIZE_ENV, "64")
+    with pytest.raises(UnsupportedSizeError):
+        make_field(2, 7)
+    with pytest.raises(UnsupportedSizeError):
+        make_field(2, 7, CONWAY_POLYNOMIALS[2, 7])
+
+
+def irreducible_moduli(p, n):
+    """Every monic irreducible modulus of degree n over F_p, constant term first."""
+    for low in range(p**n):
+        mod = [low // p**i % p for i in range(n)] + [1]
+        if is_irreducible(mod, p):
+            yield mod
+
+
+def test_intern_is_bounded_and_evicted_fields_die():
+    assert fields.INTERN_ENTRIES == 32 and fields.INTERN_MAX_ORDER == 1 << 12
+    fields._interned_field.cache_clear()
+    moduli = list(irreducible_moduli(2, 8))
+    first = weakref.ref(make_field(2, 8, moduli[0]))
+    first().mul(3, 5)  # tables and list mirrors built
+    gc.collect()
+    assert first() is not None  # the intern holds it
+    for mod in moduli[1:33]:
+        make_field(2, 8, mod)
+        assert fields._interned_field.cache_info().currsize <= 32
+    for p, n in CONWAY_POLYNOMIALS:
+        if p**n <= fields.INTERN_MAX_ORDER:
+            make_field(p, n)
+            assert fields._interned_field.cache_info().currsize <= 32
+    gc.collect()
+    assert first() is None
+
+
+def test_registry_builds_each_field_once(monkeypatch, capsys):
+    calls = []
+    search = Field._find_generator
+    monkeypatch.setattr(Field, "_find_generator", lambda self: calls.append(1) or search(self))
+    fields._interned_field.cache_clear()
+    assert cli.main(["verify", "--registry"]) == 1  # the known defective rows
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 55
+    built = {(r["p"], r["n"]) for r in rows if r["status"] != "skipped"}
+    assert len(calls) == len(built) == 17
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -398,12 +487,12 @@ def test_zech_cells_where_one_plus_g_k_vanishes(p, n):
 
 
 def test_zech_table_is_built_only_by_a_scalar_call():
-    f = make_field(3, 5)
+    f = Field(3, 5, CONWAY_POLYNOMIALS[3, 5])  # a fresh Field: make_field's may be built
     f.power_map_table(7)
     assert f._zech is None and f._exp is None
     f.mul(1, 1)
     assert len(f._zech) == f.order - 1
-    f2 = make_field(2, 6)
+    f2 = Field(2, 6, CONWAY_POLYNOMIALS[2, 6])
     f2.mul(1, 1)
     assert f2._zech is None  # p = 2 adds by XOR
 

@@ -36,6 +36,7 @@ from sbox_spectra import (
     sqrt_in_field,
 )
 from sbox_spectra import solvers
+from sbox_spectra._conway import CONWAY_POLYNOMIALS
 from sbox_spectra.fields import Field
 from sbox_spectra.polyarith import int_to_coeffs, is_irreducible
 
@@ -357,7 +358,7 @@ def test_trinomial_past_the_table_cap(monkeypatch):
 
 
 def test_solver_cache_dies_with_its_field():
-    f = make_field(2, 6)
+    f = Field(2, 6, CONWAY_POLYNOMIALS[2, 6])  # make_field's is interned and lives on
     solve_linearized_trinomial(f, 3, 5, 7)
     ref = weakref.ref(f)
     del f
@@ -367,7 +368,7 @@ def test_solver_cache_dies_with_its_field():
 
 def test_solver_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(solvers, "_CACHE_ENTRIES", 5)
-    f = make_field(2, 5)
+    f = Field(2, 5, CONWAY_POLYNOMIALS[2, 5])  # an empty cache: make_field's may hold entries
     for a in range(1, 12):
         for b in (0, 3):
             res = solve_linearized_trinomial(f, 1, a, b)
