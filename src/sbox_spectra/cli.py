@@ -305,20 +305,9 @@ def _cmd_verify(args) -> int:
         )
         return 0 if report.ok else 1
 
-    params = {}
-    if args.theorem in ("t1", "t2"):
-        if args.m is None:
-            raise SpectraError(f"--theorem {args.theorem} needs --m")
-        params["m"] = args.m
-    elif args.theorem == "t3":
-        if None in (args.p, args.k, args.n):
-            raise SpectraError("--theorem t3 needs --p, --k and --n")
-        params.update(p=args.p, k=args.k, n=args.n, condition=args.condition)
-    else:
-        if args.n is None:
-            raise SpectraError("--theorem t4 needs --n")
-        params["n"] = args.n
-    report = verify_theorem(args.theorem, **params)
+    # verify_theorem reports a missing parameter as BadParametersError
+    params = {k: v for k in ("m", "p", "k", "n") if (v := getattr(args, k)) is not None}
+    report = verify_theorem(args.theorem, condition=args.condition, **params)
     _emit(report.to_dict(), args.json)
     print(
         f"{report.target} {report.params}: uniformity claimed={report.uniformity_claimed} "
@@ -330,19 +319,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_registry(args) -> int:
-    rows = [
-        {
-            "name": c.name,
-            "pattern": c.pattern,
-            "p": c.p,
-            "n": c.n,
-            "d": c.d,
-            "params": c.params,
-            "expected": c.expected,
-        }
-        for c in registry_cases()
-    ]
-    _emit({"rows": rows}, args.json)
+    _emit({"rows": [c.to_dict() for c in registry_cases()]}, args.json)
     return 0
 
 

@@ -438,6 +438,11 @@ class RegistryCase:
     expected: int
     params: dict
 
+    def to_dict(self) -> dict:
+        """The case's report row, before its `status` and `actual`."""
+        return {"name": self.name, "pattern": self.pattern, "p": self.p, "n": self.n,
+                "d": self.d, "params": self.params, "expected": self.expected}
+
 
 def registry_cases() -> list[RegistryCase]:
     """Power families with published second-order zero differential
@@ -509,15 +514,7 @@ def verify_registry(max_size: int = 1024) -> RegistryReport:
     rows = []
     matched = mismatched = skipped = 0
     for case in registry_cases():
-        row = {
-            "name": case.name,
-            "pattern": case.pattern,
-            "p": case.p,
-            "n": case.n,
-            "d": case.d,
-            "params": case.params,
-            "expected": case.expected,
-        }
+        row = case.to_dict()
         if case.p**case.n > max_size:
             row["status"] = "skipped"
             row["actual"] = None

@@ -9,13 +9,16 @@ characteristic p (_limb_tables).  Enumeration order is ascending encoding,
 zero first, which is also the row/column order of every CSV written.
 
 A Field caches exp/log tables over a generator once multiplication is first
-needed (for orders up to TABLE_CAP), turning mul/inv/pow/character into O(1)
-lookups; larger fields fall back to polynomial arithmetic for these scalar
-ops, while the vectorized ones (and so every spectrum row) need the
-tables.  The scalar ops read Python-list copies of the int64 tables, made
-on the first scalar call (_have_tables), which for odd p also builds
-the Zech logarithms zech[k] = log(1 + g^k) (-1 where 1 + g^k = 0), so scalar
-add/sub/neg are O(1) lookups too (Huber, IEEE Trans. IT 36(4), 1990):
+needed (for orders up to TABLE_CAP), turning mul/inv/pow/character/sqrt
+into O(1) lookups; larger fields fall back to polynomial arithmetic for
+these scalar ops (sqrt by Tonelli-Shanks), while the vectorized ones (and
+so every spectrum row) need the tables.  Each scalar op makes that choice
+itself, so callers such as the root solvers run one code path at every
+order and never read the tables.  The scalar ops read Python-list copies
+of the int64 tables, made on the first scalar call (_have_tables), which
+for odd p also builds the Zech logarithms zech[k] = log(1 + g^k) (-1 where
+1 + g^k = 0), so scalar add/sub/neg are O(1) lookups too (Huber, IEEE
+Trans. IT 36(4), 1990):
 g^i + g^j = g^(i + zech[j - i]) and -g^i = g^(i + (q-1)/2).  The tables are
 built by doubling: with exp[:L] = g^0..g^(L-1) filled, exp[L:2L] =
 g^L * exp[:L].  Multiplying by a fixed c is F_p-linear, so n scalar
@@ -312,14 +315,6 @@ class Field:
         self._ensure_tables()
         return self._np_exp, self._np_log
 
-    def log_lists(self) -> tuple[list[int], list[int]] | None:
-        """The Python-list mirrors (exp, log) of `log_tables` that the scalar
-        ops read, made on first use; None above TABLE_CAP, where the scalar
-        ops use polynomial arithmetic."""
-        if self._exp is not None or self._have_tables():
-            return self._exp, self._log
-        return None
-
     def _have_tables(self) -> bool:
         """Whether the scalar ops can use the Python-list mirrors _exp/_log of
         the tables (and, for odd p, the Zech logarithms _zech); they are made
@@ -414,6 +409,45 @@ class Field:
         if self._exp is not None or self._have_tables():
             return -1 if self._log[i] & 1 else 1
         return 1 if self._pow_raw(i, self._m // 2) == 1 else -1
+
+    def sqrt(self, s: int) -> int | None:
+        """A square root of s, or None when s is a nonsquare.  With tables, s
+        is a square iff log s is even, and g^(log s / 2) is a root.  Without,
+        Tonelli-Shanks: the (q+1)/4 exponent shortcut when q = 3 (mod 4),
+        otherwise the generic algorithm in the multiplicative group with the
+        first nonsquare (in enumeration order) as the auxiliary nonresidue."""
+        if self.p == 2:
+            raise EvenCharacteristicError("square roots via eta need odd p")
+        if s == 0:
+            return 0
+        if self._exp is not None or self._have_tables():
+            log = self._log[s]
+            return None if log & 1 else self._exp[log >> 1]
+        if self.quadratic_character(s) != 1:
+            return None
+        order = self.order
+        if order % 4 == 3:
+            return self.pow(s, (order + 1) // 4)
+        q, e = order - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            e += 1
+        z = next(i for i in range(1, order) if self.quadratic_character(i) == -1)
+        c = self.pow(z, q)
+        r = self.pow(s, (q + 1) // 2)
+        t = self.pow(s, q)
+        m = e
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = self.mul(t2, t2)
+                i += 1
+            b = self.pow(c, 1 << (m - i - 1))
+            r = self.mul(r, b)
+            c = self.mul(b, b)
+            t = self.mul(t, c)
+            m = i
+        return r
 
     def in_subfield(self, i: int, d: int) -> bool:
         if d <= 0 or self.n % d:

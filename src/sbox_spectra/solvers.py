@@ -3,10 +3,7 @@
 Three solvers, each with an exhaustive-evaluation oracle in the test suite:
 
 * quadratics a2 x^2 + a1 x + a0 over odd characteristic, solved through the
-  discriminant delta: where the exp/log tables exist (order <= TABLE_CAP),
-  eta(delta) is the parity of log delta, a square root of delta is
-  g^(log delta / 2) and 1/(2 a2) one log subtraction; above the cap the
-  square root comes from Tonelli-Shanks in F_{p^n}*;
+  discriminant delta and its square root Field.sqrt (None for a nonsquare);
 * trinomials x^(2^k) + a x + b over F_{2^n}, classified into no root, a
   unique root, or a coset of a 2^d-dimensional F_2-subspace (d = gcd(k, n));
   for fixed (k, a) the root, the solvability value and the representative
@@ -21,6 +18,11 @@ Three solvers, each with an exhaustive-evaluation oracle in the test suite:
 The trinomial tables, and the Frobenius images (2^j)^(2^i) the affine
 counter reads, live in a per-Field cache of at most _CACHE_ENTRIES entries,
 which is freed with its Field.
+
+The solvers use only Field's scalar ops (add, sub, neg, mul, div, inv,
+pow, frobenius, trace, sqrt); whether those read exp/log tables or run on
+polynomial arithmetic is decided in fields alone, so each solver has one
+code path for every order.
 
 All element arguments and results are canonical encodings (ints); pass
 FieldElement values and they are coerced.
@@ -88,66 +90,24 @@ _NO_ROOTS = _result("none", 0, ())  # immutable, so shared
 
 
 def sqrt_in_field(field: Field, s: int) -> int:
-    """Square root of a nonzero square s in F_{p^n}, p odd.
-
-    Where the exp/log tables exist, s is a square iff log s is even, and then
-    g^(log s / 2) is a root; above TABLE_CAP, see _tonelli_shanks.  Returns
-    the smaller encoding of the two roots.
-    """
+    """Square root of a square s in F_{p^n}, p odd (see Field.sqrt).
+    Returns the smaller encoding of the two roots."""
     if field.p == 2:
         raise EvenCharacteristicError("square roots via eta need odd p")
     s = s if type(s) is int and 0 <= s < field.order else field.as_index(s)
-    if s == 0:
-        return 0
-    tables = field.log_lists()
-    if tables is None:
-        if field.quadratic_character(s) != 1:
-            raise BadParametersError("argument is not a square")
-        r = _tonelli_shanks(field, s)
-    else:
-        exp, log = tables
-        if log[s] & 1:
-            raise BadParametersError("argument is not a square")
-        r = exp[log[s] >> 1]
+    r = field.sqrt(s)
+    if r is None:
+        raise BadParametersError("argument is not a square")
     return min(r, field.neg(r))
-
-
-def _tonelli_shanks(field: Field, s: int) -> int:
-    """A square root of the nonzero square s by polynomial arithmetic: the
-    (p^n+1)/4 exponent shortcut when p^n = 3 (mod 4), otherwise generic
-    Tonelli-Shanks in the multiplicative group with the first nonsquare (in
-    enumeration order) as the auxiliary nonresidue."""
-    order = field.order
-    if order % 4 == 3:
-        return field.pow(s, (order + 1) // 4)
-    q, e = order - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        e += 1
-    z = next(i for i in range(1, order) if field.quadratic_character(i) == -1)
-    c = field.pow(z, q)
-    r = field.pow(s, (q + 1) // 2)
-    t = field.pow(s, q)
-    m = e
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = field.mul(t2, t2)
-            i += 1
-        b = field.pow(c, 1 << (m - i - 1))
-        r = field.mul(r, b)
-        c = field.mul(b, b)
-        t = field.mul(t, c)
-        m = i
-    return r
 
 
 def solve_quadratic(field: Field, a2, a1, a0) -> RootResult:
     """Roots of a2 x^2 + a1 x + a0 over F_{p^n}, p odd.
 
     The root count is 1 + eta(delta) with delta = a1^2 - 4 a0 a2; roots are
-    always returned explicitly, as -a1/(2 a2) +- sqrt(delta)/(2 a2).  Which
-    square root is taken does not matter: the pair is returned sorted.
+    always returned explicitly, as (-a1 +- sqrt(delta)) / (2 a2).  Which
+    square root Field.sqrt returns does not matter: the pair is returned
+    sorted.
     """
     p = field.p
     if p == 2:
@@ -159,29 +119,15 @@ def solve_quadratic(field: Field, a2, a1, a0) -> RootResult:
     if a2 == 0:
         raise LeadingCoefficientZeroError("a2 must be nonzero")
     delta = field.add(field.mul(a1, a1), field.mul(-4 % p, field.mul(a0, a2)))
-    tables = field.log_lists()
-    if tables is None:
-        eta = field.quadratic_character(delta)
-        if eta == -1:
-            return _NO_ROOTS
-        inv2a2 = field.inv(field.mul(2 % p, a2))
-        x = field.mul(field.neg(a1), inv2a2)  # -a1/(2 a2)
-        if eta == 0:
-            return _result("unique", 1, (x,))
-        s = field.mul(_tonelli_shanks(field, delta), inv2a2)
-        minus_s = field.neg(s)
-    else:
-        exp, log = tables
-        m = q - 1
-        log_2a2 = log[2 % p] + log[a2]
-        if delta and log[delta] & 1:
-            return _NO_ROOTS
-        x = exp[(log[a1] + (m >> 1) - log_2a2) % m] if a1 else 0  # -1 = g^(m/2)
-        if delta == 0:
-            return _result("unique", 1, (x,))
-        log_s = ((log[delta] >> 1) - log_2a2) % m
-        s, minus_s = exp[log_s], exp[(log_s + (m >> 1)) % m]
-    lo, hi = sorted((field.add(x, s), field.add(x, minus_s)))
+    r = field.sqrt(delta)
+    if r is None:
+        return _NO_ROOTS
+    inv2a2 = field.inv(field.mul(2 % p, a2))  # invert once: two divisions invert twice
+    x = field.mul(field.neg(a1), inv2a2)
+    if r == 0:
+        return _result("unique", 1, (x,))
+    s = field.mul(r, inv2a2)
+    lo, hi = sorted((field.add(x, s), field.sub(x, s)))
     return _result("pair", 2, (lo, hi))
 
 
@@ -362,36 +308,24 @@ def build_AL(field: Field, coeffs) -> list[list[int]]:
 
 
 def _frobenius_images(field: Field) -> list[list[int]]:
-    """Row i holds (2^j)^(2^i) for j < n.  Where the tables exist each entry
-    is stored as its log minus (q - 1), so exp[log c + entry] is
-    c * (2^j)^(2^i) by Python's negative indexing, with no modulo."""
+    """Row i holds (2^j)^(2^i) for j < n."""
     n = field.n
-    tables = field.log_lists()
-    if tables is None:
-        return [[field.frobenius(1 << j, i) for j in range(n)] for i in range(n)]
-    log, m = tables[1], field.order - 1
-    return [[((log[1 << j] << i) % m) - m for j in range(n)] for i in range(n)]
+    return [[field.frobenius(1 << j, i) for j in range(n)] for i in range(n)]
 
 
 def affine_root_count(field: Field, coeffs, b) -> int:
     """Number of roots of L(x) + b: 2^(n - r) when b lies in the image of L,
     else 0, where r is the F_2-rank of L, equal to rank(A_L) (see build_AL).
     The images L(2^j) = sum_i a_i (2^j)^(2^i) are eliminated as n-bit words
-    and b is reduced against them: O(n^2) lookups and word operations."""
+    and b is reduced against them: O(n^2) field products and word operations."""
     b = b if type(b) is int and 0 <= b < field.order else field.as_index(b)
     cs = _linearized_coeffs(field, coeffs)
     frobenius = _cache_entry(field, "frobenius", _frobenius_images)
-    tables = field.log_lists()
+    mul = field.mul
     images = [0] * field.n
     for c, row in zip(cs, frobenius):
-        if not c:
-            continue
-        if tables is None:
-            images = [v ^ field.mul(c, y) for v, y in zip(images, row)]
-        else:
-            exp, log = tables
-            lc = log[c]
-            images = [v ^ exp[lc + y] for v, y in zip(images, row)]
+        if c:
+            images = [v ^ mul(c, y) for v, y in zip(images, row)]
     pivots = _echelon(images)
     if _reduce(pivots, b):
         return 0

@@ -338,16 +338,18 @@ def differential_uniformity(field: Field, fmap=None,
         table = ddt_table(field, fmap)
     elif table.kind != "ddt":
         raise SpectraError("differential uniformity needs a DDT table")
-    running = RunningSummary(table.field, "ddt")
-    for a, row in enumerate(table.entries):
-        running.add(row, a)
-    return running.summary()
+    return _table_summary(table)
 
 
 def sozd_uniformity(table: SpectrumTable) -> SpectrumSummary:
     """Second-order zero differential uniformity (see RunningSummary)."""
     if table.kind != "sozd":
         raise SpectraError("sozd uniformity needs a SOZD table")
+    return _table_summary(table)
+
+
+def _table_summary(table: SpectrumTable) -> SpectrumSummary:
+    """The summary of a whole table, fed to RunningSummary row by row."""
     running = RunningSummary(table.field, table.kind)
     for a, row in enumerate(table.entries):
         running.add(row, a)

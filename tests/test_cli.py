@@ -213,6 +213,26 @@ def test_verify_t3_checks_parameters_before_computing(capsys, monkeypatch):
     assert code == 2 and out == "" and "needs odd p" in err
 
 
+@pytest.mark.parametrize("argv,missing", [
+    (["--theorem", "t1"], "m"),
+    (["--theorem", "t3", "--p", "3", "--k", "1"], "n"),
+    (["--theorem", "t4"], "n"),
+], ids=["t1", "t3", "t4"])
+def test_verify_without_its_parameter_exits_2(capsys, argv, missing):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == "" and f"needs parameter '{missing}'" in err
+
+
+def test_registry_row_keys_in_order(capsys):
+    keys = ["name", "pattern", "p", "n", "d", "params", "expected"]
+    rows = json.loads(run(capsys, "registry")[1])["rows"]
+    assert all(list(r) == keys for r in rows)
+    rows = json.loads(run(capsys, "verify", "--registry", "--max-size", "64")[1])["rows"]
+    assert {tuple(r) for r in rows} == {(*keys, "status", "actual"), (*keys, "actual", "status")}
+    assert all(list(r)[-2:] == (["status", "actual"] if r["actual"] is None else
+                                ["actual", "status"]) for r in rows)
+
+
 @pytest.mark.parametrize("argv,code", [
     (["--theorem", "t1", "--m", "8"], 1),
     (["--theorem", "t2", "--m", "4"], 1),

@@ -9,6 +9,7 @@ import gc
 import inspect
 import math
 import pickle
+import random
 import textwrap
 import tracemalloc
 import weakref
@@ -35,7 +36,7 @@ from sbox_spectra import (
     solve_quadratic,
     sqrt_in_field,
 )
-from sbox_spectra import solvers
+from sbox_spectra import fields, solvers
 from sbox_spectra._conway import CONWAY_POLYNOMIALS
 from sbox_spectra.fields import Field
 from sbox_spectra.polyarith import int_to_coeffs, is_irreducible
@@ -138,6 +139,60 @@ def test_sqrt_and_quadratic_past_the_table_cap(p, n):
         sqrt_in_field(f, nonsquare)
     assert solve_quadratic(f, 1, 0, f.neg(nonsquare)) is solvers._NO_ROOTS
     assert f._np_exp is None and f._exp is None  # no table was built
+
+
+def both_regimes(p, n, compute):
+    """compute(field) over F_{p^n} on a table-backed Field, and on a fresh
+    Field built and used while TABLE_CAP is 1, so on polynomial arithmetic
+    alone (make_field's interned Field may hold tables already)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "TABLE_CAP", 1)
+        bare = Field(p, n, CONWAY_POLYNOMIALS[p, n])
+        without = compute(bare)
+        assert bare._np_exp is None and bare._exp is None and bare._zech is None
+    tabled = make_field(p, n)
+    with_tables = compute(tabled)
+    assert tabled._exp is not None
+    return with_tables, without
+
+
+def sqrts_and_quadratics(f):
+    q, step = f.order, f.order // 7
+    roots = [f.sqrt(s) for s in range(q)]
+    assert all(r is None or f.mul(r, r) == s for s, r in enumerate(roots))
+    assert roots.count(None) == (q - 1) // 2
+    canonical = []
+    for s in range(q):
+        try:
+            canonical.append(sqrt_in_field(f, s))
+        except BadParametersError:
+            canonical.append(None)
+    quadratics = [solve_quadratic(f, a2, a1, a0) for a2 in range(1, q, step)
+                  for a1 in range(0, q, step) for a0 in range(0, q, step)]
+    assert {r.kind for r in quadratics} == {"none", "unique", "pair"}
+    return [None if r is None else min(r, f.neg(r)) for r in roots], canonical, quadratics
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (3, 4), (5, 3), (7, 2)])  # q = 3, 1, 1, 1 mod 4
+def test_sqrt_and_quadratic_agree_with_and_without_tables(p, n):
+    with_tables, without = both_regimes(p, n, sqrts_and_quadratics)
+    assert with_tables == without
+
+
+def binary_solvers(f):
+    rng = random.Random(6)
+    coeffs = [[rng.randrange(64) if rng.random() < 0.5 else 0 for _ in range(6)]
+              for _ in range(40)]
+    counts = [affine_root_count(f, c, b) for c in coeffs for b in range(64)]
+    assert {0, 1, 2, 4} <= set(counts)
+    trinomials = [solve_linearized_trinomial(f, k, a, b, enumerate_roots=True)
+                  for k in range(6) for a in range(1, 64) for b in range(64)]
+    return counts, trinomials
+
+
+def test_binary_solvers_agree_with_and_without_tables():
+    with_tables, without = both_regimes(2, 6, binary_solvers)
+    assert with_tables == without
 
 
 # -- quadratics ------------------------------------------------------------------
