@@ -276,14 +276,15 @@ def _kernel_table(args, field: Field, kind: str, fmap):
     """The same from the row kernel, streamed one row a at a time.  A power
     map's property check reads rows 0 and 1; a table map's holds the whole
     table, the one q x q path, because it reads columns."""
-    rows = kernel_rows(field, fmap, kind)
     report = None
-    if args.check_properties and isinstance(fmap, PowerMap):
-        report = fbct_row_property_check(field, power_rows(field, kind, fmap.d))
-    elif args.check_properties:
+    if args.check_properties and not isinstance(fmap, PowerMap):
         table = sozd_table(field, fmap, method=args.method)
         report = fbct_property_check(table)
         rows = table.entries
+    else:
+        if args.check_properties:
+            report = fbct_row_property_check(field, power_rows(field, kind, fmap.d))
+        rows = kernel_rows(field, fmap, kind)
     running = RunningSummary(field, kind)
     rows = (running.add(row, a) for a, row in enumerate(rows))
     if args.csv:

@@ -21,8 +21,9 @@ second-order zero differential uniformities for bulk cross-checking.
 Claims and spectra alike are fixed by their rows a = 0 and a = 1: a row
 a != 0 is the a = 1 row read at b/a (b/a^d for the DDT of x^d).  So
 verification and the registry read two O(q) rows, q = p^n, and build no
-q x q table: counts are row 0 plus (q - 1) times row 1, and the capped
-mismatch listing is expanded row by row in (a, b) order.
+q x q table: the mismatch count and its capped listing in (a, b) order
+come from the two boolean rows of mismatches through spectra.flagged_cells,
+with vectorised field arithmetic only.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import BadParametersError, EvenCharacteristicError
 from .fields import Field, make_field
 from .spectra import (
     SpectrumSummary,
+    flagged_cells,
     power_row_summary,
     power_rows,
     power_table_summary,
@@ -260,35 +262,16 @@ def predicted_ddt_x4_table(field: Field) -> tuple[np.ndarray, np.ndarray]:
 
 # -- diffs on rows a = 0 and a = 1 ---------------------------------------------
 
-def _cells(field: Field, bad: np.ndarray, scale: int, cap: int) -> list:
-    """The first `cap` flagged cells of a table given by the boolean rows 0
-    and 1 (see spectra.expand_rows), in (a, b) order, as (a, b, r, u): the
-    cell reads rows[r] at u."""
-    out = [(0, int(b), 0, int(b)) for b in np.flatnonzero(bad[0])[:cap]]
-    us = np.flatnonzero(bad[1])
-    a = 1
-    while us.size and len(out) < cap and a < field.order:
-        bs = field.mul_vec(np.int64(field.pow(a, scale)), us)
-        order = np.argsort(bs)[: cap - len(out)]
-        out += [(a, int(b), 1, int(u)) for b, u in zip(bs[order], us[order])]
-        a += 1
-    return out
-
-
-def _count(field: Field, bad: np.ndarray) -> int:
-    return int(bad[0].sum()) + (field.order - 1) * int(bad[1].sum())
-
-
 def _diff(field: Field, actual: np.ndarray, claim: np.ndarray,
           scale: int) -> tuple[int, int, list]:
     """(matches, mismatch count, capped [a, b, predicted, actual] listing) of
     the spectrum rows against the claim rows; a bound is listed as [lo, hi]."""
     bad = (actual < claim[..., 0]) | (actual > claim[..., 1])
+    n_bad, cells = flagged_cells(field, bad, scale, MISMATCH_CAP)
     listing = []
-    for a, b, r, u in _cells(field, bad, scale, MISMATCH_CAP):
+    for a, b, r, u in cells:
         lo, hi = (int(v) for v in claim[r, u])
         listing.append([a, b, lo if lo == hi else [lo, hi], int(actual[r, u])])
-    n_bad = _count(field, bad)
     return field.order**2 - n_bad, n_bad, listing
 
 
@@ -396,10 +379,11 @@ def verify_sozd_pk1(p: int, k: int, n: int, condition: str = "exact") -> Verific
     params = {"p": p, "k": k, "n": n, "d": p**k + 1, "condition": condition}
     report, _, summary = _report("t3", params, fld, "sozd", claims[condition], claimed)
     disc = claims["exact"][..., 0] != claims["stated"][..., 0]
+    n_disc, examples = flagged_cells(fld, disc, 1, 20)
     report.extras = {
         "entry_values": [v for v, _ in summary.histogram],
-        "stated_vs_exact_discrepancies": _count(fld, disc),
-        "stated_vs_exact_examples": [[a, b] for a, b, _, _ in _cells(fld, disc, 1, 20)],
+        "stated_vs_exact_discrepancies": n_disc,
+        "stated_vs_exact_examples": [[a, b] for a, b, _, _ in examples],
     }
     report.notes.append(
         "claimed uniformity follows the vanishing condition: p^n when "

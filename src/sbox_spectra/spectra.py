@@ -14,9 +14,12 @@ SOZD(1, b/a).  Read in log order, b = g^k, row a is row 1 in log order
 rotated by log(a^d) (DDT) or log(a) (SOZD), so `iter_rows` yields the table
 one row at a time at one gather per row, and `expand_rows` stacks it.  The
 table's summary (`power_table_summary`), its FBCT property check
-(`fbct_row_property_check`: each count is row 0's plus q - 1 times row 1's)
-and its CSV (`write_table_csv` of `iter_rows`) all come from the two rows in
-O(q) memory.  The CSV writer turns counts into text by byte gathers from a
+(`fbct_row_property_check`) and its CSV (`write_table_csv` of `iter_rows`)
+all come from the two rows in O(q) memory.  `flagged_cells` is the one
+lister of the cells where a check fails, for the property check and for
+closed_forms' verification: given the check's boolean rows 0 and 1, it
+counts them (row 0's plus q - 1 times row 1's) and lists the first few in
+(a, b) order.  The CSV writer turns counts into text by byte gathers from a
 lookup of formatted counts, one per piece of at most _PIECE counts of a
 line.  The brute-force path, `kernel_rows`, runs the row kernel at
 every a for any map; it is kept selectable for cross-validation, and
@@ -241,6 +244,24 @@ def expand_rows(field: Field, rows, scale: int) -> np.ndarray:
                        dtype=np.dtype((row1.dtype, row1.shape)))
 
 
+def flagged_cells(field: Field, bad_rows, scale: int, cap: int) -> tuple[int, list]:
+    """The number of flagged cells of the boolean table whose rows 0 and 1
+    are bad_rows (see iter_rows), and the first `cap` of them in (a, b)
+    order as (a, b, r, u): the cell reads bad_rows[r] at u.  Row a != 0
+    holds a cell b = a^scale * u for each flagged u of row 1, so only the
+    first rows that fill the listing are expanded."""
+    bad0, bad1 = bad_rows
+    q = field.order
+    us = np.flatnonzero(bad1)
+    cells = [(0, b, 0, b) for b in np.flatnonzero(bad0)[:cap].tolist()]
+    listed_rows = min(q - 1, -(-(cap - len(cells)) // us.size)) if us.size else 0
+    for a, c in enumerate(field.pow_vec(np.arange(1, listed_rows + 1), scale).tolist(), 1):
+        bs = field.mul_vec(c, us)
+        order = np.argsort(bs)[:cap - len(cells)]
+        cells += [(a, b, 1, u) for b, u in zip(bs[order].tolist(), us[order].tolist())]
+    return int(np.count_nonzero(bad0)) + (q - 1) * us.size, cells
+
+
 def kernel_rows(field: Field, fmap, kind: str):
     """Rows a = 0, 1, ..., q - 1, one at a time, of the DDT or SOZD table of
     any map, each from the row kernel: the brute-force path."""
@@ -385,87 +406,78 @@ _VIOLATION_CAP = 50
 _PROPERTIES = ("symmetry", "fixed-values", "multiplicity-mod-4", "translate-equality")
 
 
-def _flagged_cells(q: int, pairs):
-    """(property, a, flagged b's, detail of a flagged b) for each row a of an
-    FBCT over F_{2^n}, q = 2^n, and each identity, given (row a, column a)
-    in order of a.  The identities: symmetry; the trivial cells, ab(a+b) = 0
-    (row 0, column 0, the diagonal), equal q; the others are 0 (mod 4); and
-    entry (a, b) = entry (a, a+b)."""
-    xs = np.arange(q)
-    for a, (row, col) in enumerate(pairs):
-        trivial = (xs == 0) | (xs == a) if a else np.ones(q, dtype=bool)
-        shifted = row[xs ^ a]
-        yield "symmetry", a, row != col, lambda b, row=row, col=col: f"{row[b]} != {col[b]}"
-        yield "fixed-values", a, trivial & (row != q), lambda b, row=row: f"{row[b]} != {q}"
-        yield ("multiplicity-mod-4", a, ~trivial & (row % 4 != 0),
-               lambda b, row=row: f"{row[b]} % 4 != 0")
-        yield ("translate-equality", a, row != shifted,
-               lambda b, row=row, shifted=shifted: f"{row[b]} != {shifted[b]}")
-
-
-def _property_report(flagged, counts: dict[str, int] | None = None) -> PropertyReport:
-    """The report on flagged cells walked in order of a: per property, the
-    first _VIOLATION_CAP cells in (a, b) order.  Without counts the walk
-    counts every cell; with them it stops once every listing is complete."""
-    found = dict.fromkeys(_PROPERTIES, 0)
-    listing: dict[str, list] = {prop: [] for prop in _PROPERTIES}
-    for prop, a, bad, detail in flagged:
-        bs = np.flatnonzero(bad)
-        found[prop] += bs.size
-        room = _VIOLATION_CAP - len(listing[prop])
-        listing[prop] += [PropertyViolation(prop, a, b, detail(b)) for b in bs[:room].tolist()]
-        if counts is not None and all(
-                len(listing[p]) == min(counts[p], _VIOLATION_CAP) for p in _PROPERTIES):
-            break
-    counts = found if counts is None else counts
+def _report(counts: dict[str, int], listing: dict[str, list]) -> PropertyReport:
     return PropertyReport(ok=not any(counts.values()), counts=counts,
                           violations=[v for prop in _PROPERTIES for v in listing[prop]])
 
 
 def fbct_property_check(table: SpectrumTable) -> PropertyReport:
     """Check the structural FBCT identities on a p = 2 SOZD table:
-    symmetry, first line/column/diagonal = 2^n, every other entry = 0
-    (mod 4), and entry (a, b) = entry (a, a+b)."""
+    symmetry; the trivial cells, ab(a+b) = 0 (row 0, column 0, the
+    diagonal), equal 2^n; every other entry = 0 (mod 4); and entry (a, b) =
+    entry (a, a+b).  The walk reads one row and its column at a time, so
+    it needs O(q) memory beyond the table."""
     if not table.is_fbct:
         raise SpectraError("property check applies to SOZD tables over p = 2")
     e = table.entries
-    return _property_report(_flagged_cells(e.shape[0], zip(e, e.T)))
+    q = e.shape[0]
+    xs = np.arange(q)
+    counts = dict.fromkeys(_PROPERTIES, 0)
+    listing = {prop: [] for prop in _PROPERTIES}
+    for a, (row, col) in enumerate(zip(e, e.T)):
+        trivial = (xs == 0) | (xs == a) if a else np.ones(q, dtype=bool)
+        shifted = row[xs ^ a]
+        for prop, bad, detail in (
+            ("symmetry", row != col, lambda b: f"{row[b]} != {col[b]}"),
+            ("fixed-values", trivial & (row != q), lambda b: f"{row[b]} != {q}"),
+            ("multiplicity-mod-4", ~trivial & (row % 4 != 0), lambda b: f"{row[b]} % 4 != 0"),
+            ("translate-equality", row != shifted, lambda b: f"{row[b]} != {shifted[b]}"),
+        ):
+            bs = np.flatnonzero(bad)
+            counts[prop] += bs.size
+            listing[prop] += [PropertyViolation(prop, a, b, detail(b))
+                              for b in bs[:_VIOLATION_CAP - len(listing[prop])].tolist()]
+    return _report(counts, listing)
 
 
 def fbct_row_property_check(field: Field, rows) -> PropertyReport:
     """fbct_property_check of the FBCT given by rows 0 and 1 (see iter_rows,
     scale 1), without building it.  Entry (a, b) is row1[u] for a != 0,
-    u = b/a, so each count is row 0's plus q - 1 times row 1's: symmetry
-    compares row1[u] with row1[1/u] and row 0 with column 0 (= row1[0]);
-    the trivial cells are row 0, u = 0 and u = 1; translation takes u to
-    u + 1.  The listing walks the rows and columns in order of a, only when
-    some count is nonzero."""
+    u = b/a, so each identity is a pair of boolean rows, counted and listed
+    by flagged_cells: symmetry compares row 0 with column 0 (entry (b, 0) =
+    row1[0] for b != 0) and row1[u] with row1[1/u]; the trivial cells are
+    row 0, u = 0 and u = 1; translation takes u to u + 1.  Symmetry's cells
+    (a, 0), a != 0, are its row-0 cells transposed, added here."""
     if field.p != 2:
         raise SpectraError("property check applies to SOZD tables over p = 2")
     row0, row1 = rows
     q = field.order
     xs = field.xs()
-    inv = row1.copy()  # inv[u] = row1[1/u]; column a != 0 reads it at b/a
+    col0 = np.full(q, row1[0])  # entry (b, 0)
+    col0[0] = row0[0]
+    inv = row1.copy()  # entry (b, a) at u = b/a: inv[u] = row1[1/u]
     inv[1:] = row1[field.div_vec(1, xs[1:])]
-
-    def n(bad) -> int:
-        return int(np.count_nonzero(bad))
-
-    counts = {
-        "symmetry": 2 * n(row0[1:] != row1[0]) + (q - 1) * n(row1 != inv),
-        "fixed-values": n(row0 != q) + (q - 1) * n(row1[:2] != q),
-        "multiplicity-mod-4": (q - 1) * n(row1[2:] % 4 != 0),
-        "translate-equality": (q - 1) * n(row1 != row1[xs ^ 1]),
-    }
-    if not any(counts.values()):
-        return PropertyReport(ok=True, counts=counts, violations=[])
-
-    def columns():
-        for a, col in enumerate(iter_rows(field, (np.full(q, row1[0]), inv), 1)):
-            col[0] = row0[a]  # entry (0, a)
-            yield col
-
-    return _property_report(_flagged_cells(q, zip(iter_rows(field, rows, 1), columns())), counts)
+    shifted = row1[xs ^ 1]
+    trivial = xs < 2
+    never = np.zeros(q, dtype=bool)
+    counts, listing = {}, {}
+    for prop, bad, detail in (
+        ("symmetry", (row0 != col0, row1 != inv),
+         lambda r, u: f"{rows[r][u]} != {(col0, inv)[r][u]}"),
+        ("fixed-values", (row0 != q, trivial & (row1 != q)), lambda r, u: f"{rows[r][u]} != {q}"),
+        ("multiplicity-mod-4", (never, ~trivial & (row1 % 4 != 0)),
+         lambda r, u: f"{row1[u]} % 4 != 0"),
+        ("translate-equality", (never, row1 != shifted),
+         lambda r, u: f"{row1[u]} != {shifted[u]}"),
+    ):
+        counts[prop], cells = flagged_cells(field, bad, 1, _VIOLATION_CAP)
+        found = [(a, b, detail(r, u)) for a, b, r, u in cells]
+        if prop == "symmetry":
+            counts[prop] += int(np.count_nonzero(bad[0]))
+            found = sorted(found + [(b, 0, f"{row1[0]} != {row0[b]}")
+                                    for _, b, r, _ in cells if r == 0])[:_VIOLATION_CAP]
+        listing[prop] = [PropertyViolation(prop, *cell) for cell in found]
+    return _report(counts, listing)
 
 
 def property_report_to_dict(report: PropertyReport) -> dict:

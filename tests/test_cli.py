@@ -62,15 +62,20 @@ def test_spectra_csv_and_properties(tmp_path, capsys):
     assert len(lines) == 65
 
 
-@pytest.mark.parametrize("field", ["p=2;n=6", "p=2;n=6;mod=1,1,0,0,0,0,1", "p=3;n=3"])
-@pytest.mark.parametrize("kind", ["ddt", "sozd"])
-def test_streamed_csv_equals_bruteforce_csv(tmp_path, capsys, field, kind):
+@pytest.mark.parametrize("kind,field,extra", [
+    *(pytest.param(kind, field, [], id=f"{kind}-{field}")
+      for field in ("p=2;n=6", "p=2;n=6;mod=1,1,0,0,0,0,1", "p=3;n=3")
+      for kind in ("ddt", "sozd")),
+    *(pytest.param("sozd", field, ["--check-properties"], id=f"sozd-{field}-check-properties")
+      for field in ("p=2;n=6", "p=2;n=6;mod=1,1,0,0,0,0,1")),
+])
+def test_streamed_csv_equals_bruteforce_csv(tmp_path, capsys, field, kind, extra):
     # the power path gathers rows 0 and 1, the brute force runs the kernel per a
     outs = []
     for method in ("auto", "bruteforce"):
         csv = tmp_path / f"{method}.csv"
         code, out, _ = run(capsys, "spectra", kind, "--field", field, "--power", "11",
-                           "--full", "--method", method, "--csv", str(csv))
+                           "--full", "--method", method, "--csv", str(csv), *extra)
         assert code == 0
         outs.append((out, csv.read_bytes()))
     assert outs[0] == outs[1]

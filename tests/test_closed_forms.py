@@ -33,6 +33,7 @@ from sbox_spectra import (
     verify_sozd_pk1,
     verify_theorem,
 )
+from sbox_spectra import fields
 from sbox_spectra.closed_forms import (
     _claim_ddt_x4,
     _claim_fbct_2m3,
@@ -342,6 +343,16 @@ def test_verify_theorem_dispatch():
     assert r.target == "t3" and r.ok
     with pytest.raises(BadParametersError):
         verify_theorem("t9")
+
+
+def test_verify_builds_no_scalar_tables(monkeypatch):
+    # F_{2^14} is above the intern bound, so verify_fbct_2m3 builds a fresh Field
+    def no_scalar_tables(self):
+        pytest.fail("verification made the scalar exp/log mirrors")
+
+    monkeypatch.setattr(fields.Field, "_have_tables", no_scalar_tables)
+    report = verify_fbct_2m3(7)
+    assert report.mismatch_count > 0 and len(report.mismatches) == 200
 
 
 def test_verification_report_serializable():

@@ -29,9 +29,12 @@ from sbox_spectra import (
     write_table_csv,
 )
 from sbox_spectra import spectra
+from sbox_spectra._conway import CONWAY_POLYNOMIALS
+from sbox_spectra.fields import Field
 from sbox_spectra.spectra import (
     expand_rows,
     fbct_row_property_check,
+    flagged_cells,
     iter_rows,
     power_row_summary,
     power_rows,
@@ -338,6 +341,56 @@ def test_streamed_rows_equal_bruteforce(field, d, kind):
     pairs = [np.stack([r, -r], axis=-1) for r in rows]
     both = expand_rows(field, pairs, row_scale(kind, d))
     assert np.array_equal(both[..., 0], brute.entries) and np.array_equal(both[..., 1], -brute.entries)
+
+
+# -- flagged cells -------------------------------------------------------------------
+
+LISTER_FIELDS = (make_field(2, 1), make_field(2, 3), make_field(2, 6), make_field(3, 1),
+                 make_field(3, 2), make_field(3, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LISTER_FIELDS), st.one_of(st.just(1), st.integers(2, 200)),
+       st.sampled_from([0.0, 0.02, 0.3, 1.0]), st.integers(0, 2**32 - 1), st.data())
+def test_flagged_cells_equal_argwhere_of_the_expanded_table(field, scale, density, seed, data):
+    q = field.order
+    rng = np.random.default_rng(seed)
+    bad = rng.random((2, q)) < density
+    expected = np.argwhere(expand_rows(field, bad, scale))
+    count = len(expected)
+    cap = data.draw(st.sampled_from([0, max(count - 1, 0) // 2, count, count + 5]))
+    got_count, cells = flagged_cells(field, bad, scale, cap)
+    assert got_count == count
+    assert [[a, b] for a, b, _, _ in cells] == expected[:cap].tolist()
+    for a, b, r, u in cells:  # the cell reads bad[r] at u
+        assert r == int(a != 0) and bad[r][u]
+        assert b == (u if r == 0 else field.mul(field.pow(a, scale), u))
+
+
+def test_row_property_check_builds_no_scalar_tables():
+    f = Field(2, 6, CONWAY_POLYNOMIALS[2, 6])  # make_field's is interned and may hold them
+    rows = [row.copy() for row in power_rows(f, "sozd", 11)]
+    rows[0][9] -= 4
+    rows[1][5] += 2
+    rows[1][1] -= 64
+    report = fbct_row_property_check(f, rows)
+    assert all(report.counts.values()) and len(report.violations) == 4 * 50
+    assert f._exp is None
+
+
+def test_table_property_check_memory_is_one_row_and_column():
+    """The q x q check holds O(q) beyond its table: a q = 1024 table's
+    boolean q x q mask alone would be 1 MiB."""
+    table = sozd_table(make_field(2, 10), PowerMap(37))
+    table.entries[np.arange(0, 1022, 7), np.arange(3, 1024, 7)] += 2
+    tracemalloc.start()
+    try:
+        report = fbct_property_check(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.ok and len(report.violations) > 50
+    assert peak < 2**18, peak
 
 
 # -- structural properties ------------------------------------------------------------
