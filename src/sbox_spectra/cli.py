@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
+import itertools
 import json
 import shlex
 import sys
@@ -274,17 +275,21 @@ def _power_table(args, field: Field, kind: str, d: int):
 
 def _kernel_table(args, field: Field, kind: str, fmap):
     """The same from the row kernel, streamed one row a at a time.  A power
-    map's property check reads rows 0 and 1; a table map's holds the whole
-    table, the one q x q path, because it reads columns."""
+    map's property check reads the first two rows the kernel yields, which
+    then stream on with the rest, so the check reads the rows it writes.  A
+    table map's check holds the whole table, the one q x q path, because it
+    reads columns."""
     report = None
     if args.check_properties and not isinstance(fmap, PowerMap):
         table = sozd_table(field, fmap, method=args.method)
         report = fbct_property_check(table)
         rows = table.entries
     else:
-        if args.check_properties:
-            report = fbct_row_property_check(field, power_rows(field, kind, fmap.d))
         rows = kernel_rows(field, fmap, kind)
+        if args.check_properties:
+            head = list(itertools.islice(rows, 2))
+            report = fbct_row_property_check(field, head)
+            rows = itertools.chain(head, rows)
     running = RunningSummary(field, kind)
     rows = (running.add(row, a) for a, row in enumerate(rows))
     if args.csv:
@@ -324,28 +329,20 @@ def _cmd_registry(args) -> int:
     return 0
 
 
+_COMMANDS = {"field-info": _cmd_field_info, "solve": _cmd_solve, "spectra": _cmd_spectra,
+             "verify": _cmd_verify, "registry": _cmd_registry}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors with code 2
         return int(exc.code or 0)
     try:
-        if args.command == "field-info":
-            return _cmd_field_info(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "spectra":
-            return _cmd_spectra(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "registry":
-            return _cmd_registry(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (SpectraError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def entrypoint() -> None:

@@ -15,15 +15,17 @@ rotated by log(a^d) (DDT) or log(a) (SOZD), so `iter_rows` yields the table
 one row at a time at one gather per row, and `expand_rows` stacks it.  The
 table's summary (`power_table_summary`), its FBCT property check
 (`fbct_row_property_check`) and its CSV (`write_table_csv` of `iter_rows`)
-all come from the two rows in O(q) memory.  `flagged_cells` is the one
-lister of the cells where a check fails, for the property check and for
-closed_forms' verification: given the check's boolean rows 0 and 1, it
-counts them (row 0's plus q - 1 times row 1's) and lists the first few in
-(a, b) order.  The CSV writer turns counts into text by byte gathers from a
-lookup of formatted counts, one per piece of at most _PIECE counts of a
-line.  The brute-force path, `kernel_rows`, runs the row kernel at
-every a for any map; it is kept selectable for cross-validation, and
-`RunningSummary` summarizes its rows as they stream.
+all come from the two rows in O(q) memory.  That check and the q x q one of
+a table map (`fbct_property_check`) apply one rule set, `_identities`, to
+a row and its column.  `flagged_cells` is the one lister of the cells where
+a check fails, for the row check and for closed_forms' verification: given
+the check's boolean rows 0 and 1, it counts them (row 0's plus q - 1 times
+row 1's) and lists the first few in (a, b) order.  The CSV writer turns
+counts into text by byte gathers from a lookup of formatted counts, one
+per piece of at most _PIECE counts of a line.  The brute-force path,
+`kernel_rows`, runs the row kernel at every a for any map; it is kept
+selectable for cross-validation, `RunningSummary` summarizes its rows as
+they stream, and a power map's property check reads its own rows 0 and 1.
 
 Both paths count rows through the derivative D_aF(x) = F(x+a) - F(x), with
 the same code for every characteristic.  A DDT row is the histogram of D_aF,
@@ -411,28 +413,38 @@ def _report(counts: dict[str, int], listing: dict[str, list]) -> PropertyReport:
                           violations=[v for prop in _PROPERTIES for v in listing[prop]])
 
 
+def _identities(row: np.ndarray, col: np.ndarray, a: int) -> list:
+    """The structural FBCT identities on row a of a q x q table, given the
+    row and its column: symmetry; the trivial cells, ab(a+b) = 0 (all of
+    row 0, b = 0 and b = a elsewhere), equal q = 2^n; every other entry = 0
+    (mod 4); and entry (a, b) = entry (a, a+b).  For each, in _PROPERTIES
+    order: the name, the boolean row of the cells b that break it, and the
+    detail text of cell b."""
+    q = row.size
+    trivial = np.full(q, a == 0)
+    trivial[0] = trivial[a] = True
+    shifted = np.arange(q)
+    shifted ^= a
+    shifted = row[shifted]  # entry (a, a + b)
+    return [
+        ("symmetry", row != col, lambda b: f"{row[b]} != {col[b]}"),
+        ("fixed-values", trivial & (row != q), lambda b: f"{row[b]} != {q}"),
+        ("multiplicity-mod-4", ~trivial & (row & 3 != 0), lambda b: f"{row[b]} % 4 != 0"),
+        ("translate-equality", row != shifted, lambda b: f"{row[b]} != {shifted[b]}"),
+    ]
+
+
 def fbct_property_check(table: SpectrumTable) -> PropertyReport:
-    """Check the structural FBCT identities on a p = 2 SOZD table:
-    symmetry; the trivial cells, ab(a+b) = 0 (row 0, column 0, the
-    diagonal), equal 2^n; every other entry = 0 (mod 4); and entry (a, b) =
-    entry (a, a+b).  The walk reads one row and its column at a time, so
-    it needs O(q) memory beyond the table."""
+    """Check the structural FBCT identities (see _identities) on a p = 2
+    SOZD table.  The walk reads one row and its column at a time, so it
+    needs O(q) memory beyond the table."""
     if not table.is_fbct:
         raise SpectraError("property check applies to SOZD tables over p = 2")
     e = table.entries
-    q = e.shape[0]
-    xs = np.arange(q)
     counts = dict.fromkeys(_PROPERTIES, 0)
     listing = {prop: [] for prop in _PROPERTIES}
     for a, (row, col) in enumerate(zip(e, e.T)):
-        trivial = (xs == 0) | (xs == a) if a else np.ones(q, dtype=bool)
-        shifted = row[xs ^ a]
-        for prop, bad, detail in (
-            ("symmetry", row != col, lambda b: f"{row[b]} != {col[b]}"),
-            ("fixed-values", trivial & (row != q), lambda b: f"{row[b]} != {q}"),
-            ("multiplicity-mod-4", ~trivial & (row % 4 != 0), lambda b: f"{row[b]} % 4 != 0"),
-            ("translate-equality", row != shifted, lambda b: f"{row[b]} != {shifted[b]}"),
-        ):
+        for prop, bad, detail in _identities(row, col, a):
             bs = np.flatnonzero(bad)
             counts[prop] += bs.size
             listing[prop] += [PropertyViolation(prop, a, b, detail(b))
@@ -443,37 +455,25 @@ def fbct_property_check(table: SpectrumTable) -> PropertyReport:
 def fbct_row_property_check(field: Field, rows) -> PropertyReport:
     """fbct_property_check of the FBCT given by rows 0 and 1 (see iter_rows,
     scale 1), without building it.  Entry (a, b) is row1[u] for a != 0,
-    u = b/a, so each identity is a pair of boolean rows, counted and listed
-    by flagged_cells: symmetry compares row 0 with column 0 (entry (b, 0) =
-    row1[0] for b != 0) and row1[u] with row1[1/u]; the trivial cells are
-    row 0, u = 0 and u = 1; translation takes u to u + 1.  Symmetry's cells
-    (a, 0), a != 0, are its row-0 cells transposed, added here."""
+    u = b/a, so the identities of row 0 and of row 1 (see _identities) give
+    each property's pair of boolean rows, counted and listed by
+    flagged_cells.  Column 0 holds entry (b, 0) = row1[0] for b != 0; row
+    1's column holds entry (b, a) = row1[1/u], and row1[0] at u = 0, whose
+    cells (a, 0) are symmetry's row-0 cells (0, a) transposed, added here."""
     if field.p != 2:
         raise SpectraError("property check applies to SOZD tables over p = 2")
     row0, row1 = rows
-    q = field.order
-    xs = field.xs()
-    col0 = np.full(q, row1[0])  # entry (b, 0)
+    col0 = np.full(field.order, row1[0])
     col0[0] = row0[0]
-    inv = row1.copy()  # entry (b, a) at u = b/a: inv[u] = row1[1/u]
-    inv[1:] = row1[field.div_vec(1, xs[1:])]
-    shifted = row1[xs ^ 1]
-    trivial = xs < 2
-    never = np.zeros(q, dtype=bool)
+    col1 = row1.copy()
+    col1[1:] = row1[field.div_vec(1, field.xs()[1:])]
     counts, listing = {}, {}
-    for prop, bad, detail in (
-        ("symmetry", (row0 != col0, row1 != inv),
-         lambda r, u: f"{rows[r][u]} != {(col0, inv)[r][u]}"),
-        ("fixed-values", (row0 != q, trivial & (row1 != q)), lambda r, u: f"{rows[r][u]} != {q}"),
-        ("multiplicity-mod-4", (never, ~trivial & (row1 % 4 != 0)),
-         lambda r, u: f"{row1[u]} % 4 != 0"),
-        ("translate-equality", (never, row1 != shifted),
-         lambda r, u: f"{row1[u]} != {shifted[u]}"),
-    ):
-        counts[prop], cells = flagged_cells(field, bad, 1, _VIOLATION_CAP)
-        found = [(a, b, detail(r, u)) for a, b, r, u in cells]
+    for (prop, bad0, detail0), (_, bad1, detail1) in zip(_identities(row0, col0, 0),
+                                                         _identities(row1, col1, 1)):
+        counts[prop], cells = flagged_cells(field, (bad0, bad1), 1, _VIOLATION_CAP)
+        found = [(a, b, (detail0, detail1)[r](u)) for a, b, r, u in cells]
         if prop == "symmetry":
-            counts[prop] += int(np.count_nonzero(bad[0]))
+            counts[prop] += int(np.count_nonzero(bad0))
             found = sorted(found + [(b, 0, f"{row1[0]} != {row0[b]}")
                                     for _, b, r, _ in cells if r == 0])[:_VIOLATION_CAP]
         listing[prop] = [PropertyViolation(prop, *cell) for cell in found]

@@ -1,16 +1,25 @@
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sbox_spectra
-from sbox_spectra import closed_forms, spectra
+from sbox_spectra import cli, closed_forms, spectra
 from sbox_spectra.cli import RunConfig, build_parser, load_table_map, main
 from sbox_spectra.errors import UnparsableElementError, WrongLengthError
 from sbox_spectra.fields import make_field
+from sbox_spectra.spectra import (
+    TableMap,
+    fbct_property_check,
+    property_report_to_dict,
+    sozd_table,
+    write_table_csv,
+)
 
 
 def run(capsys, *argv):
@@ -37,6 +46,18 @@ def test_solve_trinomial(capsys):
     d = json.loads(out)
     assert d["kind"] == "subspace" and d["count"] == 4
     assert 0 in d["roots"] and len(d["roots"]) == 4
+
+
+def test_solve_trinomial_unique_root(capsys):
+    # x^4 + 2x + 5 over F_{2^6}: x -> x^4 + 2x is one to one
+    f = make_field(2, 6)
+    code, out, _ = run(capsys, "solve", "trinomial", "--field", "p=2;n=6",
+                       "--k", "2", "--a", "0x02", "--b", "0x05")
+    assert code == 0
+    d = json.loads(out)
+    assert d["kind"] == "unique" and d["count"] == 1
+    roots = [x for x in range(64) if f.add(f.add(f.pow(x, 4), f.mul(2, x)), 5) == 0]
+    assert roots == [d["root"]] and d["root_text"] == f.format_element(d["root"])
 
 
 def test_solve_affine(capsys):
@@ -79,6 +100,42 @@ def test_streamed_csv_equals_bruteforce_csv(tmp_path, capsys, field, kind, extra
         assert code == 0
         outs.append((out, csv.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_bruteforce_check_needs_no_power_rows(tmp_path, capsys, monkeypatch):
+    # the reference path checks the kernel's rows, not the fast path's
+    outs = []
+    for method in ("auto", "bruteforce"):
+        if method == "bruteforce":
+            monkeypatch.setattr(cli, "power_rows", lambda *args: pytest.fail("power_rows"))
+        csv = tmp_path / f"{method}.csv"
+        code, out, _ = run(capsys, "spectra", "fbct", "--field", "p=2;n=6", "--power", "11",
+                           "--full", "--method", method, "--csv", str(csv), "--check-properties")
+        assert code == 0
+        outs.append((out, csv.read_bytes()))
+    assert outs[0] == outs[1]
+
+
+def test_bruteforce_check_reads_the_kernel_rows(tmp_path, capsys, monkeypatch):
+    kernel_rows = cli.kernel_rows
+
+    def row_1_corrupted(field, fmap, kind):
+        for a, row in enumerate(kernel_rows(field, fmap, kind)):
+            if a == 1:
+                row[5] += 2
+            yield row
+
+    monkeypatch.setattr(cli, "kernel_rows", row_1_corrupted)
+    csv = tmp_path / "t.csv"
+    code, out, _ = run(capsys, "spectra", "fbct", "--field", "p=2;n=6", "--power", "11",
+                       "--full", "--method", "bruteforce", "--csv", str(csv),
+                       "--check-properties")
+    assert code == 1
+    props = json.loads(out)["properties"]
+    assert not props["ok"] and props["counts"]["multiplicity-mod-4"] == 63
+    assert {"property": "multiplicity-mod-4", "a": 1, "b": 5} in [
+        {k: v[k] for k in ("property", "a", "b")} for v in props["violations"]]
+    assert csv.read_text().splitlines()[2].split(",")[5] == "6"  # x^11: FBCT(1, 5) = 4
 
 
 @pytest.mark.parametrize("argv", [
@@ -163,6 +220,41 @@ def test_spectra_table_map_round_trip(tmp_path, capsys):
     assert json.loads(out_table)["histogram"] == json.loads(out_power)["histogram"]
 
 
+def test_table_map_check_properties(tmp_path, capsys, monkeypatch):
+    # the q x q check of a table map, through the CLI
+    f = make_field(2, 6)
+    images = np.random.default_rng(15).integers(0, 64, 64).tolist()
+    table_file = tmp_path / "sbox.txt"
+    table_file.write_text("".join(f"{v}\n" for v in images))
+    table = sozd_table(f, TableMap(tuple(images)))
+    expected_csv = io.StringIO()
+    write_table_csv(f, "sozd", "table", table.entries, expected_csv)
+    argv = ["spectra", "fbct", "--field", "p=2;n=6", "--table", str(table_file), "--full",
+            "--check-properties", "--csv"]
+
+    code, out, _ = run(capsys, *argv, str(tmp_path / "clean.csv"))
+    assert code == 0
+    assert json.loads(out)["properties"] == property_report_to_dict(fbct_property_check(table))
+    assert (tmp_path / "clean.csv").read_text() == expected_csv.getvalue()
+
+    sozd_row = spectra._sozd_row
+
+    def cell_3_7_corrupted(field, tab, a):
+        row = sozd_row(field, tab, a)
+        if a == 3:
+            row[7] += 1
+        return row
+
+    monkeypatch.setattr(spectra, "_sozd_row", cell_3_7_corrupted)
+    code, out, _ = run(capsys, *argv, str(tmp_path / "corrupted.csv"))
+    assert code == 1
+    props = json.loads(out)["properties"]
+    flagged = {v["property"] for v in props["violations"] if (v["a"], v["b"]) == (3, 7)}
+    assert flagged == {"symmetry", "multiplicity-mod-4", "translate-equality"}
+    lines = (tmp_path / "corrupted.csv").read_text().splitlines()
+    assert len(lines) == 65 and int(lines[4].split(",")[7]) == table.entries[3, 7] + 1
+
+
 def test_load_table_map_errors(tmp_path):
     f = make_field(2, 4)
     short = tmp_path / "short.txt"
@@ -192,6 +284,19 @@ def test_cli_error_exit_codes(capsys, tmp_path):
     # a row past the exp/log table cap, inside the element bound
     code, _, err = run(capsys, "spectra", "ddt", "--field", "p=2;n=21", "--power", "7", "--row")
     assert code == 2 and "exp/log tables not built for order 2097152 > 1048576" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sozd", "--table", "{}/identity.txt"], id="row-of-a-table-map"),
+    pytest.param(["fbct", "--power", "3", "--check-properties"], id="row-check-properties"),
+])
+def test_row_usage_errors_write_nothing(capsys, tmp_path, argv):
+    (tmp_path / "identity.txt").write_text("".join(f"{i}\n" for i in range(16)))
+    csv = tmp_path / "t.csv"
+    code, out, err = run(capsys, "spectra", *[a.format(tmp_path) for a in argv],
+                         "--field", "p=2;n=4", "--row", "--csv", str(csv))
+    assert code == 2 and out == "" and "error:" in err
+    assert not csv.exists()
 
 
 def test_verify_exit_codes(capsys):
