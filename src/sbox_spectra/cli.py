@@ -5,9 +5,10 @@ sozd), verify (--theorem t1..t4 | --registry) and registry.  Machine output
 goes to stdout (JSON; CSV via --csv), human-readable progress to stderr.
 
 Exit codes: 0 success, 1 verification mismatch or property violation (the
-report is always written first), 2 usage or configuration error.  Output is
-byte-deterministic for a fixed configuration.  --jobs is accepted for
-compatibility with existing command lines and changes neither output nor work.
+report is always written first), 2 usage or configuration error, or a size
+that does not fit in memory.  Output is byte-deterministic for a fixed
+configuration.  --jobs is accepted for compatibility with existing command
+lines and changes neither output nor work.
 
 The argument parser is built once per process (build_parser is cached):
 `main` and `RunConfig.parse` share it, so repeated in-process calls do not
@@ -342,6 +343,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (SpectraError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # exit 1 would read as a refuted claim
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

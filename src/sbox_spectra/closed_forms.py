@@ -106,9 +106,10 @@ def _check_x4(field: Field) -> None:
 
 # -- the claims, each encoded once ---------------------------------------------------
 #
-# A claim maps int64 arrays a, b of one shape to the case that fires at each
-# cell (a, b) and the inclusive (lo, hi) span it predicts there.  It tests
-# (a, b) themselves rather than u = b/a, so the invariance under
+# A claim maps arrays a, b of encodings of one shape (int32, as field.xs()
+# and the vector ops give them) to the case that fires at each cell (a, b)
+# and the inclusive (lo, hi) span it predicts there, int64 like the counts.
+# It tests (a, b) themselves rather than u = b/a, so the invariance under
 # (a, b) -> (ca, cb) ((ca, c^4 b) for t4) that row-first verification rests
 # on stays a property to test.
 

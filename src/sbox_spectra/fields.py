@@ -6,7 +6,9 @@ For p = 2 addition is a single XOR.  For odd p an encoding is cut into
 base-P limbs (P = p^w, at most 256) and a pair of limbs is added or
 subtracted by one lookup in a P x P table, shared by every field of
 characteristic p (_limb_tables).  Enumeration order is ascending encoding,
-zero first, which is also the row/column order of every CSV written.
+zero first, which is also the row/column order of every CSV written.  An
+array of encodings is int32 (the vector ops convert what they are given),
+so the vector ops refuse orders from 2^31.
 
 A Field caches exp/log tables over a generator once multiplication is first
 needed (for orders up to TABLE_CAP), turning mul/inv/pow/character/sqrt
@@ -15,7 +17,7 @@ these scalar ops (sqrt by Tonelli-Shanks), while the vectorized ones (and
 so every spectrum row) need the tables.  Each scalar op makes that choice
 itself, so callers such as the root solvers run one code path at every
 order and never read the tables.  The scalar ops read Python-list copies
-of the int64 tables, made on the first scalar call (_have_tables), which
+of the int32 tables, made on the first scalar call (_have_tables), which
 for odd p also builds the Zech logarithms zech[k] = log(1 + g^k) (-1 where
 1 + g^k = 0), so scalar add/sub/neg are O(1) lookups too (Huber, IEEE
 Trans. IT 36(4), 1990):
@@ -83,17 +85,25 @@ def _limb_tables(p: int) -> tuple:
     return p**w, w, tables
 
 
-def _xor_tables(images: list[int]) -> tuple:
+def _xor_tables(images: list[int], dtype=np.int64) -> tuple:
     """(shift, table) pairs for the F_2-linear map with these images of the
     basis bits: table[v] is the XOR of the images of v's bits, by doubling."""
     tables = []
     for lo in range(0, len(images), 8):
         chunk = images[lo:lo + 8]
-        table = np.zeros(1 << len(chunk), dtype=np.int64)
+        table = np.zeros(1 << len(chunk), dtype=dtype)
         for j, img in enumerate(chunk):
             table[1 << j:2 << j] = table[:1 << j] ^ img
         tables.append((lo, table))
     return tuple(tables)
+
+
+def _split(X: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """(X mod P, X // P) for X >= 0, from one floor divide."""
+    hi = X // P
+    low = hi * -P
+    low += X
+    return low, hi
 
 
 def configured_max_size() -> int:
@@ -268,7 +278,7 @@ class Field:
             )
         g = self._find_generator()
         m = self._m
-        exp = np.empty(m, dtype=np.int64)
+        exp = np.empty(m, dtype=np.int32)
         exp[0] = 1
         size, c = 1, g  # invariant: exp[:size] is filled and c = g^size
         while size < m:
@@ -276,8 +286,8 @@ class Field:
             exp[size:size + step] = self._scale_vec(c, exp[:step])
             size += step
             c = self._mul_raw(c, c)
-        log = np.full(self.order, -1, dtype=np.int64)
-        log[exp] = np.arange(m, dtype=np.int64)
+        log = np.full(self.order, -1, dtype=np.int32)
+        log[exp] = np.arange(m, dtype=np.int32)
         # _np_exp is the readiness sentinel: assign it last so concurrent lazy
         # builds (idempotent under the GIL) never observe a half-built state
         self._generator = g
@@ -290,8 +300,8 @@ class Field:
         p, n = self.p, self.n
         images = [self._mul_raw(c, p**j) for j in range(n)]
         if p == 2:
-            out = np.zeros(v.shape, dtype=np.int64)
-            for lo, table in _xor_tables(images):
+            out = np.zeros(v.shape, dtype=np.int32)
+            for lo, table in _xor_tables(images, np.int32):
                 out ^= table[(v >> lo) & 0xFF]
             return out
         P, w, _ = _limb_tables(p)
@@ -300,7 +310,7 @@ class Field:
         for lo in range(0, n, w):  # table[u] = c * (u * p^lo) for each limb u
             rows = coeffs[lo:lo + w]
             digits = np.arange(p ** len(rows))[:, None] // p ** np.arange(len(rows)) % p
-            table = ((digits @ rows) % p) @ ppows
+            table = (((digits @ rows) % p) @ ppows).astype(np.int32)
             part = table[v // p**lo % P]
             out = part if lo == 0 else self._add_or_sub(out, part, False)
         return out
@@ -311,7 +321,7 @@ class Field:
         return self._generator
 
     def log_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The int64 arrays exp (exp[k] = g^k, k < q - 1) and log (log[0] = -1)."""
+        """The int32 arrays exp (exp[k] = g^k, k < q - 1) and log (log[0] = -1)."""
         self._ensure_tables()
         return self._np_exp, self._np_log
 
@@ -477,11 +487,26 @@ class Field:
         g = math.gcd(d, self._m) if self._m else 1
         return PowerFacts(g=g, is_permutation=(g == 1))
 
-    # -- vectorized operations (numpy, encodings as int64) --------------------
+    # -- vectorized operations (numpy, encodings as int32) --------------------
+    #
+    # Every array of encodings is int32, whatever dtype comes in, which halves
+    # the q-length arrays of the row path.  Arithmetic that can pass 2^31 runs
+    # in int64: pow_vec's log * e.  Sums and differences of two logs fit,
+    # since tables exist only below TABLE_CAP, and the odd-p limb index is
+    # formed from digits, so it stays below P^2.
+
+    def _encodings(self, A) -> np.ndarray:
+        """A as an int32 array; the vector ops refuse q >= 2^31."""
+        if self.order >= 1 << 31:
+            raise UnsupportedSizeError(
+                f"vector ops hold encodings as int32: order {self.order} >= 2^31"
+            )
+        return np.asarray(A, dtype=np.int32)
 
     def xs(self) -> np.ndarray:
         if self._xs is None:
-            self._xs = np.arange(self.order, dtype=np.int64)
+            self._encodings(())  # refuses q >= 2^31 before allocating
+            self._xs = np.arange(self.order, dtype=np.int32)
         return self._xs
 
     def add_vec(self, A, B) -> np.ndarray:
@@ -492,78 +517,72 @@ class Field:
 
     def _add_or_sub(self, A, B, sub: bool) -> np.ndarray:
         """A + B (A - B when sub); odd p goes limb by limb (_limb_tables).
-        The limbs a, b of A, B are never formed: with A = P * A' + a and
-        B = P * B' + b, the lookup index a * P + b (a +- b for p > 256) is
-        the one of (A, B) less P times the one of (A', B'), so each limb
-        costs two floor divides and no remainder (the slower ufunc), and
-        at most four arrays of A's size are live.  The top limbs are what
-        is left of A and B."""
-        A = np.asarray(A, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
+        Each limb splits off the low digits a, b of A, B (_split: one floor
+        divide each, no remainder, the slower ufunc) and looks up a * P + b;
+        for p > 256 the digit a - b or a - (p - b), in [-p, p), is reduced
+        mod p.  So no intermediate reaches 2^31.  The peak is about
+        eight int32 arrays of A's size, two of them take's intp copy of the
+        index.  The top limbs are what is left of A and B."""
+        A = self._encodings(A)
+        B = self._encodings(B)
         if self.p == 2:
             return A ^ B
         P, w, tables = _limb_tables(self.p)
-
-        def index(X, Y):
-            if tables is None:  # p > 256: one digit per limb
-                return X - Y if sub else X + Y
-            out = X * P
-            out += Y
-            return out
-
         limbs = []  # lowest first
         for lo in range(0, self.n, w):
-            c = index(A, B)
             if lo + w < self.n:
-                A = A // P
-                B = B // P
-                rest = index(A, B)
-                rest *= P
-                c -= rest
-                del rest
-            if tables is None:
-                c -= c // P * P
+                a, A = _split(A, P)
+                b, B = _split(B, P)
             else:
+                a, b = A, B
+            if tables is None:  # p > 256: one digit per limb
+                c = a - b if sub else a - (P - b)  # in [-p, p): a + b may pass 2^31
+                c %= P
+            else:
+                c = a * P
+                c += b
                 c = tables[int(sub)].take(c, mode="clip")  # flat [a, b]
             limbs.append(c)
-        out = limbs.pop().astype(np.int64)
+        out = limbs.pop().astype(np.int32)
         while limbs:
             out *= P
             out += limbs.pop()
         return out
 
     def mul_vec(self, A, B) -> np.ndarray:
-        A = np.asarray(A, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
+        A = self._encodings(A)
+        B = self._encodings(B)
         self._ensure_tables()
         A, B = np.broadcast_arrays(A, B)
-        out = np.zeros(A.shape, dtype=np.int64)
+        out = np.zeros(A.shape, dtype=np.int32)
         nz = (A != 0) & (B != 0)
         out[nz] = self._np_exp[(self._np_log[A[nz]] + self._np_log[B[nz]]) % self._m]
         return out
 
     def div_vec(self, A, B) -> np.ndarray:
-        A = np.asarray(A, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
+        A = self._encodings(A)
+        B = self._encodings(B)
         if np.any(B == 0):
             raise ZeroDivisionError("division by zero")
         self._ensure_tables()
         A, B = np.broadcast_arrays(A, B)
-        out = np.zeros(A.shape, dtype=np.int64)
+        out = np.zeros(A.shape, dtype=np.int32)
         nz = A != 0
         out[nz] = self._np_exp[(self._np_log[A[nz]] - self._np_log[B[nz]]) % self._m]
         return out
 
     def pow_vec(self, A, e: int) -> np.ndarray:
-        A = np.asarray(A, dtype=np.int64)
+        A = self._encodings(A)
         if e < 0:
             raise BadParametersError("exponent must be nonnegative")
         if e == 0:
-            return np.ones(A.shape, dtype=np.int64)
+            return np.ones(A.shape, dtype=np.int32)
         self._ensure_tables()
-        out = np.zeros(A.shape, dtype=np.int64)
+        out = np.zeros(A.shape, dtype=np.int32)
         nz = A != 0
-        out[nz] = self._np_exp[(self._np_log[A[nz]] * (e % self._m)) % self._m]
+        k = np.multiply(self._np_log[A[nz]], e % self._m, dtype=np.int64)  # passes 2^31
+        k %= self._m
+        out[nz] = self._np_exp[k]
         return out
 
     def power_map_table(self, d: int) -> np.ndarray:
@@ -686,8 +705,8 @@ def _checked_field(p: int, n: int, mod: tuple[int, ...]) -> Field:
 # The intern of small fields: one LRU cache of at most INTERN_ENTRIES Fields,
 # each of order at most INTERN_MAX_ORDER, keyed by (p, n, modulus) with the
 # built-in modulus filled in.  A call that raises stores nothing.  Worst case
-# per Field at q <= 2^12 (tracemalloc): the int64 exp/log tables and xs()
-# take about 100 KiB, the scalar ops' Python-list mirrors (exp, log and, for
+# per Field at q <= 2^12 (tracemalloc): the int32 exp/log tables and xs()
+# take about 50 KiB, the scalar ops' Python-list mirrors (exp, log and, for
 # odd p, the Zech logs) under 0.5 MiB, and for p = 2 a full solver cache of
 # 2048 trinomial entries about 5.6 MiB.  So the intern holds at most about
 # 200 MiB, and under 20 MiB while the solvers have not run.  Larger fields

@@ -40,12 +40,14 @@ row, q = p^n; summed over b the row gives sum_c DDT(a, c)^2.
 
 from __future__ import annotations
 
+import itertools
+import os
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotAPowerMapError, SpectraError, WrongLengthError
+from .errors import NotAPowerMapError, SpectraError, UnsupportedSizeError, WrongLengthError
 from .fields import Field
 
 
@@ -72,10 +74,10 @@ def image_table(field: Field, fmap) -> np.ndarray:
             raise WrongLengthError(
                 f"table has {len(fmap.images)} entries, field has {field.order}"
             )
-        tab = np.asarray(fmap.images, dtype=np.int64)
+        tab = np.asarray(fmap.images, dtype=np.int64)  # validated before the int32 cast
         if tab.size and (tab.min() < 0 or tab.max() >= field.order):
             raise SpectraError("table image outside the field")
-        return tab
+        return tab.astype(np.int32)
     raise SpectraError(f"not a map spec: {fmap!r}")
 
 
@@ -88,7 +90,7 @@ class SpectrumTable:
     kind: str  # "ddt" | "sozd"
     field: Field
     map_label: str
-    entries: np.ndarray  # (p^n, p^n) int64, indexed [a, b] in enumeration order
+    entries: np.ndarray  # (p^n, p^n) int64 counts (encodings are int32), indexed [a, b]
 
     @property
     def is_fbct(self) -> bool:
@@ -104,11 +106,16 @@ class SpectrumSummary:
 
 def _derivative(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
     """D_aF(x) = F(x+a) - F(x), per x."""
-    return field.sub_vec(tab[field.add_vec(field.xs(), a)], tab)
+    shifted = tab[field.add_vec(field.xs(), a)]
+    if field.p == 2:  # subtraction is XOR: in place, one q-length array fewer
+        shifted ^= tab
+        return shifted
+    return field.sub_vec(shifted, tab)
 
 
 def _ddt_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
-    return np.bincount(_derivative(field, tab, a), minlength=field.order)
+    # bincount reads intp: cast here, the int32 derivative is freed before the counts exist
+    return np.bincount(_derivative(field, tab, a).astype(np.intp), minlength=field.order)
 
 
 def _sozd_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
@@ -120,7 +127,7 @@ def _sozd_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
     at most sum_c DDT(a, c)^2 / q + 1 bincounts of length q."""
     q = field.order
     deriv = _derivative(field, tab, a)
-    order = np.argsort(deriv)
+    order = np.argsort(deriv).astype(np.int32)  # its entries x, y go to sub_vec
     deriv = deriv[order]
     row = np.zeros(q, dtype=np.int64)
     row[0] = q
@@ -138,7 +145,7 @@ def _sozd_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
                 pending.append(field.sub_vec(np.concatenate((y, x)), np.concatenate((x, y))))
             size += 2 * starts.size
         if pending and (size >= q or not starts.size):
-            row += np.bincount(np.concatenate(pending), minlength=q)
+            row += np.bincount(np.concatenate(pending, dtype=np.intp), minlength=q)
             pending, size = [], 0
         if not starts.size:
             return row
@@ -211,11 +218,10 @@ def power_rows(field: Field, kind: str, d: int) -> tuple[np.ndarray, np.ndarray]
     """Rows a = 0 and a = 1 of the DDT or SOZD table of x^d.  Row 0 is the
     same for every map: DDT(0, b) = q at b = 0 only, SOZD(0, b) = q."""
     q = field.order
-    if kind == "ddt":
-        row0 = np.zeros(q, dtype=np.int64)
-        row0[0] = q
-        return row0, ddt_row_power(field, d)
-    return np.full(q, q, dtype=np.int64), sozd_row_power(field, d)
+    row1 = ddt_row_power(field, d) if kind == "ddt" else sozd_row_power(field, d)
+    row0 = np.full(q, 0 if kind == "ddt" else q, dtype=np.int64)  # after row 1: not held during it
+    row0[0] = q
+    return row0, row1
 
 
 def iter_rows(field: Field, rows, scale: int):
@@ -230,7 +236,7 @@ def iter_rows(field: Field, rows, scale: int):
     exp, log = field.log_tables()
     m = field.order - 1
     doubled = row1[np.concatenate((exp, exp))]  # row 1 in log order, twice
-    logs = log[1:]
+    logs = log[1:].astype(np.intp)  # take would cast int32 on every row; scale * log passes 2^31
     for shift in ((scale % m) * logs % m).tolist():
         out = np.empty_like(row1)
         out[0] = row1[0]
@@ -257,10 +263,14 @@ def flagged_cells(field: Field, bad_rows, scale: int, cap: int) -> tuple[int, li
     us = np.flatnonzero(bad1)
     cells = [(0, b, 0, b) for b in np.flatnonzero(bad0)[:cap].tolist()]
     listed_rows = min(q - 1, -(-(cap - len(cells)) // us.size)) if us.size else 0
-    for a, c in enumerate(field.pow_vec(np.arange(1, listed_rows + 1), scale).tolist(), 1):
-        bs = field.mul_vec(c, us)
-        order = np.argsort(bs)[:cap - len(cells)]
-        cells += [(a, b, 1, u) for b, u in zip(bs[order].tolist(), us[order].tolist())]
+    if listed_rows:  # one call for them all: row a - 1 of bs holds the cells b of row a
+        a = np.arange(1, listed_rows + 1)
+        bs = field.mul_vec(field.pow_vec(a, scale)[:, None], us)
+        order = np.argsort(bs, axis=1)
+        room = cap - len(cells)
+        cells += zip(a.repeat(us.size)[:room].tolist(),
+                     np.take_along_axis(bs, order, axis=1).ravel()[:room].tolist(),
+                     itertools.repeat(1), us[order].ravel()[:room].tolist())
     return int(np.count_nonzero(bad0)) + (q - 1) * us.size, cells
 
 
@@ -286,9 +296,19 @@ def uses_power_rows(fmap, method: str) -> bool:
 
 
 def _table(field: Field, fmap, method: str, kind: str) -> np.ndarray:
+    """The q x q table of counts, refused before allocating when its bytes
+    pass the machine's physical RAM: the allocation would fail or the
+    process be killed."""
+    q = field.order
+    nbytes = q * q * np.dtype(np.int64).itemsize
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > ram:
+        raise UnsupportedSizeError(
+            f"a {q} x {q} table needs {nbytes / 2**30:.1f} GiB, "
+            f"more than the {ram / 2**30:.1f} GiB of physical memory"
+        )
     if uses_power_rows(fmap, method):
         return expand_rows(field, power_rows(field, kind, fmap.d), row_scale(kind, fmap.d))
-    q = field.order
     return np.fromiter(kernel_rows(field, fmap, kind), dtype=np.dtype((np.int64, (q,))), count=q)
 
 

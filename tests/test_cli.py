@@ -164,23 +164,47 @@ def test_f2_fbct_check_properties_pass(capsys):
     assert code == 0 and d["properties"]["ok"] and not any(d["properties"]["counts"].values())
 
 
-def test_full_fbct_f2_14_within_one_gib():
-    # q = 2^14: a q x q int64 table alone would take 2 GiB
+def run_within_one_gib(*argv):
+    """The CLI in a fresh process whose address space is limited to 1 GiB."""
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = os.path.dirname(os.path.dirname(sbox_spectra.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sbox_spectra", "spectra", "fbct", "--field", "p=2;n=14",
-         "--power", "67", "--full", "--check-properties"],
-        capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=300,
-    )
+    return subprocess.run([sys.executable, "-m", "sbox_spectra", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=limit_address_space, timeout=300)
+
+
+def test_full_fbct_f2_14_within_one_gib():
+    # q = 2^14: a q x q int64 table alone would take 2 GiB
+    proc = run_within_one_gib("spectra", "fbct", "--field", "p=2;n=14", "--power", "67",
+                              "--full", "--check-properties")
     assert proc.returncode == 0, proc.stderr
     d = json.loads(proc.stdout)
     assert d["properties"]["ok"]
     assert sum(c for _, c in d["histogram"]) == 4**14
+
+
+def test_table_map_check_past_memory_exits_2(tmp_path):
+    # q = 2^16: the table map's q x q check needs 32 GiB; exit 1 would read
+    # as a violated property
+    sbox = tmp_path / "sbox16.txt"
+    sbox.write_text("".join(f"{i}\n" for i in range(1 << 16)))
+    proc = run_within_one_gib("spectra", "fbct", "--field", "p=2;n=16", "--table", str(sbox),
+                              "--full", "--check-properties")
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert proc.stderr.count("error:") == 1 and "Traceback" not in proc.stderr
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 32.0 GiB")
+
+    monkeypatch.setattr(cli, "power_rows", no_memory)
+    code, out, err = run(capsys, "spectra", "fbct", "--field", "p=2;n=6", "--power", "11", "--full")
+    assert code == 2 and out == ""
+    assert "error: out of memory: Unable to allocate 32.0 GiB" in err
 
 
 def test_spectra_deterministic_across_jobs(tmp_path, capsys):

@@ -473,6 +473,70 @@ def test_odd_p_addition_is_linear_memory():
     assert np.array_equal(f.sub_vec(s, B), A) and np.array_equal(f.add_vec(d, B), A)
 
 
+# -- int32 encodings: the arithmetic that could pass 2^31 -------------------
+#
+# CI runs these under NumPy 1.24 (value-based promotion) and the latest NumPy
+# (NEP 50), which differ in the dtype an int32 array takes from a Python int.
+
+
+def top_log_encodings(f):
+    """Encodings with the largest logs, q - 2 down to q - 9, and the smallest."""
+    exp, _ = f.log_tables()
+    return np.concatenate((exp[::-1][:8], exp[:8]))
+
+
+@pytest.mark.parametrize("p,n", [(2, 20), (3, 12)])
+def test_pow_vec_past_2_31_equals_scalar_pow(p, n):
+    # log * e passes 2^31 here; e = -1 (mod q - 1) is the inverse
+    f = make_field(p, n)
+    m = f.order - 1
+    rng = np.random.default_rng(n)
+    A = np.concatenate(([0, 1], top_log_encodings(f), rng.integers(0, f.order, 64)))
+    minus_one = ((1 << 31) // m + 1) * m - 1
+    for e in (minus_one, minus_one + (m << 40), (1 << 31) + 5, 1 << 70):
+        got = f.pow_vec(A, e)
+        assert got.dtype == np.int32
+        assert got.tolist() == [f.pow(x, e) for x in A.tolist()]
+    nz = A[A != 0]
+    inverses = f.pow_vec(nz, minus_one)
+    assert np.array_equal(inverses, f.div_vec(1, nz))
+    assert all(f._mul_raw(x, y) == 1 for x, y in zip(nz.tolist(), inverses.tolist()))
+
+
+@pytest.mark.parametrize("p,n", [(2, 20), (3, 12)])
+def test_mul_div_vec_at_logs_near_q_minus_2(p, n):
+    f = make_field(p, n)
+    A, B = (v.ravel() for v in np.meshgrid(top_log_encodings(f), top_log_encodings(f)))
+    mul, div = f.mul_vec(A, B), f.div_vec(A, B)
+    assert mul.dtype == div.dtype == np.int32
+    for i, j, ij, i_j in zip(A.tolist(), B.tolist(), mul.tolist(), div.tolist()):
+        assert ij == f._mul_raw(i, j) == f.mul(i, j)
+        assert f._mul_raw(i_j, j) == i and i_j == f.div(i, j)
+
+
+@pytest.mark.parametrize("p,n,mod", [(3, 13, None), (3, 15, None),
+                                     (257, 2, NO_BUILTIN_MODULUS[257, 2]),
+                                     (40009, 1, (0, 1)), ((1 << 31) - 1, 1, (0, 1))])
+def test_odd_p_add_sub_at_the_top_digits(p, n, mod):
+    # every digit p - 1: at 3^15 a limb index formed as A * P + B (P = 243)
+    # would pass 2^31, and at p = 2^31 - 1 so would the sum a + b of two digits
+    f = make_field(p, n, mod, max_size=1 << 31)
+    top = f.order - 1
+    rng = np.random.default_rng(p)
+    assert_digitwise(f, [(top, top), (top, 0), (0, top), (top, 1), (1, top), (top - 1, top),
+                         (top // 2, top // 2 + 1)] + rng.integers(0, f.order, (200, 2)).tolist())
+    assert f.add_vec([top], [top]).dtype == f.sub_vec(top, 1).dtype == np.int32
+
+
+def test_vector_ops_refuse_orders_from_2_31():
+    f = make_field(2147483659, 1, (0, 1), max_size=1 << 32)  # the first prime past 2^31
+    for op in (f.xs, lambda: f.add_vec(1, 2), lambda: f.sub_vec(1, 2), lambda: f.mul_vec(1, 2),
+               lambda: f.div_vec(1, 2), lambda: f.pow_vec(3, 2)):
+        with pytest.raises(UnsupportedSizeError, match="int32"):
+            op()
+    assert f.mul(3, 5) == 15 and f._xs is None
+
+
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 3), (7, 1)])
 def test_zech_cells_where_one_plus_g_k_vanishes(p, n):
     f = make_field(p, n)
@@ -564,7 +628,7 @@ def test_tables_equal_sequential_build(p, n, mod):
     f.mul(1, 1)  # the list mirrors are made on the first scalar call
     assert f._exp == exp and f._log == log
     assert all(type(v) is int for v in f._exp) and all(type(v) is int for v in f._log)
-    assert f._np_exp.dtype == np.int64 and f._np_log.dtype == np.int64
+    assert f._np_exp.dtype == np.int32 and f._np_log.dtype == np.int32
     assert f._np_exp.tolist() == exp and f._np_log.tolist() == log
 
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 import tracemalloc
 from collections import Counter
@@ -14,6 +15,7 @@ from sbox_spectra import (
     SpectraError,
     SpectrumTable,
     TableMap,
+    UnsupportedSizeError,
     WrongLengthError,
     ddt_entry,
     ddt_row_power,
@@ -343,6 +345,17 @@ def test_streamed_rows_equal_bruteforce(field, d, kind):
     assert np.array_equal(both[..., 0], brute.entries) and np.array_equal(both[..., 1], -brute.entries)
 
 
+def test_streamed_rows_where_scale_times_log_passes_2_31():
+    # x^(q-2), the inverse, over F_{2^16}: the rotation scale * log(a) reaches
+    # about 2^32 on most rows, past int32
+    f = make_field(2, 16)
+    d = f.order - 2
+    tab = image_table(f, PowerMap(d))
+    rows = itertools.islice(iter_rows(f, power_rows(f, "ddt", d), d), 40)
+    for a, row in enumerate(rows):
+        assert np.array_equal(row, spectra._ddt_row(f, tab, a)), a
+
+
 # -- flagged cells -------------------------------------------------------------------
 
 LISTER_FIELDS = (make_field(2, 1), make_field(2, 3), make_field(2, 6), make_field(3, 1),
@@ -391,6 +404,34 @@ def test_table_property_check_memory_is_one_row_and_column():
         tracemalloc.stop()
     assert not report.ok and len(report.violations) > 50
     assert peak < 2**18, peak
+
+
+def test_ddt_row_memory_in_int32_arrays():
+    """The F_{2^20} DDT row, field and exp/log tables included, peaks at 8
+    q-length int32 arrays (measured): exp, log, xs and the map's images, the
+    derivative's intp copy for bincount (2) and the int64 counts (2).  With
+    int64 encodings the same call peaked at 12.25."""
+    q = 1 << 20
+    tracemalloc.start()
+    try:
+        row = ddt_row_power(make_field(2, 20), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.dtype == np.int64 and row.sum() == q and row[0] == 0
+    assert peak <= 9 * 4 * q, peak / (4 * q)
+
+
+def test_tables_past_physical_memory_are_refused():
+    # F_{2^16}: a q x q int64 table is 32 GiB
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if ram >= 8 << 32:
+        pytest.skip("a 32 GiB table fits in this machine's physical memory")
+    f = make_field(2, 16)
+    with pytest.raises(UnsupportedSizeError, match="32.0 GiB"):
+        sozd_table(f, PowerMap(7))
+    with pytest.raises(UnsupportedSizeError, match="physical memory"):
+        ddt_table(f, TableMap(tuple(range(f.order))), method="bruteforce")
 
 
 # -- structural properties ------------------------------------------------------------
