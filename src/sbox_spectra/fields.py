@@ -578,11 +578,12 @@ class Field:
         if e == 0:
             return np.ones(A.shape, dtype=np.int32)
         self._ensure_tables()
-        out = np.zeros(A.shape, dtype=np.int32)
-        nz = A != 0
-        k = np.multiply(self._np_log[A[nz]], e % self._m, dtype=np.int64)  # passes 2^31
+        # every A at once, no nonzero mask: log[0] = -1 gives some in-range k,
+        # and the entries at A == 0 are set to 0^e = 0 afterwards
+        k = np.multiply(self._np_log[A], e % self._m, dtype=np.int64)  # passes 2^31
         k %= self._m
-        out[nz] = self._np_exp[k]
+        out = np.asarray(self._np_exp[k])  # an array for a 0-d A too
+        out[A == 0] = 0
         return out
 
     def power_map_table(self, d: int) -> np.ndarray:

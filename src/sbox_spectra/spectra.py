@@ -33,14 +33,19 @@ and the SOZD row is a collision count:
 
   SOZD(a, b) = #{x : D_aF(x+b) = D_aF(x)},
 
-the number of pairs (x, y = x+b) with equal derivative.  Sorting x by D_aF
-finds those pairs in O(q log q + sum_c DDT(a, c)^2) time and O(q) memory per
-row, q = p^n; summed over b the row gives sum_c DDT(a, c)^2.
+the number of pairs (x, y = x+b) with equal derivative; summed over b the
+row gives sum_c DDT(a, c)^2.  Sorting x by D_aF groups the classes of equal
+derivative.  A class of s <= T = sqrt(q n) elements, q = p^n, is scanned
+pair by pair, s^2 pairs; a larger one is autocorrelated by a transform over
+the additive group F_p^n in O(q n), and there are at most q / T of them.  So
+a row takes O(q log q + q sqrt(q n)) time at worst, against the scan's
+O(q^2) for a map whose derivative takes few values, and O(q) memory.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -118,21 +123,103 @@ def _ddt_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
     return np.bincount(_derivative(field, tab, a).astype(np.intp), minlength=field.order)
 
 
+def _transform_threshold(q: int, n: int) -> int:
+    """Derivative classes of more elements than this are autocorrelated by a
+    transform: a class of s elements costs the scan s^2 pairs, a transform
+    about q * n operations, and s^2 passes q * n at s = sqrt(q * n)."""
+    return math.isqrt(q * n)
+
+
+def _wht(v: np.ndarray, n: int) -> None:
+    """The Walsh-Hadamard transform of the length-2^n array v, in place:
+    W(k) = sum_x v(x) (-1)^(k . x), one butterfly level per bit."""
+    for k in range(n):
+        pairs = v.reshape(-1, 2, 1 << k)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        lo += hi  # lo + hi
+        hi *= -2
+        hi += lo  # (lo + hi) - 2 hi = lo - hi
+
+
+def _class_autocorrelation(field: Field, classes: list) -> np.ndarray | None:
+    """sum over the classes c (arrays of elements) of #{x in c : x + b in c},
+    at every b, by Wiener-Khinchin over the additive group F_p^n: the
+    autocorrelation of 1_c is the inverse transform of |transform of 1_c|^2
+    (Carlet, Boolean Functions for Cryptography and Coding Theory, CUP 2021).
+    For p = 2 the transform is the WHT, its own inverse up to 1/q, in int64:
+    by Parseval every entry of sum_c W_c^2, and of its transform, is at most
+    q * sum_c |c| <= q^2.  For odd p it is the FFT over shape (p,) * n (an
+    encoding's base-p digits), in floating point; the rounded sum is returned
+    only if every residue is below 1/4 and the entries sum to sum_c |c|^2,
+    else None."""
+    q, n = field.order, field.n
+    if field.p == 2:
+        acc = np.zeros(q, dtype=np.int64)
+        ind = np.empty(q, dtype=np.int64)
+        for members in classes:
+            ind.fill(0)
+            ind[members] = 1
+            _wht(ind, n)
+            ind *= ind
+            acc += ind
+        del ind
+        _wht(acc, n)
+        acc >>= n
+        return acc
+    shape = (field.p,) * n
+    power = 0.0
+    for members in classes:
+        ind = np.zeros(q)
+        ind[members] = 1
+        spectrum = np.fft.rfftn(ind.reshape(shape))  # the half k_last <= p // 2
+        del ind
+        power += np.square(spectrum.real)
+        power += np.square(spectrum.imag)
+    corr = np.fft.irfftn(power, s=shape, axes=tuple(range(n))).ravel()
+    del power
+    rounded = np.rint(corr)
+    if (np.abs(corr - rounded).max() >= 0.25
+            or rounded.sum() != sum(len(members) ** 2 for members in classes)):
+        return None
+    return rounded.astype(np.int64)
+
+
 def _sozd_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
-    """SOZD(a, b) = #{x : D_aF(x+b) = D_aF(x)}.  With x sorted by D_aF, the
-    pairs x != y of equal derivative sit j = 1, 2, ... places apart, and each
-    adds to the entries at b = y - x and b = x - y.  The first j with no such
-    pair ends the scan: a longer run of equal values would have one.  The
-    differences are binned once at least q of them are pending, so there are
-    at most sum_c DDT(a, c)^2 / q + 1 bincounts of length q."""
+    """SOZD(a, b) = #{x : D_aF(x+b) = D_aF(x)}, summed over the classes of
+    elements with equal derivative.  x is sorted by D_aF once.  A class of
+    more than T elements (_transform_threshold) shows as deriv[i] ==
+    deriv[i + T] in that order, one compare over the row; such classes are
+    autocorrelated by a transform (_class_autocorrelation), and the scan
+    below covers the others.  In the scan, the pairs x != y of equal
+    derivative sit j = 1, 2, ... places apart, and each adds to the entries
+    at b = y - x and b = x - y.  The first j with no such pair ends the scan:
+    a longer run of equal values would have one.  The differences are binned
+    once at least q of them are pending, so there are at most
+    sum_c DDT(a, c)^2 / q + 1 bincounts of length q, the sum over the
+    scanned classes."""
     q = field.order
     deriv = _derivative(field, tab, a)
     order = np.argsort(deriv).astype(np.int32)  # its entries x, y go to sub_vec
     deriv = deriv[order]
-    row = np.zeros(q, dtype=np.int64)
+    row = None
+    cut = _transform_threshold(q, field.n)
+    large = deriv[cut:] == deriv[:q - cut]  # i opens a run of more than cut values
+    if large.any():
+        large[1:] &= deriv[1:q - cut] != deriv[:q - cut - 1]  # keep each class's first i
+        firsts = np.flatnonzero(large)
+        del large
+        lasts = np.searchsorted(deriv, deriv[firsts], side="right")
+        row = _class_autocorrelation(field, [order[i:k] for i, k in zip(firsts, lasts)])
+    if row is None:
+        row = np.zeros(q, dtype=np.int64)
+        starts = np.arange(q - 1)  # i with deriv[i] == deriv[i + j - 1]
+    else:
+        scanned = np.ones(q - 1, dtype=bool)
+        for i, k in zip(firsts.tolist(), lasts.tolist()):
+            scanned[i:k] = False
+        starts = np.flatnonzero(scanned)
     row[0] = q
     pending, size = [], 0
-    starts = np.arange(q - 1)  # i with deriv[i] == deriv[i + j - 1]
     j = 1
     while True:
         starts = starts[deriv[starts + j] == deriv[starts]]
@@ -519,15 +606,25 @@ def property_report_to_dict(report: PropertyReport) -> dict:
 _PIECE = 1 << 14
 
 
+def _heads(entries: np.ndarray) -> np.ndarray:
+    """The first min(width, 8) bytes of each lookup entry as one unsigned
+    int, 0 exactly where the entry is unformatted: a formatted entry starts
+    with a digit, never NUL.  A contiguous view for widths up to 8."""
+    width = entries.itemsize
+    return entries.view(f"u{min(width, 8)}")[::max(width // 8, 1)]
+
+
 class _CountText:
     """Writes rows of counts as CSV lines through a lookup indexed by the
-    count.  Entry v is the decimal text of v and a comma, NUL-padded to a
-    width of 8 bytes while every count is below 10^7 (16 up to 10^15; always
-    a multiple of 8), and all NULs while v is not yet formatted.  A line is
-    written in pieces of at most _PIECE counts: each piece is one gather
-    into a reused buffer, the counts found unformatted are formatted once
-    each, the row's last cell gets a newline for its comma, and the NULs
-    are dropped.  The lookup grows to the largest count seen."""
+    count.  Entry v is the decimal text of v and a comma, NUL-padded to the
+    narrowest power-of-2 width that holds the largest count seen and its
+    comma (2 bytes below 10, 4 below 1000, 8 below 10^7, 16 below 10^15), and
+    all NULs while v is not yet formatted; a formatted entry starts with a
+    digit, never NUL.  A line is written in pieces of at most _PIECE counts:
+    each piece is one gather into a reused buffer, the counts found
+    unformatted are formatted once each, the row's last cell gets a newline
+    for its comma, and the NULs are dropped.  The lookup grows to the largest
+    count seen."""
 
     def __init__(self):
         self._lookup = np.zeros(0, dtype=np.dtype((np.void, 8)))
@@ -540,9 +637,9 @@ class _CountText:
         old = self._lookup
         if top < old.size:
             return
-        width = 8 * (len(str(top)) // 8 + 1)  # digits and delimiter fit
+        width = 1 << len(str(top)).bit_length()  # the power of 2 past the digits: the comma fits
         lookup = np.zeros(top + 1, dtype=f"S{width}")
-        known = np.flatnonzero(old.view(np.uint64)[::old.itemsize // 8])
+        known = np.flatnonzero(_heads(old))
         lookup[known] = old[known].view(f"S{old.itemsize}")
         self._lookup = lookup.view(np.dtype((np.void, width)))
         if width != old.itemsize:
@@ -558,7 +655,7 @@ class _CountText:
             out = self._buf[:piece.size]
             # indices are in range; "clip" lets take write into out unbuffered
             self._lookup.take(piece, out=out, mode="clip")
-            heads = out.view(np.uint64)[::width // 8]  # 0 where v is unformatted
+            heads = _heads(out)
             if np.count_nonzero(heads) < piece.size:
                 blank = heads == 0
                 fresh = piece[blank]

@@ -493,14 +493,31 @@ def test_pow_vec_past_2_31_equals_scalar_pow(p, n):
     rng = np.random.default_rng(n)
     A = np.concatenate(([0, 1], top_log_encodings(f), rng.integers(0, f.order, 64)))
     minus_one = ((1 << 31) // m + 1) * m - 1
-    for e in (minus_one, minus_one + (m << 40), (1 << 31) + 5, 1 << 70):
+    # e = 0 (mod q - 1) too: x^e = 1 on every nonzero x, 0^e = 0
+    for e in (minus_one, minus_one + (m << 40), (1 << 31) + 5, 1 << 70, m, m << 33, minus_one + 1):
         got = f.pow_vec(A, e)
         assert got.dtype == np.int32
         assert got.tolist() == [f.pow(x, e) for x in A.tolist()]
+    assert f.pow_vec(A, m << 33).tolist() == [int(x != 0) for x in A.tolist()]
     nz = A[A != 0]
     inverses = f.pow_vec(nz, minus_one)
     assert np.array_equal(inverses, f.div_vec(1, nz))
     assert all(f._mul_raw(x, y) == 1 for x, y in zip(nz.tolist(), inverses.tolist()))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (3, 1), (3, 4), (5, 2), (7, 3)])
+def test_pow_vec_over_the_whole_field_equals_scalar_pow(p, n):
+    # every element, 0 included, at exponents 0, 1 and e = 0, 1 (mod q - 1)
+    f = make_field(p, n)
+    m = f.order - 1
+    xs = f.xs()
+    for e in (0, 1, 2, m, m + 1, 2 * m, 5 * m + 3, m << 40):
+        got = f.pow_vec(xs, e)
+        assert got.dtype == np.int32 and got.shape == xs.shape
+        assert got.tolist() == [f.pow(x, e) for x in range(f.order)], e
+        for x in (0, 1, f.order - 1):  # a 0-d array in, a 0-d array out
+            one = f.pow_vec(x, e)
+            assert one.shape == () and int(one) == f.pow(x, e), (x, e)
 
 
 @pytest.mark.parametrize("p,n", [(2, 20), (3, 12)])

@@ -1,6 +1,9 @@
+import contextlib
 import io
 import itertools
+import math
 import os
+import time
 import tracemalloc
 from collections import Counter
 
@@ -267,6 +270,7 @@ SBOX_FIELDS = (
     make_field(2, 5, [1, 0, 0, 1, 0, 1]),  # x^5 + x^3 + 1, not the Conway modulus
     make_field(3, 3),
     make_field(5, 2),
+    make_field(7, 2),
 )
 
 
@@ -314,6 +318,133 @@ def test_sozd_row_flushes_are_bounded_by_the_pairs(monkeypatch, p, n, d):
     monkeypatch.undo()
     assert flushes <= (ddt1**2).sum() / f.order + 2, flushes
     assert np.array_equal(row, sozd_table(f, PowerMap(d), method="bruteforce").entries[1])
+
+
+# -- the row kernel's transform of the large derivative classes ------------------------
+
+# the row kernel's threshold: every class transformed, or none
+CUTS = {"default": None, "transform": lambda q, n: 0, "scan": lambda q, n: q}
+
+
+@contextlib.contextmanager
+def kernel_cut(mode):
+    """Run the SOZD row kernel with the threshold CUTS[mode]; yields the
+    list of the transform's calls, one list of class sizes each."""
+    cut = CUTS[mode]
+    calls = []
+    transform = spectra._class_autocorrelation
+
+    def spy(field, classes):
+        calls.append([len(c) for c in classes])
+        return transform(field, classes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_class_autocorrelation", spy)
+        if cut is not None:
+            mp.setattr(spectra, "_transform_threshold", cut)
+        yield calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(sboxes())
+def test_row_kernel_transformed_and_scanned_classes_match_definitions(case):
+    """Every class transformed (threshold 0) or none (threshold q): both
+    kernels' rows equal sozd_entry at every (a, b)."""
+    field, tm = case
+    q = field.order
+    tab = image_table(field, tm)
+    want = [[sozd_entry(field, tm, a, b) for b in range(q)] for a in range(q)]
+    for mode in ("transform", "scan"):
+        with kernel_cut(mode) as calls:
+            for a in range(q):
+                assert spectra._sozd_row(field, tab, a).tolist() == want[a], (a, mode)
+        assert len(calls) == (q if mode == "transform" else 0)
+
+
+def test_additive_maps_collide_everywhere():
+    """x^(p^k) is additive, so D_1 x^(p^k) is constant and SOZD(1, b) = q at
+    every b: one class of q elements, transformed at the default threshold."""
+    for p, n, d in [(2, 1, 1), (2, 10, 2), (2, 10, 4), (2, 12, 2**11), (3, 1, 3), (3, 6, 3),
+                    (3, 6, 9), (5, 4, 5), (5, 4, 125), (7, 3, 7), (7, 3, 49), (11, 2, 11)]:
+        f = make_field(p, n)
+        with kernel_cut("default") as calls:
+            row = sozd_row_power(f, d)
+        assert row.tolist() == [f.order] * f.order, (p, n, d)
+        assert calls == [[f.order]], (p, n, d)
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (8, 4), (9, 3), (10, 1), (10, 5), (12, 4)])
+@pytest.mark.parametrize("mode", list(CUTS))
+def test_gold_map_row_is_q_on_the_subfield(n, k, mode):
+    """D_1 x^(2^k+1) = x^(2^k) + x + 1 is affine with kernel F_{2^g},
+    g = gcd(k, n): SOZD(1, b) = q for b in F_{2^g} and 0 otherwise."""
+    f = make_field(2, n)
+    g = math.gcd(k, n)
+    want = [f.order if f.pow(b, 2**g) == b else 0 for b in range(f.order)]
+    with kernel_cut(mode) as calls:
+        row = sozd_row_power(f, 2**k + 1)
+    assert row.tolist() == want
+    assert sum(want) == f.order * 2**g
+    if mode == "transform":
+        assert calls == [[2**g] * (f.order >> g)]
+    elif mode == "scan":
+        assert calls == []
+
+
+@pytest.mark.parametrize("p,n,d", [(3, 8, 3), (5, 4, 5), (7, 1, 5), (11, 1, 5)])
+def test_odd_p_transform_equals_the_scan(p, n, d):
+    f = make_field(p, n)
+    with kernel_cut("default") as calls:
+        transformed = sozd_row_power(f, d)
+    with kernel_cut("scan"):
+        scanned = sozd_row_power(f, d)
+    assert calls and np.array_equal(transformed, scanned)
+
+
+@pytest.mark.parametrize("error", ["residue", "sum"])
+def test_odd_p_transform_falls_back_to_the_scan_when_inexact(monkeypatch, error):
+    """A rounded FFT row is used only if every residue is below 1/4 and the
+    entries sum to sum_c |c|^2; otherwise the kernel scans every class."""
+    f = make_field(3, 5)
+    tab = f.power_map_table(3)
+    irfftn = np.fft.irfftn
+
+    def perturbed(*args, **kwargs):
+        out = irfftn(*args, **kwargs)
+        if error == "residue":
+            out += 0.3
+        else:
+            out.flat[7] += 1
+        return out
+
+    monkeypatch.setattr(np.fft, "irfftn", perturbed)
+    assert spectra._class_autocorrelation(f, [f.xs()]) is None
+    assert spectra._sozd_row(f, tab, 1).tolist() == [f.order] * f.order
+
+
+def test_linear_row_at_f2_16_within_a_time_bound():
+    # the pair scan took 49 s here
+    f = make_field(2, 16)
+    start = time.perf_counter()
+    row = sozd_row_power(f, 4)
+    assert time.perf_counter() - start < 5
+    assert row.tolist() == [f.order] * f.order
+
+
+def test_transformed_row_memory_in_int32_arrays():
+    """The F_{2^20} SOZD row of x^4, field and exp/log tables included,
+    peaks at about 10 q-length int32 arrays (measured): exp, log, xs and the
+    images, the sorted derivative and its order, and the transform's two
+    int64 arrays."""
+    q = 1 << 20
+    tracemalloc.start()
+    try:
+        row = sozd_row_power(make_field(2, 20), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.dtype == np.int64 and (row == q).all()
+    assert peak <= 11 * 4 * q, peak / (4 * q)
 
 
 # -- streamed rows -------------------------------------------------------------------
@@ -675,6 +806,37 @@ def test_csv_table_bytes_equal_reference_as_the_lookup_grows(pools, wide, length
         row[rng.integers(length)] = top
         rows.append(row)
     assert max(rows[0]) < 10**7 <= max(rows[-1])
+    assert csv_mismatch(_csv(rows), "DDT,2,2,3", rows) is None
+
+
+@pytest.mark.parametrize("small,big,widths", [(9, 10, (2, 4)), (999, 1000, (4, 8))])
+@pytest.mark.parametrize("layout", ["one-piece", "across-pieces", "across-rows"])
+def test_csv_bytes_where_counts_gain_a_digit(small, big, widths, layout):
+    """The lookup is 2 bytes wide below 10, 4 below 1000 and 8 below 10^7:
+    counts that cross 9 -> 10 or 999 -> 1000 within one piece, from one
+    piece to the next, or from one row to the next (the lookup widens, and
+    its formatted entries are copied) are written as the reference is."""
+    rng = np.random.default_rng(small)
+    if layout == "one-piece":
+        rows = [np.array([small, 0, small, big, small - 1, big, 1, small])]
+    elif layout == "across-pieces":
+        row = rng.integers(0, small + 1, size=2 * _PIECE + 3)
+        row[[0, _PIECE - 1]] = small
+        row[[_PIECE, -1]] = big
+        rows = [row]
+    else:
+        narrow = rng.integers(0, small + 1, size=_PIECE + 1)
+        narrow[-1] = small
+        wide = rng.integers(0, small + 1, size=_PIECE + 1)
+        wide[[3, -2]] = big
+        rows = [narrow, wide, narrow]
+    text = spectra._CountText()
+    seen = []
+    for row in rows:
+        text.write(row, io.StringIO())
+        seen.append(text._lookup.itemsize)
+    tops = np.maximum.accumulate([row.max() for row in rows])  # the largest count so far
+    assert seen == [widths[int(top >= big)] for top in tops]
     assert csv_mismatch(_csv(rows), "DDT,2,2,3", rows) is None
 
 
