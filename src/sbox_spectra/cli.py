@@ -35,7 +35,6 @@ from .spectra import (
     TableMap,
     fbct_property_check,
     fbct_row_property_check,
-    iter_rows,
     kernel_rows,
     map_label,
     power_row_summary,
@@ -269,7 +268,7 @@ def _power_table(args, field: Field, kind: str, d: int):
     rows = power_rows(field, kind, d)
     if args.csv:
         with open(args.csv, "w") as fh:
-            write_table_csv(field, kind, str(d), iter_rows(field, rows, row_scale(kind, d)), fh)
+            write_table_csv(field, kind, str(d), rows, fh, scale=row_scale(kind, d))
     report = fbct_row_property_check(field, rows) if args.check_properties else None
     return power_table_summary(field, kind, rows), report
 

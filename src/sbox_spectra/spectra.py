@@ -14,18 +14,22 @@ SOZD(1, b/a).  Read in log order, b = g^k, row a is row 1 in log order
 rotated by log(a^d) (DDT) or log(a) (SOZD), so `iter_rows` yields the table
 one row at a time at one gather per row, and `expand_rows` stacks it.  The
 table's summary (`power_table_summary`), its FBCT property check
-(`fbct_row_property_check`) and its CSV (`write_table_csv` of `iter_rows`)
-all come from the two rows in O(q) memory.  That check and the q x q one of
-a table map (`fbct_property_check`) apply one rule set, `_identities`, to
-a row and its column.  `flagged_cells` is the one lister of the cells where
-a check fails, for the row check and for closed_forms' verification: given
+(`fbct_row_property_check`) and its CSV (`write_table_csv` given the row
+scale) all come from the two rows in O(q) memory.  That check and the
+q x q one of a table map (`fbct_property_check`) apply one rule set,
+`_identities`, to a row and its column.  `flagged_cells` is the one
+lister of the cells where a check fails, for the row check and for
+closed_forms' verification: given
 the check's boolean rows 0 and 1, it counts them (row 0's plus q - 1 times
 row 1's) and lists the first few in (a, b) order.  The CSV writer turns
-counts into text by byte gathers from a lookup of formatted counts, one
-per piece of at most _PIECE counts of a line.  The brute-force path,
-`kernel_rows`, runs the row kernel at every a for any map; it is kept
-selectable for cross-validation, `RunningSummary` summarizes its rows as
-they stream, and a power map's property check reads its own rows 0 and 1.
+counts into text by byte gathers from a lookup of formatted counts.  A
+power map's rows 0 and 1 are formatted once, and iter_rows then gathers
+every other line from row 1's text, so a line costs one gather of tokens
+and one NUL strip; streamed rows are gathered a piece of at most _PIECE
+counts at a time.  The brute-force path, `kernel_rows`, runs the row
+kernel at every a for any map; it is kept selectable for cross-validation,
+`RunningSummary` summarizes its rows as they stream, and a power map's
+property check reads its own rows 0 and 1.
 
 Both paths count rows through the derivative D_aF(x) = F(x+a) - F(x), with
 the same code for every characteristic.  A DDT row is the histogram of D_aF,
@@ -35,9 +39,10 @@ and the SOZD row is a collision count:
 
 the number of pairs (x, y = x+b) with equal derivative; summed over b the
 row gives sum_c DDT(a, c)^2.  Sorting x by D_aF groups the classes of equal
-derivative.  A class of s <= T = sqrt(q n) elements, q = p^n, is scanned
-pair by pair, s^2 pairs; a larger one is autocorrelated by a transform over
-the additive group F_p^n in O(q n), and there are at most q / T of them.  So
+derivative.  A class of s <= T = max(8, sqrt(q n)) elements, q = p^n, is
+scanned pair by pair, s^2 pairs; a larger one is autocorrelated by a
+transform over the additive group F_p^n in O(q n), and there are at most
+q / T of them.  So
 a row takes O(q log q + q sqrt(q n)) time at worst, against the scan's
 O(q^2) for a map whose derivative takes few values, and O(q) memory.
 """
@@ -126,8 +131,10 @@ def _ddt_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
 def _transform_threshold(q: int, n: int) -> int:
     """Derivative classes of more elements than this are autocorrelated by a
     transform: a class of s elements costs the scan s^2 pairs, a transform
-    about q * n operations, and s^2 passes q * n at s = sqrt(q * n)."""
-    return math.isqrt(q * n)
+    about q * n operations, and s^2 passes q * n at s = sqrt(q * n).  The
+    floor of 8 keeps the classes of fields of a few dozen elements on the
+    scan, below the transform's fixed cost of a few NumPy calls."""
+    return max(8, math.isqrt(q * n))
 
 
 def _wht(v: np.ndarray, n: int) -> None:
@@ -202,7 +209,7 @@ def _sozd_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
     order = np.argsort(deriv).astype(np.int32)  # its entries x, y go to sub_vec
     deriv = deriv[order]
     row = None
-    cut = _transform_threshold(q, field.n)
+    cut = min(_transform_threshold(q, field.n), q)
     large = deriv[cut:] == deriv[:q - cut]  # i opens a run of more than cut values
     if large.any():
         large[1:] &= deriv[1:q - cut] != deriv[:q - cut - 1]  # keep each class's first i
@@ -324,7 +331,7 @@ def iter_rows(field: Field, rows, scale: int):
     m = field.order - 1
     doubled = row1[np.concatenate((exp, exp))]  # row 1 in log order, twice
     logs = log[1:].astype(np.intp)  # take would cast int32 on every row; scale * log passes 2^31
-    for shift in ((scale % m) * logs % m).tolist():
+    for shift in (scale % m) * logs % m:  # not .tolist(): q Python ints held through the walk
         out = np.empty_like(row1)
         out[0] = row1[0]
         # indices are in range; "clip" lets take write into out unbuffered
@@ -600,9 +607,9 @@ def property_report_to_dict(report: PropertyReport) -> dict:
 
 # -- serialization ---------------------------------------------------------------
 
-# Counts per write: 128 KiB at width 8.  Much larger pieces each come from a
-# fresh mmap that every write page-faults in, and a whole-row buffer adds the
-# line's bytes to peak memory.
+# Counts per write of a streamed row: 128 KiB at width 8.  Much larger pieces
+# each come from a fresh mmap that every write page-faults in, and a
+# whole-row buffer adds the line's bytes to peak memory.
 _PIECE = 1 << 14
 
 
@@ -615,25 +622,30 @@ def _heads(entries: np.ndarray) -> np.ndarray:
 
 
 class _CountText:
-    """Writes rows of counts as CSV lines through a lookup indexed by the
+    """Turns rows of counts into CSV tokens through a lookup indexed by the
     count.  Entry v is the decimal text of v and a comma, NUL-padded to the
     narrowest power-of-2 width that holds the largest count seen and its
     comma (2 bytes below 10, 4 below 1000, 8 below 10^7, 16 below 10^15), and
     all NULs while v is not yet formatted; a formatted entry starts with a
-    digit, never NUL.  A line is written in pieces of at most _PIECE counts:
-    each piece is one gather into a reused buffer, the counts found
-    unformatted are formatted once each, the row's last cell gets a newline
-    for its comma, and the NULs are dropped.  The lookup grows to the largest
-    count seen."""
+    digit, never NUL.  A row's tokens are one gather from the lookup, after
+    which the counts found unformatted are formatted once each (_fill).
+    `write` writes a streamed row in pieces of at most _PIECE counts through
+    a reused buffer.  A power map's rows are formatted once: write_table_csv
+    takes the tokens of its rows 0 and 1 (`tokens`, one instance per row, so
+    each row has its own width) and gathers every other line from row 1's.
+    The lookup grows to the largest count seen."""
 
     def __init__(self):
         self._lookup = np.zeros(0, dtype=np.dtype((np.void, 8)))
-        self._buf = np.empty(_PIECE, dtype=self._lookup.dtype)
+        self._buf = None
 
-    def _cover(self, top: int) -> None:
-        """Make the lookup reach count `top`, widening it if top needs it.
-        Only the formatted entries are copied, so the pages of counts never
-        seen stay untouched."""
+    def _cover(self, row: np.ndarray) -> None:
+        """Make the lookup reach the row's largest count, widening it if that
+        count needs it.  Only the formatted entries are copied, so the pages
+        of counts never seen stay untouched."""
+        if row.min() < 0:
+            raise SpectraError("a CSV row of counts holds a negative value")
+        top = int(row.max())
         old = self._lookup
         if top < old.size:
             return
@@ -642,39 +654,59 @@ class _CountText:
         known = np.flatnonzero(_heads(old))
         lookup[known] = old[known].view(f"S{old.itemsize}")
         self._lookup = lookup.view(np.dtype((np.void, width)))
-        if width != old.itemsize:
-            self._buf = np.empty(_PIECE, dtype=self._lookup.dtype)
+
+    def _fill(self, counts: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The tokens of counts the lookup covers, into out."""
+        # indices are in range; "clip" lets take write into out unbuffered
+        self._lookup.take(counts, out=out, mode="clip")
+        heads = _heads(out)
+        if np.count_nonzero(heads) < counts.size:
+            blank = heads == 0
+            fresh = counts[blank]
+            values = list(set(fresh.tolist()))
+            text = np.array([b"%d," % v for v in values], dtype=f"S{out.itemsize}")
+            self._lookup[values] = text.view(out.dtype)
+            out[blank] = self._lookup[fresh]
+        return out
+
+    def tokens(self, row: np.ndarray) -> np.ndarray:
+        """The row's tokens as a new array."""
+        self._cover(row)
+        return self._fill(row, np.empty(row.size, dtype=self._lookup.dtype))
 
     def write(self, row: np.ndarray, fobj) -> None:
-        if row.min() < 0:
-            raise SpectraError("a CSV row of counts holds a negative value")
-        self._cover(int(row.max()))
-        width = self._lookup.itemsize
+        self._cover(row)
+        if self._buf is None or self._buf.dtype != self._lookup.dtype:
+            self._buf = np.empty(_PIECE, dtype=self._lookup.dtype)
         for start in range(0, row.size, _PIECE):
             piece = row[start:start + _PIECE]
-            out = self._buf[:piece.size]
-            # indices are in range; "clip" lets take write into out unbuffered
-            self._lookup.take(piece, out=out, mode="clip")
-            heads = _heads(out)
-            if np.count_nonzero(heads) < piece.size:
-                blank = heads == 0
-                fresh = piece[blank]
-                values = list(set(fresh.tolist()))
-                text = np.array([b"%d," % v for v in values], dtype=f"S{width}")
-                self._lookup[values] = text.view(out.dtype)
-                out[blank] = self._lookup[fresh]
-            if start + _PIECE >= row.size:
-                out[-1] = out[-1].tobytes().replace(b",", b"\n")
-            fobj.write(out.tobytes().translate(None, b"\0").decode("ascii"))
+            _write_tokens(self._fill(piece, self._buf[:piece.size]), fobj,
+                          line_end=start + _PIECE >= row.size)
 
 
-def write_table_csv(field: Field, kind: str, label: str, rows, fobj) -> None:
+def _write_tokens(tokens: np.ndarray, fobj, line_end: bool = True) -> None:
+    """Write the tokens as text, NULs dropped; at a line's end the last
+    token's comma becomes a newline (in the array)."""
+    if line_end:
+        tokens[-1] = tokens[-1].tobytes().replace(b",", b"\n")
+    fobj.write(tokens.tobytes().translate(None, b"\0").decode("ascii"))
+
+
+def write_table_csv(field: Field, kind: str, label: str, rows, fobj, *,
+                    scale: int | None = None) -> None:
     """Header `kind,p,n,d_or_table`, then one line per row of counts: p^n
-    rows of p^n counts for a whole table.  The rows may stream, as those of
-    iter_rows and kernel_rows do; each line is written in pieces of at most
-    _PIECE counts, so the writer holds O(largest count) bytes of lookup and
-    O(_PIECE) of buffers (see _CountText)."""
+    rows of p^n counts for a whole table.  Given a scale, rows are the rows
+    0 and 1 of a power map's table (see iter_rows and row_scale): each is
+    formatted once, and every line a != 0 is one gather from row 1's tokens
+    by iter_rows.  Otherwise the rows may stream, as those of kernel_rows
+    do, and each line is written in pieces of at most _PIECE counts.  The
+    writer holds O(largest count) bytes of lookup and O(q) of tokens and
+    buffers (see _CountText)."""
     fobj.write(f"{kind.upper()},{field.p},{field.n},{label}\n")
+    if scale is not None:
+        for line in iter_rows(field, [_CountText().tokens(row) for row in rows], scale):
+            _write_tokens(line, fobj)
+        return
     text = _CountText()
     for row in rows:
         text.write(row, fobj)

@@ -83,23 +83,53 @@ def test_spectra_csv_and_properties(tmp_path, capsys):
     assert len(lines) == 65
 
 
-@pytest.mark.parametrize("kind,field,extra", [
-    *(pytest.param(kind, field, [], id=f"{kind}-{field}")
+@pytest.mark.parametrize("kind,field,d,extra", [
+    *(pytest.param(kind, field, 11, [], id=f"{kind}-{field}")
       for field in ("p=2;n=6", "p=2;n=6;mod=1,1,0,0,0,0,1", "p=3;n=3")
       for kind in ("ddt", "sozd")),
-    *(pytest.param("sozd", field, ["--check-properties"], id=f"sozd-{field}-check-properties")
+    *(pytest.param("sozd", field, 11, ["--check-properties"], id=f"sozd-{field}-check-properties")
       for field in ("p=2;n=6", "p=2;n=6;mod=1,1,0,0,0,0,1")),
+    # row 0 of the DDT of x^67 over F_{2^8} (q = 256) is wider than row 1;
+    # x^3 is not a permutation of F_{2^4}
+    *(pytest.param(kind, field, d, [], id=f"{kind}-{field}-x{d}")
+      for field, d, kinds in [("p=2;n=8", 67, ("fbct", "sozd", "ddt")),
+                              ("p=2;n=4", 3, ("fbct", "ddt")), ("p=2;n=1", 1, ("fbct",)),
+                              ("p=2;n=1", 3, ("ddt", "sozd")), ("p=3;n=4", 7, ("sozd", "ddt")),
+                              ("p=5;n=2", 3, ("sozd", "ddt"))]
+      for kind in kinds),
 ])
-def test_streamed_csv_equals_bruteforce_csv(tmp_path, capsys, field, kind, extra):
-    # the power path gathers rows 0 and 1, the brute force runs the kernel per a
+def test_streamed_csv_equals_bruteforce_csv(tmp_path, capsys, field, kind, d, extra):
+    # the power path gathers every line from the text of rows 0 and 1, the
+    # brute force formats every kernel row: the bytes must be equal
     outs = []
     for method in ("auto", "bruteforce"):
         csv = tmp_path / f"{method}.csv"
-        code, out, _ = run(capsys, "spectra", kind, "--field", field, "--power", "11",
+        code, out, _ = run(capsys, "spectra", kind, "--field", field, "--power", str(d),
                            "--full", "--method", method, "--csv", str(csv), *extra)
         assert code == 0
         outs.append((out, csv.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def test_full_csv_formats_a_power_maps_rows_0_and_1_only(tmp_path, capsys, monkeypatch):
+    """`spectra --full --csv` of a power map turns counts into text for its
+    rows 0 and 1 only, and a table map's rows are formatted one by one."""
+    calls = []
+    fill = spectra._CountText._fill
+
+    def spy(self, counts, out):
+        calls.append(counts.size)
+        return fill(self, counts, out)
+
+    monkeypatch.setattr(spectra._CountText, "_fill", spy)
+    sbox = tmp_path / "sbox.txt"
+    sbox.write_text("".join(f"{(5 * x + 3) % 64}\n" for x in range(64)))
+    for map_args, formatted in [(["--power", "11"], [64, 64]),
+                                (["--table", str(sbox)], [64] * 64)]:
+        calls.clear()
+        code, _, _ = run(capsys, "spectra", "fbct", "--field", "p=2;n=6", *map_args,
+                         "--full", "--csv", str(tmp_path / "t.csv"))
+        assert code == 0 and calls == formatted
 
 
 def test_bruteforce_check_needs_no_power_rows(tmp_path, capsys, monkeypatch):

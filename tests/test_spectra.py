@@ -363,14 +363,15 @@ def test_row_kernel_transformed_and_scanned_classes_match_definitions(case):
 
 def test_additive_maps_collide_everywhere():
     """x^(p^k) is additive, so D_1 x^(p^k) is constant and SOZD(1, b) = q at
-    every b: one class of q elements, transformed at the default threshold."""
+    every b: one class of q elements, transformed at the default threshold,
+    and scanned where q <= 8, the threshold's floor."""
     for p, n, d in [(2, 1, 1), (2, 10, 2), (2, 10, 4), (2, 12, 2**11), (3, 1, 3), (3, 6, 3),
                     (3, 6, 9), (5, 4, 5), (5, 4, 125), (7, 3, 7), (7, 3, 49), (11, 2, 11)]:
         f = make_field(p, n)
         with kernel_cut("default") as calls:
             row = sozd_row_power(f, d)
         assert row.tolist() == [f.order] * f.order, (p, n, d)
-        assert calls == [[f.order]], (p, n, d)
+        assert calls == ([] if f.order <= 8 else [[f.order]]), (p, n, d)
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (6, 3), (8, 4), (9, 3), (10, 1), (10, 5), (12, 4)])
@@ -391,14 +392,31 @@ def test_gold_map_row_is_q_on_the_subfield(n, k, mode):
         assert calls == []
 
 
-@pytest.mark.parametrize("p,n,d", [(3, 8, 3), (5, 4, 5), (7, 1, 5), (11, 1, 5)])
-def test_odd_p_transform_equals_the_scan(p, n, d):
+@pytest.mark.parametrize("p,n,d,cut", [
+    pytest.param(p, n, d, cut, id=f"{p}-{n}-{d}")
+    for p, n, d, cut in [(3, 8, 3, "default"), (5, 4, 5, "default"),
+                         (7, 1, 5, "transform"), (11, 1, 5, "transform")]])
+def test_odd_p_transform_equals_the_scan(p, n, d, cut):
+    """Over F_7 and F_11 every class is below the threshold's floor, so the
+    transform is forced there."""
     f = make_field(p, n)
-    with kernel_cut("default") as calls:
+    with kernel_cut(cut) as calls:
         transformed = sozd_row_power(f, d)
     with kernel_cut("scan"):
         scanned = sozd_row_power(f, d)
     assert calls and np.array_equal(transformed, scanned)
+
+
+@pytest.mark.parametrize("p,n,d", [(7, 1, 5), (11, 1, 5), (2, 3, 1), (5, 1, 1)])
+def test_classes_of_at_most_8_elements_are_scanned(p, n, d):
+    """The threshold's floor: classes of up to 8 elements stay on the scan
+    even where sqrt(q n) is smaller, as in fields of a few dozen elements."""
+    f = make_field(p, n)
+    assert spectra._transform_threshold(f.order, n) == 8
+    with kernel_cut("default") as calls:
+        row = sozd_row_power(f, d)
+    assert calls == []
+    assert row.tolist() == [sozd_entry(f, PowerMap(d), 1, b) for b in range(f.order)]
 
 
 @pytest.mark.parametrize("error", ["residue", "sum"])
@@ -876,6 +894,56 @@ def test_csv_writer_memory_is_the_lookup_and_pieces(big):
         finally:
             tracemalloc.stop()
     assert peak <= lookup + 2 * 2**20
+
+
+@pytest.mark.parametrize("p,n,d,kind,widths", [
+    (2, 6, 11, "sozd", (4, 4)), (2, 6, 11, "ddt", (4, 4)), (2, 1, 3, "sozd", (2, 2)),
+    (3, 4, 7, "sozd", (4, 4)), (3, 4, 7, "ddt", (4, 2)), (5, 2, 3, "ddt", (4, 2)),
+    (2, 12, 67, "sozd", (8, 8)), (2, 12, 67, "ddt", (8, 4)),
+])
+def test_power_table_csv_formats_rows_0_and_1_only(monkeypatch, p, n, d, kind, widths):
+    """Given the scale, write_table_csv formats rows 0 and 1 once each, each
+    at its own width (the count q in row 0 widens it past a DDT's row 1),
+    and gathers every other line from row 1's text; the bytes are those of
+    the expanded table."""
+    f = make_field(p, n)
+    rows = power_rows(f, kind, d)
+    calls = []  # (counts, token width) of each call of the formatter, _CountText._fill
+    fill = spectra._CountText._fill
+
+    def spy(self, counts, out):
+        calls.append((counts.copy(), out.itemsize))
+        return fill(self, counts, out)
+
+    monkeypatch.setattr(spectra._CountText, "_fill", spy)
+    buf = io.StringIO()
+    write_table_csv(f, kind, str(d), rows, buf, scale=row_scale(kind, d))
+    assert len(calls) == 2
+    for (counts, width), row, want in zip(calls, rows, widths):
+        assert np.array_equal(counts, row) and width == want
+    table = expand_rows(f, rows, row_scale(kind, d))
+    assert csv_mismatch(buf.getvalue(), f"{kind.upper()},{p},{n},{d}", table) is None
+
+
+def test_power_table_csv_memory_is_a_few_rows():
+    """The FBCT of x^67 over F_{2^12} written from its rows 0 and 1 peaks at
+    9.1-9.4 q-length int64 arrays, measured (the two rows' tokens, iter_rows'
+    doubled row 1, its log and shift arrays, two lines and one line's
+    bytes); formatting every line through the lookup and a piece buffer
+    peaked at 12.4."""
+    f = make_field(2, 12)
+    rows = power_rows(f, "sozd", 67)
+    with open(os.devnull, "w") as sink:
+        write_table_csv(make_field(2, 3), "sozd", "3", power_rows(make_field(2, 3), "sozd", 3),
+                        sink, scale=1)  # first-call imports and caches out of the peak
+        f.log_tables()
+        tracemalloc.start()
+        try:
+            write_table_csv(f, "sozd", "67", rows, sink, scale=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 10.5 * 8 * f.order
 
 
 def test_spectrum_table_kind_flags(f26, f33):
