@@ -22,14 +22,15 @@ lister of the cells where a check fails, for the row check and for
 closed_forms' verification: given
 the check's boolean rows 0 and 1, it counts them (row 0's plus q - 1 times
 row 1's) and lists the first few in (a, b) order.  The CSV writer turns
-counts into text by byte gathers from a lookup of formatted counts.  A
-power map's rows 0 and 1 are formatted once, and iter_rows then gathers
-every other line from row 1's text, so a line costs one gather of tokens
-and one NUL strip; streamed rows are gathered a piece of at most _PIECE
-counts at a time.  The brute-force path, `kernel_rows`, runs the row
-kernel at every a for any map; it is kept selectable for cross-validation,
-`RunningSummary` summarizes its rows as they stream, and a power map's
-property check reads its own rows 0 and 1.
+a row of counts into text by a byte gather from that row's own lookup of
+formatted counts (`_count_text`).  A power map's rows 0 and 1 are
+formatted once, and iter_rows then gathers every other line from row 1's
+text, so a line costs one gather of tokens and one NUL strip; streamed
+rows are gathered a piece of at most _PIECE counts at a time.  The
+brute-force path, `kernel_rows`, runs the row kernel at every a for any
+map; it is kept selectable for cross-validation, `RunningSummary`
+summarizes its rows as they stream, and a power map's property check
+reads its own rows 0 and 1.
 
 Both paths count rows through the derivative D_aF(x) = F(x+a) - F(x), with
 the same code for every characteristic.  A DDT row is the histogram of D_aF,
@@ -607,109 +608,60 @@ def property_report_to_dict(report: PropertyReport) -> dict:
 
 # -- serialization ---------------------------------------------------------------
 
-# Counts per write of a streamed row: 128 KiB at width 8.  Much larger pieces
-# each come from a fresh mmap that every write page-faults in, and a
-# whole-row buffer adds the line's bytes to peak memory.
+# Counts per write of a streamed row: 128 KiB of tokens at width 8.  Much
+# larger pieces each come from a fresh mmap that every write page-faults in,
+# and a whole-row gather adds the line's bytes to peak memory.
 _PIECE = 1 << 14
 
 
-def _heads(entries: np.ndarray) -> np.ndarray:
-    """The first min(width, 8) bytes of each lookup entry as one unsigned
-    int, 0 exactly where the entry is unformatted: a formatted entry starts
-    with a digit, never NUL.  A contiguous view for widths up to 8."""
-    width = entries.itemsize
-    return entries.view(f"u{min(width, 8)}")[::max(width // 8, 1)]
-
-
-class _CountText:
-    """Turns rows of counts into CSV tokens through a lookup indexed by the
-    count.  Entry v is the decimal text of v and a comma, NUL-padded to the
-    narrowest power-of-2 width that holds the largest count seen and its
-    comma (2 bytes below 10, 4 below 1000, 8 below 10^7, 16 below 10^15), and
-    all NULs while v is not yet formatted; a formatted entry starts with a
-    digit, never NUL.  A row's tokens are one gather from the lookup, after
-    which the counts found unformatted are formatted once each (_fill).
-    `write` writes a streamed row in pieces of at most _PIECE counts through
-    a reused buffer.  A power map's rows are formatted once: write_table_csv
-    takes the tokens of its rows 0 and 1 (`tokens`, one instance per row, so
-    each row has its own width) and gathers every other line from row 1's.
-    The lookup grows to the largest count seen."""
-
-    def __init__(self):
-        self._lookup = np.zeros(0, dtype=np.dtype((np.void, 8)))
-        self._buf = None
-
-    def _cover(self, row: np.ndarray) -> None:
-        """Make the lookup reach the row's largest count, widening it if that
-        count needs it.  Only the formatted entries are copied, so the pages
-        of counts never seen stay untouched."""
-        if row.min() < 0:
-            raise SpectraError("a CSV row of counts holds a negative value")
-        top = int(row.max())
-        old = self._lookup
-        if top < old.size:
-            return
-        width = 1 << len(str(top)).bit_length()  # the power of 2 past the digits: the comma fits
-        lookup = np.zeros(top + 1, dtype=f"S{width}")
-        known = np.flatnonzero(_heads(old))
-        lookup[known] = old[known].view(f"S{old.itemsize}")
-        self._lookup = lookup.view(np.dtype((np.void, width)))
-
-    def _fill(self, counts: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The tokens of counts the lookup covers, into out."""
-        # indices are in range; "clip" lets take write into out unbuffered
-        self._lookup.take(counts, out=out, mode="clip")
-        heads = _heads(out)
-        if np.count_nonzero(heads) < counts.size:
-            blank = heads == 0
-            fresh = counts[blank]
-            values = list(set(fresh.tolist()))
-            text = np.array([b"%d," % v for v in values], dtype=f"S{out.itemsize}")
-            self._lookup[values] = text.view(out.dtype)
-            out[blank] = self._lookup[fresh]
-        return out
-
-    def tokens(self, row: np.ndarray) -> np.ndarray:
-        """The row's tokens as a new array."""
-        self._cover(row)
-        return self._fill(row, np.empty(row.size, dtype=self._lookup.dtype))
-
-    def write(self, row: np.ndarray, fobj) -> None:
-        self._cover(row)
-        if self._buf is None or self._buf.dtype != self._lookup.dtype:
-            self._buf = np.empty(_PIECE, dtype=self._lookup.dtype)
-        for start in range(0, row.size, _PIECE):
-            piece = row[start:start + _PIECE]
-            _write_tokens(self._fill(piece, self._buf[:piece.size]), fobj,
-                          line_end=start + _PIECE >= row.size)
+def _count_text(counts: np.ndarray) -> np.ndarray:
+    """The CSV token lookup of a row of counts, indexed by the count.  Entry v
+    is the decimal text of v and a comma, NUL-padded to the narrowest
+    power-of-2 width that holds the row's largest count and its comma (2
+    bytes below 10, 4 below 1000, 8 below 10^7, 16 below 10^15), for each v
+    in the row; every other entry is all NULs.  Each count in the row is
+    formatted once, so a row's tokens are one gather from the lookup."""
+    if counts.min() < 0:
+        raise SpectraError("a CSV row of counts holds a negative value")
+    top = int(counts.max())
+    seen = np.zeros(top + 1, dtype=bool)
+    seen[counts] = True
+    values = np.flatnonzero(seen).tolist()
+    width = 1 << len(str(top)).bit_length()  # the power of 2 past the digits: the comma fits
+    lookup = np.zeros(top + 1, dtype=f"S{width}")
+    lookup[values] = [b"%d," % v for v in values]
+    return lookup
 
 
 def _write_tokens(tokens: np.ndarray, fobj, line_end: bool = True) -> None:
     """Write the tokens as text, NULs dropped; at a line's end the last
     token's comma becomes a newline (in the array)."""
     if line_end:
-        tokens[-1] = tokens[-1].tobytes().replace(b",", b"\n")
+        tokens[-1] = tokens[-1].replace(b",", b"\n")
     fobj.write(tokens.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def write_table_csv(field: Field, kind: str, label: str, rows, fobj, *,
                     scale: int | None = None) -> None:
     """Header `kind,p,n,d_or_table`, then one line per row of counts: p^n
-    rows of p^n counts for a whole table.  Given a scale, rows are the rows
-    0 and 1 of a power map's table (see iter_rows and row_scale): each is
-    formatted once, and every line a != 0 is one gather from row 1's tokens
-    by iter_rows.  Otherwise the rows may stream, as those of kernel_rows
-    do, and each line is written in pieces of at most _PIECE counts.  The
-    writer holds O(largest count) bytes of lookup and O(q) of tokens and
-    buffers (see _CountText)."""
+    rows of p^n counts for a whole table.  Each row's counts become tokens
+    by a gather from that row's own lookup (_count_text).  Given a scale,
+    rows are the rows 0 and 1 of a power map's table (see iter_rows and
+    row_scale): each is turned into tokens once, and every line a != 0 is
+    one gather from row 1's tokens by iter_rows.  Otherwise the rows may
+    stream, as those of kernel_rows do, and each line is gathered and
+    written in pieces of at most _PIECE counts.  The writer holds one row's
+    lookup, O(largest count) bytes, and O(q) bytes of tokens."""
     fobj.write(f"{kind.upper()},{field.p},{field.n},{label}\n")
     if scale is not None:
-        for line in iter_rows(field, [_CountText().tokens(row) for row in rows], scale):
+        for line in iter_rows(field, [_count_text(row)[row] for row in rows], scale):
             _write_tokens(line, fobj)
         return
-    text = _CountText()
     for row in rows:
-        text.write(row, fobj)
+        lookup = _count_text(row)
+        for start in range(0, row.size, _PIECE):
+            _write_tokens(lookup[row[start:start + _PIECE]], fobj,
+                          line_end=start + _PIECE >= row.size)
 
 
 def write_row_csv(field: Field, kind: str, label: str, row: np.ndarray, fobj) -> None:

@@ -115,13 +115,13 @@ def test_full_csv_formats_a_power_maps_rows_0_and_1_only(tmp_path, capsys, monke
     """`spectra --full --csv` of a power map turns counts into text for its
     rows 0 and 1 only, and a table map's rows are formatted one by one."""
     calls = []
-    fill = spectra._CountText._fill
+    count_text = spectra._count_text
 
-    def spy(self, counts, out):
+    def spy(counts):
         calls.append(counts.size)
-        return fill(self, counts, out)
+        return count_text(counts)
 
-    monkeypatch.setattr(spectra._CountText, "_fill", spy)
+    monkeypatch.setattr(spectra, "_count_text", spy)
     sbox = tmp_path / "sbox.txt"
     sbox.write_text("".join(f"{(5 * x + 3) % 64}\n" for x in range(64)))
     for map_args, formatted in [(["--power", "11"], [64, 64]),

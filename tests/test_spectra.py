@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbox_spectra import (
@@ -813,8 +813,8 @@ def test_csv_row_bytes_equal_reference(length, pool, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_csv_table_bytes_equal_reference_as_the_lookup_grows(pools, wide, length, seed):
     """Each row's maximum is above the last one's, the first row's is below
-    10^7 and the last row's at least 10^7, so the lookup grows at each row
-    and widens from 8 to 16 bytes mid-table."""
+    10^7 and the last row's at least 10^7, so each row's lookup is longer
+    than the last one's and the tokens widen from 8 to 16 bytes mid-table."""
     rng = np.random.default_rng(seed)
     rows, top = [], -1
     for i, pool in enumerate(pools):
@@ -829,11 +829,11 @@ def test_csv_table_bytes_equal_reference_as_the_lookup_grows(pools, wide, length
 
 @pytest.mark.parametrize("small,big,widths", [(9, 10, (2, 4)), (999, 1000, (4, 8))])
 @pytest.mark.parametrize("layout", ["one-piece", "across-pieces", "across-rows"])
-def test_csv_bytes_where_counts_gain_a_digit(small, big, widths, layout):
-    """The lookup is 2 bytes wide below 10, 4 below 1000 and 8 below 10^7:
-    counts that cross 9 -> 10 or 999 -> 1000 within one piece, from one
-    piece to the next, or from one row to the next (the lookup widens, and
-    its formatted entries are copied) are written as the reference is."""
+def test_csv_bytes_where_counts_gain_a_digit(monkeypatch, small, big, widths, layout):
+    """A row's tokens are 2 bytes wide below 10, 4 below 1000 and 8 below
+    10^7: counts that cross 9 -> 10 or 999 -> 1000 within one piece, from
+    one piece to the next, or from one row to the next (each row at the
+    width of its own largest count) are written as the reference is."""
     rng = np.random.default_rng(small)
     if layout == "one-piece":
         rows = [np.array([small, 0, small, big, small - 1, big, 1, small])]
@@ -848,14 +848,42 @@ def test_csv_bytes_where_counts_gain_a_digit(small, big, widths, layout):
         wide = rng.integers(0, small + 1, size=_PIECE + 1)
         wide[[3, -2]] = big
         rows = [narrow, wide, narrow]
-    text = spectra._CountText()
-    seen = []
-    for row in rows:
-        text.write(row, io.StringIO())
-        seen.append(text._lookup.itemsize)
-    tops = np.maximum.accumulate([row.max() for row in rows])  # the largest count so far
-    assert seen == [widths[int(top >= big)] for top in tops]
-    assert csv_mismatch(_csv(rows), "DDT,2,2,3", rows) is None
+    seen = []  # the token width of each row's lookup
+    count_text = spectra._count_text
+
+    def spy(counts):
+        lookup = count_text(counts)
+        seen.append(lookup.itemsize)
+        return lookup
+
+    monkeypatch.setattr(spectra, "_count_text", spy)
+    text = _csv(rows)
+    assert seen == [widths[int(row.max() >= big)] for row in rows]
+    assert csv_mismatch(text, "DDT,2,2,3", rows) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool=st.lists(_COUNTS | st.sampled_from([9, 10, 999, 1000]), min_size=1, max_size=6),
+       length=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+@example(pool=[9, 10], length=8, seed=0).via("9 -> 10")
+@example(pool=[999, 1000], length=8, seed=0).via("999 -> 1000")
+@example(pool=[9_999_999, 10**7], length=8, seed=0).via("9,999,999 -> 10^7")
+def test_count_text_formats_the_rows_counts_at_its_own_width(pool, length, seed):
+    """Each count of the row maps to its text and comma, NUL-padded to the
+    narrowest of 2, 4, 8 and 16 bytes that holds the row's largest count
+    and its comma; every count absent from the row maps to all NULs."""
+    row = np.random.default_rng(seed).choice(np.array(pool, dtype=np.int64), size=length)
+    lookup = spectra._count_text(row)
+    top = int(row.max())
+    width = min(w for w in (2, 4, 8, 16) if w > len(str(top)))
+    assert lookup.itemsize == width and lookup.size > top
+    present = set(row.tolist())
+    for v in present:
+        assert lookup[v:v + 1].tobytes() == (b"%d," % v).ljust(width, b"\0")
+    # the present entries hold exactly their text's bytes, so the nonzero
+    # bytes of the whole lookup are theirs alone: the absent ones are all NUL
+    text_bytes = sum(len(b"%d," % v) for v in present)
+    assert np.count_nonzero(lookup.view(np.uint8)) == text_bytes
 
 
 def test_csv_file_and_string_buffer_agree(tmp_path):
@@ -878,9 +906,10 @@ def test_csv_negative_count_raises(row):
 
 @pytest.mark.parametrize("big", [False, True], ids=["ddt-like", "fbct-like"])
 def test_csv_writer_memory_is_the_lookup_and_pieces(big):
-    """Writing a 2^20-count row allocates the lookup (8 bytes per count up to
-    the largest) and buffers for one piece of _PIECE counts, not a copy of
-    the row's text."""
+    """Writing a 2^20-count row allocates the row's lookup (8 bytes per count
+    up to the largest), one bool per count up to the largest to mark the
+    counts that occur, and one piece of _PIECE tokens and its text, not a
+    copy of the row's text."""
     q = 1 << 20
     row = np.random.default_rng(3).integers(0, 7, size=q) * 2
     if big:
@@ -908,14 +937,15 @@ def test_power_table_csv_formats_rows_0_and_1_only(monkeypatch, p, n, d, kind, w
     the expanded table."""
     f = make_field(p, n)
     rows = power_rows(f, kind, d)
-    calls = []  # (counts, token width) of each call of the formatter, _CountText._fill
-    fill = spectra._CountText._fill
+    calls = []  # (counts, token width) of each call of the formatter, _count_text
+    count_text = spectra._count_text
 
-    def spy(self, counts, out):
-        calls.append((counts.copy(), out.itemsize))
-        return fill(self, counts, out)
+    def spy(counts):
+        lookup = count_text(counts)
+        calls.append((counts.copy(), lookup.itemsize))
+        return lookup
 
-    monkeypatch.setattr(spectra._CountText, "_fill", spy)
+    monkeypatch.setattr(spectra, "_count_text", spy)
     buf = io.StringIO()
     write_table_csv(f, kind, str(d), rows, buf, scale=row_scale(kind, d))
     assert len(calls) == 2
