@@ -9,14 +9,15 @@ Four prediction families are implemented, one per published closed form:
   t4: DDT of x^4 over F_{3^n}
 
 Each claim is encoded once, as a vectorised function `_claim_*` of arrays
-of cells (a, b): per cell, the case that fires and the inclusive (lo, hi)
-span it predicts.  Where the published case analysis proves only a bound,
-the span is that interval and the verifier checks containment.  The
-`predict_*` functions read one cell of it, the `predicted_*_table` helpers
-every cell.  `verify_*` computes the exhaustive spectrum and reports every
-(a, b) where claim and computation disagree, plus the claimed-versus-actual
-uniformity.  The registry holds power-function families with published
-second-order zero differential uniformities for bulk cross-checking.
+of cells (a, b): per cell, the index of the case that fires, and per case
+the inclusive (lo, hi) span it predicts.  Where the published case analysis
+proves only a bound, the span is that interval and the verifier checks
+containment.  The `predict_*` functions read one cell of it, the
+`predicted_*_table` helpers every cell.  `verify_*` computes the exhaustive
+spectrum and reports every (a, b) where claim and computation disagree, plus
+the claimed-versus-actual uniformity.  The registry holds power-function
+families with published second-order zero differential uniformities for
+bulk cross-checking.
 
 Claims and spectra alike are fixed by their rows a = 0 and a = 1: a row
 a != 0 is the a = 1 row read at b/a (b/a^d for the DDT of x^d).  So
@@ -99,25 +100,25 @@ def _check_pk1(field: Field, k: int, condition: str = "exact") -> None:
         raise BadParametersError(f"unknown condition {condition!r}")
 
 
-def _check_x4(field: Field) -> None:
-    if field.p != 3:
-        raise BadParametersError("this family lives over F_{3^n}")
-
-
 # -- the claims, each encoded once ---------------------------------------------------
 #
 # A claim maps arrays a, b of encodings of one shape (int32, as field.xs()
-# and the vector ops give them) to the case that fires at each cell (a, b)
-# and the inclusive (lo, hi) span it predicts there, int64 like the counts.
-# It tests (a, b) themselves rather than u = b/a, so the invariance under
-# (a, b) -> (ca, cb) ((ca, c^4 b) for t4) that row-first verification rests
-# on stays a property to test.
+# and the vector ops give them) to the case that fires at each cell (a, b),
+# an int8 index into its cases, each with the inclusive (lo, hi) span it
+# predicts, int64 like the counts.  It tests (a, b) themselves rather than
+# u = b/a, so the invariance under (a, b) -> (ca, cb) ((ca, c^4 b) for t4)
+# that row-first verification rests on stays a property to test.
 
 @dataclass(frozen=True)
 class _Claim:
     names: tuple[str, ...]  # case names by case index
-    case: np.ndarray        # per cell, the index of the case that fires
-    span: np.ndarray        # per cell, inclusive (lo, hi): shape case.shape + (2,)
+    spans: np.ndarray       # per case, inclusive (lo, hi): shape (len(names), 2)
+    case: np.ndarray        # per cell, the int8 index of the case that fires
+
+    @property
+    def span(self) -> np.ndarray:
+        """Per cell, inclusive (lo, hi): shape case.shape + (2,)."""
+        return self.spans[self.case]
 
 
 def _first_case(*cases) -> _Claim:
@@ -125,11 +126,11 @@ def _first_case(*cases) -> _Claim:
     of one shape and span an int or an inclusive (lo, hi): at each cell the
     first case whose condition holds fires.  The last case has no condition
     (None) and fires where no other does."""
-    case = np.full(cases[0][1].shape, len(cases) - 1)
+    case = np.full(cases[0][1].shape, len(cases) - 1, dtype=np.int8)
     for i in range(len(cases) - 2, -1, -1):
         case[cases[i][1]] = i
     spans = np.array([(s, s) if isinstance(s, int) else s for _, _, s in cases], dtype=np.int64)
-    return _Claim(tuple(name for name, _, _ in cases), case, spans[case])
+    return _Claim(tuple(name for name, _, _ in cases), spans, case)
 
 
 def _claim_fbct_2m3(field: Field, a: np.ndarray, b: np.ndarray) -> _Claim:
@@ -189,7 +190,8 @@ def _claim_ddt_x4(field: Field, a: np.ndarray, b: np.ndarray) -> _Claim:
     """DDT of x^4 over F_{3^n}: 3^n at (0,0), 0 on the rest of row zero; rows
     a != 0 are all-ones for odd n (the map is planar) and for even n carry
     entries in [0, 3] with row maximum 3."""
-    _check_x4(field)
+    if field.p != 3:
+        raise BadParametersError("this family lives over F_{3^n}")
     return _first_case(
         ("zero-row", (a == 0) & (b == 0), field.order),
         ("zero-row", a == 0, 0),
@@ -205,29 +207,34 @@ def _one_cell(field: Field, claim, a, b) -> Prediction:
     return Prediction(name, value=lo) if lo == hi else Prediction(name, bounds=(lo, hi))
 
 
-def _claim_rows(field: Field, claim, rows=(0, 1)) -> np.ndarray:
-    """A claim's inclusive (lo, hi) spans on the rows a in `rows` at every b,
-    shape (len(rows), q, 2).  Rows 0 and 1 decide a claim, as they decide
-    the spectra of the power maps: the claims are invariant under the same
-    row scalings."""
-    return claim(field, *np.broadcast_arrays(np.asarray(rows)[:, None], field.xs())).span
+def _claim_rows(field: Field, claim, rows=(0, 1)) -> _Claim:
+    """A claim on the rows a in `rows` at every b: its case index has shape
+    (len(rows), q).  Rows 0 and 1 decide a claim, as they decide the spectra
+    of the power maps: the claims are invariant under the same row
+    scalings."""
+    return claim(field, *np.broadcast_arrays(np.asarray(rows)[:, None], field.xs()))
+
+
+def _predicted_table(field: Field, claim) -> tuple[np.ndarray, np.ndarray]:
+    """(values, interval_mask) of a claim at every cell: a cell under the
+    mask carries a bound, and its value is the bound's lower end."""
+    rows = _claim_rows(field, claim, field.xs())
+    lo, hi = rows.spans.T
+    return lo[rows.case], (lo != hi)[rows.case]
 
 
 def predict_fbct_2m3(field: Field, a, b) -> Prediction:
     """Per-pair FBCT claim for x^(2^m+3) (see _claim_fbct_2m3)."""
-    _m_of(field)
     return _one_cell(field, _claim_fbct_2m3, a, b)
 
 
 def predict_fbct_2m5(field: Field, a, b) -> Prediction:
     """Per-pair FBCT claim for x^(2^m+5) (see _claim_fbct_2m5)."""
-    _m_of(field)
     return _one_cell(field, _claim_fbct_2m5, a, b)
 
 
 def predict_sozd_pk1(field: Field, k: int, a, b) -> DualPrediction:
     """Dual per-pair claim for x^(p^k+1), p odd (see _claim_sozd_pk1)."""
-    _check_pk1(field, k)
     exact, stated = (_one_cell(field, partial(_claim_sozd_pk1, k=k, condition=c), a, b)
                      for c in ("exact", "stated"))
     return DualPrediction(exact=exact, stated=stated)
@@ -235,44 +242,41 @@ def predict_sozd_pk1(field: Field, k: int, a, b) -> DualPrediction:
 
 def predict_ddt_x4_f3n(field: Field, a, b) -> Prediction:
     """Per-pair DDT claim for x^4 over F_{3^n} (see _claim_ddt_x4)."""
-    _check_x4(field)
     return _one_cell(field, _claim_ddt_x4, a, b)
 
 
 def predicted_fbct_2m3_table(field: Field) -> np.ndarray:
-    return _claim_rows(field, _claim_fbct_2m3, field.xs())[..., 0]
+    return _predicted_table(field, _claim_fbct_2m3)[0]
 
 
 def predicted_fbct_2m5_table(field: Field) -> tuple[np.ndarray, np.ndarray]:
     """Returns (values, interval_mask): cells under interval_mask carry the
     proven bound [0, 16] instead of an exact value (m = 3 residual case)."""
-    table = _claim_rows(field, _claim_fbct_2m5, field.xs())
-    return table[..., 0], table[..., 0] != table[..., 1]
+    return _predicted_table(field, _claim_fbct_2m5)
 
 
 def predicted_sozd_pk1_table(field: Field, k: int, condition: str = "exact") -> np.ndarray:
-    return _claim_rows(field, partial(_claim_sozd_pk1, k=k, condition=condition),
-                       field.xs())[..., 0]
+    return _predicted_table(field, partial(_claim_sozd_pk1, k=k, condition=condition))[0]
 
 
 def predicted_ddt_x4_table(field: Field) -> tuple[np.ndarray, np.ndarray]:
     """Returns (values, interval_mask) as predicted_fbct_2m5_table."""
-    table = _claim_rows(field, _claim_ddt_x4, field.xs())
-    return table[..., 0], table[..., 0] != table[..., 1]
+    return _predicted_table(field, _claim_ddt_x4)
 
 
 # -- diffs on rows a = 0 and a = 1 ---------------------------------------------
 
-def _diff(field: Field, actual: np.ndarray, claim: np.ndarray,
-          scale: int) -> tuple[int, int, list]:
+def _diff(field: Field, actual, claim: _Claim, scale: int) -> tuple[int, int, list]:
     """(matches, mismatch count, capped [a, b, predicted, actual] listing) of
-    the spectrum rows against the claim rows; a bound is listed as [lo, hi]."""
-    bad = (actual < claim[..., 0]) | (actual > claim[..., 1])
+    the pair of spectrum rows against the claim rows; a bound is listed as
+    [lo, hi]."""
+    lo, hi = claim.spans.T
+    bad = [(row < lo[case]) | (row > hi[case]) for row, case in zip(actual, claim.case)]
     n_bad, cells = flagged_cells(field, bad, scale, MISMATCH_CAP)
     listing = []
     for a, b, r, u in cells:
-        lo, hi = (int(v) for v in claim[r, u])
-        listing.append([a, b, lo if lo == hi else [lo, hi], int(actual[r, u])])
+        lo_u, hi_u = claim.spans[claim.case[r, u]].tolist()
+        listing.append([a, b, lo_u if lo_u == hi_u else [lo_u, hi_u], int(actual[r][u])])
     return field.order**2 - n_bad, n_bad, listing
 
 
@@ -312,13 +316,13 @@ class VerificationReport:
         }
 
 
-def _report(target: str, params: dict, fld: Field, kind: str, claim: np.ndarray,
-            claimed_u: int) -> tuple[VerificationReport, np.ndarray, SpectrumSummary]:
+def _report(target: str, params: dict, fld: Field, kind: str, claim: _Claim,
+            claimed_u: int) -> tuple[VerificationReport, tuple, SpectrumSummary]:
     """Diff the claim rows against the spectrum rows of x^params["d"]; returns
-    the report, and the spectrum rows and their table summary for
+    the report, and the pair of spectrum rows and their table summary for
     family-specific extras."""
     d = params["d"]
-    actual = np.stack(power_rows(fld, kind, d))
+    actual = power_rows(fld, kind, d)
     matches, n_bad, listing = _diff(fld, actual, claim, row_scale(kind, d))
     summary = power_table_summary(fld, kind, actual)
     actual_u = summary.uniformity
@@ -336,50 +340,43 @@ def _report(target: str, params: dict, fld: Field, kind: str, claim: np.ndarray,
     return report, actual, summary
 
 
-_RESIDUAL_NOTE = (
-    "residual-class cells differ from the claimed constant; the "
-    "closed form proves only an upper bound there"
-)
-
-
-def verify_fbct_2m3(m: int) -> VerificationReport:
+def _verify_fbct(target: str, m: int, d: int, claim) -> VerificationReport:
+    """t1 or t2: the FBCT of x^d over F_{2^2m} against `claim`."""
     fld = make_field(2, 2 * m)
-    claim = _claim_rows(fld, _claim_fbct_2m3)
-    report, _, summary = _report("t1", {"m": m, "d": (1 << m) + 3}, fld, "sozd", claim, 1 << m)
+    rows = _claim_rows(fld, claim)
+    report, _, summary = _report(target, {"m": m, "d": d}, fld, "sozd", rows, 1 << m)
     report.extras["value_histogram"] = dict(summary.histogram)
-    if report.mismatch_count:
-        report.notes.append(_RESIDUAL_NOTE)
-    return report
-
-
-def verify_fbct_2m5(m: int) -> VerificationReport:
-    fld = make_field(2, 2 * m)
-    claim = _claim_rows(fld, _claim_fbct_2m5)
-    report, _, summary = _report("t2", {"m": m, "d": (1 << m) + 5}, fld, "sozd", claim, 1 << m)
-    report.extras["value_histogram"] = dict(summary.histogram)
-    if m == 3:
+    if "residual-bound-only" in rows.names:  # t2 at m = 3
         report.notes.append(
             f"residual class checked by containment in [0, 16]; exhaustive "
             f"maximum over the restricted domain is {report.uniformity_actual}, "
             f"claimed {1 << m}"
         )
     if report.mismatch_count:
-        report.notes.append(_RESIDUAL_NOTE)
+        report.notes.append("residual-class cells differ from the claimed constant; the "
+                            "closed form proves only an upper bound there")
     return report
+
+
+def verify_fbct_2m3(m: int) -> VerificationReport:
+    return _verify_fbct("t1", m, (1 << m) + 3, _claim_fbct_2m3)
+
+
+def verify_fbct_2m5(m: int) -> VerificationReport:
+    return _verify_fbct("t2", m, (1 << m) + 5, _claim_fbct_2m5)
 
 
 def verify_sozd_pk1(p: int, k: int, n: int, condition: str = "exact") -> VerificationReport:
     fld = make_field(p, n)
     _check_pk1(fld, k, condition)
-    claims = {
-        cond: _claim_rows(fld, partial(_claim_sozd_pk1, k=k, condition=cond))
-        for cond in ("exact", "stated")
-    }
+    exact, stated = (_claim_rows(fld, partial(_claim_sozd_pk1, k=k, condition=c))
+                     for c in ("exact", "stated"))
     s = math.gcd(n, k)
     claimed = p**n if (n // s) % 2 == 0 else 0
     params = {"p": p, "k": k, "n": n, "d": p**k + 1, "condition": condition}
-    report, _, summary = _report("t3", params, fld, "sozd", claims[condition], claimed)
-    disc = claims["exact"][..., 0] != claims["stated"][..., 0]
+    claim = exact if condition == "exact" else stated
+    report, _, summary = _report("t3", params, fld, "sozd", claim, claimed)
+    disc = exact.spans[exact.case, 0] != stated.spans[stated.case, 0]
     n_disc, examples = flagged_cells(fld, disc, 1, 20)
     report.extras = {
         "entry_values": [v for v, _ in summary.histogram],

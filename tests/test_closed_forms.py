@@ -7,6 +7,7 @@ where they differ from the published per-entry claims, the registry and
 verify reports are required to flag the difference rather than hide it.
 """
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -159,7 +160,7 @@ def test_predictor_value_domains(f26, f28):
 # claim, expanded by the row scaling, must give the same table.
 
 def _expanded_claim(field, claim, scale=1):
-    return expand_rows(field, _claim_rows(field, claim), scale)
+    return expand_rows(field, _claim_rows(field, claim).span, scale)
 
 
 def test_vectorized_2m3_matches_scalar(f26):
@@ -222,7 +223,7 @@ def test_claims_are_invariant_under_row_scaling(field, claim, e, data):
     scaled = claim(field, field.mul_vec(c, a), field.mul_vec(field.pow(c, e), b))
     assert scaled.names == base.names
     assert np.array_equal(scaled.case, base.case)
-    assert np.array_equal(scaled.span, base.span)
+    assert np.array_equal(scaled.spans, base.spans)
 
 
 def _stride(field):
@@ -355,6 +356,26 @@ def test_verify_builds_no_scalar_tables(monkeypatch):
     assert report.mismatch_count > 0 and len(report.mismatches) == 200
 
 
+def test_fbct_verify_holds_one_case_byte_per_claimed_cell():
+    """The claim rows of t1 and t2 are an int8 case index per cell with one
+    span per case, not a (lo, hi) int64 pair per cell (the size of 8 q-length
+    int32 arrays).  The traced peak of verify at m = 10 (q = 2^20, a field
+    above the intern bound, so its exp/log tables are built inside) covers
+    those tables, the claim and the SOZD row kernel: about 16.5 arrays."""
+    q = 1 << 20
+    peaks = []
+    for verify in (verify_fbct_2m3, verify_fbct_2m5):
+        tracemalloc.start()
+        try:
+            verify(10)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (4 * q))
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 20, peaks
+    f = make_field(2, 20)
+    assert _claim_rows(f, _claim_fbct_2m5).case.dtype == np.int8
+
+
 def test_verification_report_serializable():
     import json
 
@@ -367,7 +388,7 @@ def test_verification_report_serializable():
 
 def _oracle_claims(field, claim):
     """Every cell's claim as inclusive (lo, hi), from one call over all (a, b)."""
-    return _claim_rows(field, claim, field.xs())
+    return _claim_rows(field, claim, field.xs()).span
 
 
 def _oracle_diff(entries, claims):
