@@ -10,9 +10,8 @@ that does not fit in memory.  Output is byte-deterministic for a fixed
 configuration.  --jobs is accepted for compatibility with existing command
 lines and changes neither output nor work.
 
-The argument parser is built once per process (build_parser is cached):
-`main` and `RunConfig.parse` share it, so repeated in-process calls do not
-rebuild the argparse tree.
+The argument parser is built once per process (build_parser is cached), so
+repeated in-process calls to `main` do not rebuild the argparse tree.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import itertools
 import json
 import shlex
 import sys
-from dataclasses import dataclass
 
 from .closed_forms import registry_cases, verify_registry, verify_theorem
 from .errors import SpectraError, WrongLengthError
@@ -59,54 +57,6 @@ def load_table_map(field: Field, path: str) -> TableMap:
             f"{path}: {len(lines)} entries, field has {field.order}"
         )
     return TableMap(tuple(field.parse_element(ln) for ln in lines))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Canonicalized spectra-run configuration; round-trips through its
-    canonical argv string."""
-
-    op: str
-    field_spec: str
-    power: int | None
-    table_path: str | None
-    mode: str
-    method: str
-    jobs: int
-    csv_path: str | None
-    check_properties: bool
-
-    def canonical(self) -> str:
-        argv = ["spectra", self.op, "--field", self.field_spec]
-        if self.power is not None:
-            argv += ["--power", str(self.power)]
-        if self.table_path is not None:
-            argv += ["--table", self.table_path]
-        argv += [f"--{self.mode}", "--method", self.method, "--jobs", str(self.jobs)]
-        if self.csv_path is not None:
-            argv += ["--csv", self.csv_path]
-        if self.check_properties:
-            argv += ["--check-properties"]
-        return shlex.join(argv)
-
-    @classmethod
-    def from_args(cls, args, field: Field) -> "RunConfig":
-        return cls(
-            op=args.table_kind,
-            field_spec=field.spec_string(),
-            power=args.power,
-            table_path=args.table,
-            mode="row" if args.row else "full",
-            method=args.method,
-            jobs=args.jobs,
-            csv_path=args.csv,
-            check_properties=args.check_properties,
-        )
-
-    @classmethod
-    def parse(cls, text: str) -> "RunConfig":
-        args = build_parser().parse_args(shlex.split(text))
-        return cls.from_args(args, parse_field_spec(args.field))
 
 
 @functools.lru_cache(maxsize=1)
@@ -225,14 +175,29 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _canonical_command(args, field: Field) -> str:
+    """The spectra run as one command line, every option spelled out;
+    running it again reproduces the run."""
+    argv = ["spectra", args.table_kind, "--field", field.spec_string()]
+    if args.power is not None:
+        argv += ["--power", str(args.power)]
+    if args.table is not None:
+        argv += ["--table", args.table]
+    argv += ["--row" if args.row else "--full", "--method", args.method, "--jobs", str(args.jobs)]
+    if args.csv is not None:
+        argv += ["--csv", args.csv]
+    if args.check_properties:
+        argv += ["--check-properties"]
+    return shlex.join(argv)
+
+
 def _cmd_spectra(args) -> int:
     field = parse_field_spec(args.field)
     if args.table_kind == "fbct" and field.p != 2:
         raise SpectraError("fbct requires characteristic 2; use sozd for odd p")
     kind = "ddt" if args.table_kind == "ddt" else "sozd"
     fmap = PowerMap(args.power) if args.power is not None else load_table_map(field, args.table)
-    config = RunConfig.from_args(args, field)
-    print(f"# {config.canonical()}", file=sys.stderr)
+    print(f"# {_canonical_command(args, field)}", file=sys.stderr)
 
     if args.row:
         if args.power is None:

@@ -102,12 +102,13 @@ def _check_pk1(field: Field, k: int, condition: str = "exact") -> None:
 
 # -- the claims, each encoded once ---------------------------------------------------
 #
-# A claim maps arrays a, b of encodings of one shape (int32, as field.xs()
-# and the vector ops give them) to the case that fires at each cell (a, b),
-# an int8 index into its cases, each with the inclusive (lo, hi) span it
-# predicts, int64 like the counts.  It tests (a, b) themselves rather than
-# u = b/a, so the invariance under (a, b) -> (ca, cb) ((ca, c^4 b) for t4)
-# that row-first verification rests on stays a property to test.
+# A claim maps arrays a, b of encodings that broadcast together (int32, as
+# field.xs() and the vector ops give them; rows a as a column against every
+# b) to the case that fires at each cell (a, b), an int8 index into its
+# cases, each with the inclusive (lo, hi) span it predicts, int64 like the
+# counts.  It tests (a, b) themselves rather than u = b/a, so the
+# invariance under (a, b) -> (ca, cb) ((ca, c^4 b) for t4) that row-first
+# verification rests on stays a property to test.
 
 @dataclass(frozen=True)
 class _Claim:
@@ -123,12 +124,14 @@ class _Claim:
 
 def _first_case(*cases) -> _Claim:
     """Ordered cases (name, condition, span), the conditions boolean arrays
-    of one shape and span an int or an inclusive (lo, hi): at each cell the
-    first case whose condition holds fires.  The last case has no condition
-    (None) and fires where no other does."""
-    case = np.full(cases[0][1].shape, len(cases) - 1, dtype=np.int8)
+    that broadcast together and span an int or an inclusive (lo, hi): at
+    each cell of their broadcast shape the first case whose condition holds
+    fires.  The last case has no condition (None) and fires where no other
+    does."""
+    shape = np.broadcast_shapes(*(cond.shape for _, cond, _ in cases[:-1]))
+    case = np.full(shape, len(cases) - 1, dtype=np.int8)
     for i in range(len(cases) - 2, -1, -1):
-        case[cases[i][1]] = i
+        case[np.broadcast_to(cases[i][1], shape)] = i
     spans = np.array([(s, s) if isinstance(s, int) else s for _, _, s in cases], dtype=np.int64)
     return _Claim(tuple(name for name, _, _ in cases), spans, case)
 
@@ -174,7 +177,8 @@ def _claim_sozd_pk1(field: Field, a: np.ndarray, b: np.ndarray, k: int,
     pn = field.order
     if condition == "exact":
         e = field.p**k - 1
-        total = field.add_vec(field.pow_vec(a, e), field.pow_vec(b, e))
+        # odd-p add_vec adds in place, so its operands must have one shape
+        total = field.add_vec(*np.broadcast_arrays(field.pow_vec(a, e), field.pow_vec(b, e)))
         vanishes = (a == 0) | (b == 0) | (total == 0)
         return _first_case(("vanishing-difference", vanishes, pn), ("nonvanishing", None, 0))
     square = field.pow_vec(field.div_vec(a, np.where(b == 0, 1, b)), 2)  # (a/b)^2 where b != 0
@@ -209,10 +213,11 @@ def _one_cell(field: Field, claim, a, b) -> Prediction:
 
 def _claim_rows(field: Field, claim, rows=(0, 1)) -> _Claim:
     """A claim on the rows a in `rows` at every b: its case index has shape
-    (len(rows), q).  Rows 0 and 1 decide a claim, as they decide the spectra
-    of the power maps: the claims are invariant under the same row
-    scalings."""
-    return claim(field, *np.broadcast_arrays(np.asarray(rows)[:, None], field.xs()))
+    (len(rows), q).  The rows go in as a column, so a term in a alone is
+    computed once per row, not once per cell.  Rows 0 and 1 decide a claim,
+    as they decide the spectra of the power maps: the claims are invariant
+    under the same row scalings."""
+    return claim(field, np.asarray(rows, dtype=np.int32)[:, None], field.xs())
 
 
 def _predicted_table(field: Field, claim) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 
@@ -10,9 +11,9 @@ import pytest
 
 import sbox_spectra
 from sbox_spectra import cli, closed_forms, spectra
-from sbox_spectra.cli import RunConfig, build_parser, load_table_map, main
+from sbox_spectra.cli import build_parser, load_table_map, main
 from sbox_spectra.errors import UnparsableElementError, WrongLengthError
-from sbox_spectra.fields import make_field
+from sbox_spectra.fields import make_field, parse_field_spec
 from sbox_spectra.spectra import (
     TableMap,
     fbct_property_check,
@@ -488,20 +489,65 @@ def test_registry_listing(capsys):
     assert len(rows) == 55
 
 
-def test_run_config_round_trip():
-    cfg = RunConfig(
-        op="fbct", field_spec=make_field(2, 6).spec_string(), power=11,
-        table_path=None, mode="full", method="auto", jobs=1,
-        csv_path=None, check_properties=True,
-    )
-    assert RunConfig.parse(cfg.canonical()) == cfg
-    cfg2 = RunConfig(
-        op="ddt", field_spec=make_field(3, 2).spec_string(), power=4,
-        table_path=None, mode="row", method="bruteforce", jobs=4,
-        csv_path="out.csv", check_properties=False,
-    )
-    assert RunConfig.parse(cfg2.canonical()) == cfg2
-    assert RunConfig.parse(cfg2.canonical()).canonical() == cfg2.canonical()
+# (argv after "spectra", the canonical line it prints); "{}" is the test's
+# directory, which holds sbox.txt, a 16-entry permutation S-box
+CANONICAL_RUNS = [
+    pytest.param(
+        ["fbct", "--field", "p=2;n=6", "--power", "11", "--csv", "{}/out.csv",
+         "--check-properties"],
+        ["fbct", "--field", "p=2;n=6;mod=1,1,0,1,1,0,1", "--power", "11", "--full",
+         "--method", "auto", "--jobs", "1", "--csv", "{}/out.csv", "--check-properties"],
+        id="fbct-power-defaults-csv-check"),
+    pytest.param(
+        ["ddt", "--field", "p=3;n=2", "--power", "4", "--row", "--method", "bruteforce",
+         "--jobs", "4", "--csv", "{}/out.csv"],
+        ["ddt", "--field", "p=3;n=2;mod=2,2,1", "--power", "4", "--row",
+         "--method", "bruteforce", "--jobs", "4", "--csv", "{}/out.csv"],
+        id="ddt-power-row-bruteforce-jobs4-csv"),
+    pytest.param(
+        ["sozd", "--field", "p=3;n=3", "--power", "5", "--jobs", "4", "--method", "fast"],
+        ["sozd", "--field", "p=3;n=3;mod=1,2,0,1", "--power", "5", "--full",
+         "--method", "fast", "--jobs", "4"],
+        id="sozd-power-fast-jobs4"),
+    pytest.param(
+        ["ddt", "--field", "p=2;n=5", "--power", "7", "--row"],
+        ["ddt", "--field", "p=2;n=5;mod=1,0,1,0,0,1", "--power", "7", "--row",
+         "--method", "auto", "--jobs", "1"],
+        id="ddt-power-row-auto"),
+    pytest.param(
+        ["sozd", "--field", "p=2;n=4", "--table", "{}/sbox.txt", "--full", "--csv",
+         "{}/out.csv"],
+        ["sozd", "--field", "p=2;n=4;mod=1,1,0,0,1", "--table", "{}/sbox.txt", "--full",
+         "--method", "auto", "--jobs", "1", "--csv", "{}/out.csv"],
+        id="sozd-table-csv"),
+    pytest.param(
+        ["fbct", "--field", "p=2;n=4;mod=1,1,0,0,1", "--check-properties", "--table",
+         "{}/sbox.txt", "--method", "bruteforce", "--jobs", "4"],
+        ["fbct", "--field", "p=2;n=4;mod=1,1,0,0,1", "--table", "{}/sbox.txt", "--full",
+         "--method", "bruteforce", "--jobs", "4", "--check-properties"],
+        id="fbct-table-bruteforce-jobs4-check"),
+]
+
+
+@pytest.mark.parametrize("argv,canonical", CANONICAL_RUNS)
+def test_canonical_command_reproduces_the_run(tmp_path, capsys, argv, canonical):
+    # the first stderr line spells out every option in one order; parsing it
+    # gives the same line back, and running it again the same stdout and CSV
+    (tmp_path / "sbox.txt").write_text("".join(f"{(5 * x + 3) % 16}\n" for x in range(16)))
+    argv = [a.format(tmp_path) for a in argv]
+    code, out, err = run(capsys, "spectra", *argv)
+    assert code == 0, err
+    line = err.splitlines()[0]
+    assert line == "# " + shlex.join(["spectra", *(a.format(tmp_path) for a in canonical)])
+    args = build_parser().parse_args(shlex.split(line[2:]))
+    assert cli._canonical_command(args, parse_field_spec(args.field)) == line[2:]
+    csv = tmp_path / "out.csv"
+    csv_bytes = csv.read_bytes() if "--csv" in argv else None
+    if csv_bytes is not None:
+        csv.unlink()
+    again = run(capsys, *shlex.split(line[2:]))
+    assert (again[0], again[1], again[2].splitlines()[0]) == (code, out, line)
+    assert (csv.read_bytes() if csv.exists() else None) == csv_bytes
 
 
 def run_alone(argv):

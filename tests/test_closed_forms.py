@@ -376,6 +376,50 @@ def test_fbct_verify_holds_one_case_byte_per_claimed_cell():
     assert _claim_rows(f, _claim_fbct_2m5).case.dtype == np.int8
 
 
+def test_claim_rows_take_the_rows_as_a_column():
+    """t1 and t2 evaluate their conditions on the rows a = 0, 1 as a (2, 1)
+    column against every b, so a^e is raised twice, not 2q times: at q = 2^20
+    their claim rows peak at 3.75 and 4.25 q-length int32 arrays (the
+    materialised (2, q) grid peaked at 9.0 and 9.5), the int8 case index
+    half an array of it."""
+    f = make_field(2, 20)
+    q = f.order
+    f.log_tables()  # the exp/log tables and xs are the field's, not the claim's
+    f.xs()
+    peaks = []
+    for claim in (_claim_fbct_2m3, _claim_fbct_2m5):
+        tracemalloc.start()
+        try:
+            rows = _claim_rows(f, claim)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (4 * q))
+        finally:
+            tracemalloc.stop()
+        assert rows.case.shape == (2, q)
+    assert max(peaks) <= 5, peaks
+
+
+@pytest.mark.parametrize("p,n,modulus", [(3, 3, None), (3, 6, None), (5, 4, None),
+                                          (7, 3, None), (257, 2, [254, 0, 1])],
+                         ids=["3^3", "3^6", "5^4", "7^3", "257^2"])
+def test_pk1_claim_rows_equal_the_full_grid(p, n, modulus):
+    # the rows go in as a column against every b; the exact claim broadcasts
+    # its two powers before the odd-p add (one limb, several, and p > 256,
+    # x^2 - 3 as 3 is a nonsquare mod 257), so it must give the cells of the
+    # materialised grid
+    f = make_field(p, n, modulus)
+    xs = f.xs()
+    for rows in ((0, 1), np.r_[0, 1, xs[2::1 + f.order // 64]]):
+        grid = np.broadcast_arrays(np.asarray(rows, dtype=np.int32)[:, None], xs)
+        for k in range(1, n):
+            for condition in ("exact", "stated"):
+                claim = partial(_claim_sozd_pk1, k=k, condition=condition)
+                got, want = _claim_rows(f, claim, rows), claim(f, *grid)
+                assert got.names == want.names
+                assert np.array_equal(got.spans, want.spans)
+                assert got.case.shape == (len(rows), f.order)
+                assert np.array_equal(got.case, want.case)
+
+
 def test_verification_report_serializable():
     import json
 
