@@ -38,10 +38,8 @@ from .spectra import (
     power_row_summary,
     power_rows,
     power_table_summary,
-    property_report_to_dict,
     row_scale,
     sozd_table,
-    summary_to_dict,
     uses_power_rows,
     write_row_csv,
     write_table_csv,
@@ -121,8 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(obj: dict, json_path: str | None = None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+def _emit(obj, json_path: str | None = None) -> None:
+    """Write obj as JSON to stdout, and the same text to json_path if given.
+    A report dataclass in obj is written as its fields, in declared order."""
+    text = json.dumps(obj, indent=2, default=vars) + "\n"
     sys.stdout.write(text)
     if json_path:
         with open(json_path, "w") as fh:
@@ -206,9 +206,9 @@ def _cmd_spectra(args) -> int:
             raise SpectraError("--check-properties needs the full table")
         row = power_rows(field, kind, args.power)[1]
         if args.csv:
-            with open(args.csv, "w") as fh:
+            with open(args.csv, "wb") as fh:
                 write_row_csv(field, kind, str(args.power), row, fh)
-        _emit({"row": "a=1", **summary_to_dict(power_row_summary(field, kind, row))})
+        _emit({"row": "a=1", **vars(power_row_summary(field, kind, row))})
         return 0
 
     if args.check_properties and (kind == "ddt" or field.p != 2):
@@ -217,10 +217,10 @@ def _cmd_spectra(args) -> int:
         summary, report = _power_table(args, field, kind, fmap.d)
     else:
         summary, report = _kernel_table(args, field, kind, fmap)
-    out = summary_to_dict(summary)
+    out = dict(vars(summary))
     exit_code = 0
     if report is not None:
-        out["properties"] = property_report_to_dict(report)
+        out["properties"] = report
         if not report.ok:
             exit_code = 1
     _emit(out)
@@ -232,7 +232,7 @@ def _power_table(args, field: Field, kind: str, d: int):
     rows 0 and 1 in O(q) memory."""
     rows = power_rows(field, kind, d)
     if args.csv:
-        with open(args.csv, "w") as fh:
+        with open(args.csv, "wb") as fh:
             write_table_csv(field, kind, str(d), rows, fh, scale=row_scale(kind, d))
     report = fbct_row_property_check(field, rows) if args.check_properties else None
     return power_table_summary(field, kind, rows), report
@@ -258,7 +258,7 @@ def _kernel_table(args, field: Field, kind: str, fmap):
     running = RunningSummary(field, kind)
     rows = (running.add(row, a) for a, row in enumerate(rows))
     if args.csv:
-        with open(args.csv, "w") as fh:
+        with open(args.csv, "wb") as fh:
             write_table_csv(field, kind, map_label(fmap), rows, fh)
     else:
         collections.deque(rows, maxlen=0)
@@ -268,7 +268,7 @@ def _kernel_table(args, field: Field, kind: str, fmap):
 def _cmd_verify(args) -> int:
     if args.registry:
         report = verify_registry(max_size=args.max_size)
-        _emit(report.to_dict(), args.json)
+        _emit(report, args.json)
         print(
             f"registry: {report.matched} matched, {report.mismatched} mismatched, "
             f"{report.skipped} skipped",
@@ -279,7 +279,7 @@ def _cmd_verify(args) -> int:
     # verify_theorem reports a missing parameter as BadParametersError
     params = {k: v for k in ("m", "p", "k", "n") if (v := getattr(args, k)) is not None}
     report = verify_theorem(args.theorem, condition=args.condition, **params)
-    _emit(report.to_dict(), args.json)
+    _emit(report, args.json)
     print(
         f"{report.target} {report.params}: uniformity claimed={report.uniformity_claimed} "
         f"actual={report.uniformity_actual} agrees={report.agrees} "
@@ -290,7 +290,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_registry(args) -> int:
-    _emit({"rows": [c.to_dict() for c in registry_cases()]}, args.json)
+    _emit({"rows": registry_cases()}, args.json)
     return 0
 
 

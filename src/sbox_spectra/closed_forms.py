@@ -25,6 +25,10 @@ verification and the registry read two O(q) rows, q = p^n, and build no
 q x q table: the mismatch count and its capped listing in (a, b) order
 come from the two boolean rows of mismatches through spectra.flagged_cells,
 with vectorised field arithmetic only.
+
+The reports (VerificationReport, RegistryCase, RegistryReport) are written
+by the CLI as their fields in declared order: a field's name and place are
+its JSON key's.
 """
 
 from __future__ import annotations
@@ -291,7 +295,7 @@ def _diff(field: Field, actual, claim: _Claim, scale: int) -> tuple[int, int, li
 class VerificationReport:
     target: str
     params: dict
-    field_spec: str
+    field: str  # spec string
     uniformity_claimed: int
     uniformity_actual: int
     agrees: bool
@@ -304,21 +308,6 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return self.mismatch_count == 0 and self.agrees
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "params": self.params,
-            "field": self.field_spec,
-            "uniformity_claimed": self.uniformity_claimed,
-            "uniformity_actual": self.uniformity_actual,
-            "agrees": self.agrees,
-            "matches": self.matches,
-            "mismatch_count": self.mismatch_count,
-            "mismatches": self.mismatches,
-            "notes": self.notes,
-            "extras": self.extras,
-        }
 
 
 def _report(target: str, params: dict, fld: Field, kind: str, claim: _Claim,
@@ -334,7 +323,7 @@ def _report(target: str, params: dict, fld: Field, kind: str, claim: _Claim,
     report = VerificationReport(
         target=target,
         params=params,
-        field_spec=fld.spec_string(),
+        field=fld.spec_string(),
         uniformity_claimed=claimed_u,
         uniformity_actual=actual_u,
         agrees=actual_u == claimed_u,
@@ -422,13 +411,8 @@ class RegistryCase:
     p: int
     n: int
     d: int
-    expected: int
     params: dict
-
-    def to_dict(self) -> dict:
-        """The case's report row, before its `status` and `actual`."""
-        return {"name": self.name, "pattern": self.pattern, "p": self.p, "n": self.n,
-                "d": self.d, "params": self.params, "expected": self.expected}
+    expected: int
 
 
 def registry_cases() -> list[RegistryCase]:
@@ -442,7 +426,7 @@ def registry_cases() -> list[RegistryCase]:
     cases: list[RegistryCase] = []
 
     def add(name, pattern, p, n, d, expected, **params):
-        cases.append(RegistryCase(name, pattern, p, n, d, expected, params))
+        cases.append(RegistryCase(name, pattern, p, n, d, params, expected))
 
     for n in (4, 5, 6, 8):
         add("inverse", "2^n-2", 2, n, 2**n - 2, 2 if n % 2 else 4)
@@ -486,14 +470,6 @@ class RegistryReport:
     def ok(self) -> bool:
         return self.mismatched == 0
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "matched": self.matched,
-            "mismatched": self.mismatched,
-            "skipped": self.skipped,
-        }
-
 
 def verify_registry(max_size: int = 1024) -> RegistryReport:
     """Compute the uniformity for every registry case with p^n <= max_size
@@ -501,7 +477,7 @@ def verify_registry(max_size: int = 1024) -> RegistryReport:
     rows = []
     matched = mismatched = skipped = 0
     for case in registry_cases():
-        row = case.to_dict()
+        row = dict(vars(case))  # a copy: the case is frozen
         if case.p**case.n > max_size:
             row["status"] = "skipped"
             row["actual"] = None

@@ -210,9 +210,6 @@ class Field:
     def __iter__(self):
         return self.elements()
 
-    def indices(self) -> range:
-        return range(self.order)
-
     def format_element(self, x) -> str:
         i = self.as_index(x)
         if self.p == 2:
@@ -553,10 +550,12 @@ class Field:
         A = self._encodings(A)
         B = self._encodings(B)
         self._ensure_tables()
-        A, B = np.broadcast_arrays(A, B)
-        out = np.zeros(A.shape, dtype=np.int32)
-        nz = (A != 0) & (B != 0)
-        out[nz] = self._np_exp[(self._np_log[A[nz]] + self._np_log[B[nz]]) % self._m]
+        # every cell at once, as in pow_vec: log[0] = -1 still gives an
+        # in-range index, and the cells with a zero factor are set to 0 after
+        k = self._np_log[A] + self._np_log[B]
+        k %= self._m
+        out = np.asarray(self._np_exp[k])
+        np.copyto(out, 0, where=(A == 0) | (B == 0))
         return out
 
     def div_vec(self, A, B) -> np.ndarray:
@@ -565,10 +564,10 @@ class Field:
         if np.any(B == 0):
             raise ZeroDivisionError("division by zero")
         self._ensure_tables()
-        A, B = np.broadcast_arrays(A, B)
-        out = np.zeros(A.shape, dtype=np.int32)
-        nz = A != 0
-        out[nz] = self._np_exp[(self._np_log[A[nz]] - self._np_log[B[nz]]) % self._m]
+        k = self._np_log[A] - self._np_log[B]  # as in mul_vec
+        k %= self._m
+        out = np.asarray(self._np_exp[k])
+        np.copyto(out, 0, where=A == 0)  # where broadcasts: A may be smaller than out
         return out
 
     def pow_vec(self, A, e: int) -> np.ndarray:

@@ -30,7 +30,9 @@ rows are gathered a piece of at most _PIECE counts at a time.  The
 brute-force path, `kernel_rows`, runs the row kernel at every a for any
 map; it is kept selectable for cross-validation, `RunningSummary`
 summarizes its rows as they stream, and a power map's property check
-reads its own rows 0 and 1.
+reads its own rows 0 and 1.  The reports, SpectrumSummary and
+PropertyReport, are written by the CLI as their fields in declared order:
+a field's name and place are its JSON key's.
 
 Both paths count rows through the derivative D_aF(x) = F(x+a) - F(x), with
 the same code for every characteristic.  A DDT row is the histogram of D_aF,
@@ -274,15 +276,9 @@ def sozd_entry(field: Field, fmap, a, b) -> int:
     return int(np.count_nonzero(total == 0))
 
 
-def ddt_row_power(field: Field, d: int, normalize: bool = False) -> np.ndarray:
-    """DDT row at a = 1 for x^d; rows a != 0 follow by b -> b/a^d.
-
-    With normalize=True the counts are divided by p^n, giving the
-    differential transition probabilities of the row."""
-    row = _ddt_row(field, field.power_map_table(d), 1)
-    if normalize:
-        return row / field.order
-    return row
+def ddt_row_power(field: Field, d: int) -> np.ndarray:
+    """DDT row at a = 1 for x^d; rows a != 0 follow by b -> b/a^d."""
+    return _ddt_row(field, field.power_map_table(d), 1)
 
 
 def sozd_row_power(field: Field, d: int) -> np.ndarray:
@@ -494,19 +490,11 @@ def _table_summary(table: SpectrumTable) -> SpectrumSummary:
     return running.summary()
 
 
-def summary_to_dict(summary: SpectrumSummary) -> dict:
-    return {
-        "uniformity": summary.uniformity,
-        "histogram": [[v, c] for v, c in summary.histogram],
-        "domain": summary.domain,
-    }
-
-
 # -- structural FBCT properties -------------------------------------------------
 
 @dataclass(frozen=True)
 class PropertyViolation:
-    prop: str
+    property: str
     a: int
     b: int
     detail: str
@@ -595,17 +583,6 @@ def fbct_row_property_check(field: Field, rows) -> PropertyReport:
     return _report(counts, listing)
 
 
-def property_report_to_dict(report: PropertyReport) -> dict:
-    return {
-        "ok": report.ok,
-        "counts": report.counts,
-        "violations": [
-            {"property": v.prop, "a": v.a, "b": v.b, "detail": v.detail}
-            for v in report.violations
-        ],
-    }
-
-
 # -- serialization ---------------------------------------------------------------
 
 # Counts per write of a streamed row: 128 KiB of tokens at width 8.  Much
@@ -634,25 +611,26 @@ def _count_text(counts: np.ndarray) -> np.ndarray:
 
 
 def _write_tokens(tokens: np.ndarray, fobj, line_end: bool = True) -> None:
-    """Write the tokens as text, NULs dropped; at a line's end the last
+    """Write the tokens' bytes, NULs dropped; at a line's end the last
     token's comma becomes a newline (in the array)."""
     if line_end:
         tokens[-1] = tokens[-1].replace(b",", b"\n")
-    fobj.write(tokens.tobytes().translate(None, b"\0").decode("ascii"))
+    fobj.write(tokens.tobytes().translate(None, b"\0"))
 
 
 def write_table_csv(field: Field, kind: str, label: str, rows, fobj, *,
                     scale: int | None = None) -> None:
-    """Header `kind,p,n,d_or_table`, then one line per row of counts: p^n
-    rows of p^n counts for a whole table.  Each row's counts become tokens
-    by a gather from that row's own lookup (_count_text).  Given a scale,
-    rows are the rows 0 and 1 of a power map's table (see iter_rows and
-    row_scale): each is turned into tokens once, and every line a != 0 is
-    one gather from row 1's tokens by iter_rows.  Otherwise the rows may
-    stream, as those of kernel_rows do, and each line is gathered and
-    written in pieces of at most _PIECE counts.  The writer holds one row's
-    lookup, O(largest count) bytes, and O(q) bytes of tokens."""
-    fobj.write(f"{kind.upper()},{field.p},{field.n},{label}\n")
+    """Write to the binary file fobj the header `kind,p,n,d_or_table`, then
+    one line per row of counts: p^n rows of p^n counts for a whole table.
+    Each row's counts become tokens by a gather from that row's own lookup
+    (_count_text).  Given a scale, rows are the rows 0 and 1 of a power
+    map's table (see iter_rows and row_scale): each is turned into tokens
+    once, and every line a != 0 is one gather from row 1's tokens by
+    iter_rows.  Otherwise the rows may stream, as those of kernel_rows do,
+    and each line is gathered and written in pieces of at most _PIECE
+    counts.  The writer holds one row's lookup, O(largest count) bytes, and
+    O(q) bytes of tokens."""
+    fobj.write(f"{kind.upper()},{field.p},{field.n},{label}\n".encode())
     if scale is not None:
         for line in iter_rows(field, [_count_text(row)[row] for row in rows], scale):
             _write_tokens(line, fobj)

@@ -163,7 +163,7 @@ def test_c04_m3_anomaly_probe(x13_table, tmp_path):
     rerun = verify_fbct_2m5(3)
     actual_max = sozd_uniformity(table).uniformity
     recorded = tmp_path / "sozd_x13_f2_6.csv"
-    with open(recorded, "w") as fh:
+    with open(recorded, "wb") as fh:
         write_table_csv(f, table.kind, table.map_label, table.entries, fh)
     elapsed = time.time() - t0
     ok = (

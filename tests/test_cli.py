@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -15,9 +16,9 @@ from sbox_spectra.cli import build_parser, load_table_map, main
 from sbox_spectra.errors import UnparsableElementError, WrongLengthError
 from sbox_spectra.fields import make_field, parse_field_spec
 from sbox_spectra.spectra import (
+    PowerMap,
     TableMap,
     fbct_property_check,
-    property_report_to_dict,
     sozd_table,
     write_table_csv,
 )
@@ -27,6 +28,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def emitted(capsys, obj) -> str:
+    """The JSON text the CLI writes for obj."""
+    cli._emit(obj)
+    return capsys.readouterr().out
 
 
 def test_field_info(capsys):
@@ -282,15 +289,15 @@ def test_table_map_check_properties(tmp_path, capsys, monkeypatch):
     table_file = tmp_path / "sbox.txt"
     table_file.write_text("".join(f"{v}\n" for v in images))
     table = sozd_table(f, TableMap(tuple(images)))
-    expected_csv = io.StringIO()
+    expected_csv = io.BytesIO()
     write_table_csv(f, "sozd", "table", table.entries, expected_csv)
     argv = ["spectra", "fbct", "--field", "p=2;n=6", "--table", str(table_file), "--full",
             "--check-properties", "--csv"]
 
     code, out, _ = run(capsys, *argv, str(tmp_path / "clean.csv"))
     assert code == 0
-    assert json.loads(out)["properties"] == property_report_to_dict(fbct_property_check(table))
-    assert (tmp_path / "clean.csv").read_text() == expected_csv.getvalue()
+    assert json.loads(out)["properties"] == json.loads(emitted(capsys, fbct_property_check(table)))
+    assert (tmp_path / "clean.csv").read_bytes() == expected_csv.getvalue()
 
     sozd_row = spectra._sozd_row
 
@@ -479,6 +486,48 @@ def test_verify_t4_over_f3_7(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "t4", "--n", "7")
     assert code == 0
     assert json.loads(out)["uniformity_actual"] == 1
+
+
+# sha256 of stdout, recorded when each report still had a hand-written dict
+# builder: key order and layout are part of the output, which json.loads
+# alone does not see
+PINNED_STDOUT = [
+    ('spectra fbct --field "p=2;n=6" --power 11 --full --check-properties', 0,
+     "74f63c1e6390d8f8c05179cb7b360906d4de03a848096c6ce0648cb7c7a64e14"),
+    ('spectra ddt --field "p=3;n=3" --power 4 --row', 0,
+     "d21f53c43022613f6e0de964842db9b530d7eb7967fc416d9f72387ab39a99d3"),
+    ("verify --theorem t1 --m 4", 1,
+     "86d4a0ec94c14da5d28ccae5189e2ffb06b76fe1cc15ae188082a949aad5436d"),
+    ("verify --theorem t3 --p 3 --k 1 --n 3 --condition stated", 1,
+     "1968e94a84c465c301afcba3b3daac4c3e3817976c91049833cd71bbcf9693f9"),
+    ("verify --registry --max-size 64", 1,  # skipped and computed rows
+     "1953f9fd1633ac9235f0620f61c0a537cbcccc9f274bc489dcd9fc3b8c370025"),
+    ("registry", 0,
+     "0670c6adf80dd9e3c2ccc1e1d30c9d4eb90911473310027c60f0834f983bb72d"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", PINNED_STDOUT,
+                         ids=[c for c, _, _ in PINNED_STDOUT])
+def test_stdout_bytes_are_pinned(capsys, command, code, digest):
+    got, out, _ = run(capsys, *shlex.split(command))
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_property_report_with_violations_bytes_are_pinned(capsys):
+    table = sozd_table(make_field(2, 6), PowerMap(11))
+    e = table.entries
+    e[3, 5] += 1  # symmetry, multiplicity and translate
+    e[0, 7] = 0  # a fixed value in row 0
+    e[9, 9] = 2  # a fixed value at b = a
+    e[12, 40] += 4  # symmetry and translate only
+    report = fbct_property_check(table)
+    assert report.counts == {"symmetry": 6, "fixed-values": 2, "multiplicity-mod-4": 1,
+                             "translate-equality": 6}
+    assert len(report.violations) == 15
+    assert hashlib.sha256(emitted(capsys, report).encode()).hexdigest() == (
+        "41af69adfdc86aeaa8b33fee5dfee6b96adde2b81985034539af1c8d0b6b8275")
 
 
 def test_registry_listing(capsys):

@@ -34,7 +34,7 @@ from sbox_spectra import (
     verify_sozd_pk1,
     verify_theorem,
 )
-from sbox_spectra import fields
+from sbox_spectra import cli, fields
 from sbox_spectra.closed_forms import (
     _claim_ddt_x4,
     _claim_fbct_2m3,
@@ -420,11 +420,9 @@ def test_pk1_claim_rows_equal_the_full_grid(p, n, modulus):
                 assert np.array_equal(got.case, want.case)
 
 
-def test_verification_report_serializable():
-    import json
-
-    report = verify_fbct_2m3(3)
-    blob = json.dumps(report.to_dict())
+def test_verification_report_serializable(capsys):
+    cli._emit(verify_fbct_2m3(3))
+    blob = capsys.readouterr().out
     assert "uniformity_actual" in blob
 
 

@@ -86,13 +86,6 @@ def test_ddt_identity_map(f33):
     assert row[1] == 27 and row.sum() == 27
 
 
-def test_ddt_row_power_normalized(f32):
-    row = ddt_row_power(f32, 4)
-    prob = ddt_row_power(f32, 4, normalize=True)
-    assert np.allclose(prob, row / 9)
-    assert abs(prob.sum() - 1.0) < 1e-12
-
-
 def test_ddt_row_power_multiset_matches_all_rows(f32):
     # spec example: d = 4, p = 3, n = 2, checked against the full table
     t = ddt_table(f32, PowerMap(4), method="bruteforce")
@@ -598,7 +591,7 @@ def test_property_check_catches_mutation(f26):
     report = fbct_property_check(t)
     assert not report.ok
     assert sum(report.counts.values()) >= 1
-    props = {v.prop for v in report.violations}
+    props = {v.property for v in report.violations}
     assert "multiplicity-mod-4" in props or "symmetry" in props
 
 
@@ -628,7 +621,7 @@ def reference_property_check(e):
 
 
 def as_tuples(report):
-    return report.counts, [(v.prop, v.a, v.b, v.detail) for v in report.violations]
+    return report.counts, [(v.property, v.a, v.b, v.detail) for v in report.violations]
 
 
 C9_MAPS = [(6, 11), (6, 13), (8, 19), (8, 21), (10, 37)]
@@ -747,18 +740,19 @@ def test_histogram_invariant_under_modulus(f26):
 def test_csv_format_small():
     f = make_field(2, 2)
     t = ddt_table(f, PowerMap(1))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_table_csv(f, "ddt", "1", t.entries, buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "DDT,2,2,1"
+    assert lines[0] == b"DDT,2,2,1"
     assert len(lines) == 5
-    assert lines[1] == "4,0,0,0"
-    assert lines[2] == "0,4,0,0"  # difference of x is constant a
+    assert lines[1] == b"4,0,0,0"
+    assert lines[2] == b"0,4,0,0"  # difference of x is constant a
 
 
 def csv_mismatch(written, header, rows):
-    """First line where `written` differs from the reference
+    """First line where the bytes `written` differ from the reference
     `",".join(map(str, row.tolist()))` serialization, or None."""
+    written = written.decode("ascii")
     lines = [header, *(",".join(map(str, row.tolist())) for row in rows)]
     if not written.endswith("\n"):
         return "no final newline"
@@ -777,11 +771,11 @@ def test_csv_bytes_equal_reference():
     sbox = TableMap(tuple(rng.integers(0, 64, 64).tolist()))
     random_table = sozd_table(make_field(2, 6), sbox)
     for table, header in [(fbct, "SOZD,2,10,7"), (random_table, f"SOZD,2,6,{random_table.map_label}")]:
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_table_csv(table.field, table.kind, table.map_label, table.entries, buf)
         assert csv_mismatch(buf.getvalue(), header, table.entries) is None
     for field, kind, row in [(f10, "fbct", fbct.entries[1]), (f35, "sozd", sozd_row_power(f35, 7))]:
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_row_csv(field, kind, "7", row, buf)
         assert csv_mismatch(buf.getvalue(), f"{kind.upper()},{field.p},{field.n},7", [row]) is None
 
@@ -793,8 +787,8 @@ _COUNTS = (st.integers(1, 8).flatmap(lambda k: st.integers(10 ** (k - 1), min(10
            | st.sampled_from([0, 9_999_999, 10**7, 2**24]))
 
 
-def _csv(rows) -> str:
-    buf = io.StringIO()
+def _csv(rows) -> bytes:
+    buf = io.BytesIO()
     write_table_csv(make_field(2, 2), "ddt", "3", rows, buf)
     return buf.getvalue()
 
@@ -892,9 +886,9 @@ def test_csv_file_and_string_buffer_agree(tmp_path):
             for top, size in [(10, 3), (10**4, _PIECE + 1), (10**3, 2 * _PIECE), (10, 5)]]
     rows[2][[5, -1]] = 10**7, 2**24
     path = tmp_path / "t.csv"
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         write_table_csv(make_field(2, 2), "ddt", "3", rows, fh)
-    assert path.read_bytes() == _csv(rows).encode("ascii")
+    assert path.read_bytes() == _csv(rows)
     assert csv_mismatch(_csv(rows), "DDT,2,2,3", rows) is None
 
 
@@ -915,7 +909,7 @@ def test_csv_writer_memory_is_the_lookup_and_pieces(big):
     if big:
         row[:2] = q  # an FBCT row's b = 0 and b = 1
     lookup = (int(row.max()) + 1) * 8
-    with open(os.devnull, "w") as sink:
+    with open(os.devnull, "wb") as sink:
         tracemalloc.start()
         try:
             write_row_csv(make_field(2, 20), "fbct", "7", row, sink)
@@ -946,7 +940,7 @@ def test_power_table_csv_formats_rows_0_and_1_only(monkeypatch, p, n, d, kind, w
         return lookup
 
     monkeypatch.setattr(spectra, "_count_text", spy)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_table_csv(f, kind, str(d), rows, buf, scale=row_scale(kind, d))
     assert len(calls) == 2
     for (counts, width), row, want in zip(calls, rows, widths):
@@ -963,7 +957,7 @@ def test_power_table_csv_memory_is_a_few_rows():
     peaked at 12.4."""
     f = make_field(2, 12)
     rows = power_rows(f, "sozd", 67)
-    with open(os.devnull, "w") as sink:
+    with open(os.devnull, "wb") as sink:
         write_table_csv(make_field(2, 3), "sozd", "3", power_rows(make_field(2, 3), "sozd", 3),
                         sink, scale=1)  # first-call imports and caches out of the peak
         f.log_tables()
