@@ -23,14 +23,18 @@ closed_forms' verification: given
 the check's boolean rows 0 and 1, it counts them (row 0's plus q - 1 times
 row 1's) and lists the first few in (a, b) order.  The CSV writer turns
 a row of counts into text by a byte gather from that row's own lookup of
-formatted counts (`_count_text`).  A power map's rows 0 and 1 are
-formatted once, and iter_rows then gathers every other line from row 1's
-text, so a line costs one gather of tokens and one NUL strip; streamed
-rows are gathered a piece of at most _PIECE counts at a time.  The
-brute-force path, `kernel_rows`, runs the row kernel at every a for any
-map; it is kept selectable for cross-validation, `RunningSummary`
-summarizes its rows as they stream, and a power map's property check
-reads its own rows 0 and 1.  The reports, SpectrumSummary and
+formatted counts (`_count_text`); the NULs that pad a token are dropped
+on output, except from 2-byte tokens, which have none.  A power map's row
+0 is formatted once, and so is row 1 without its cells u = 0 and u = 1,
+which are written apart since they hold its widest counts (an FBCT's q).
+Every other line is then one gather from row 1's text (`_rotations`, the
+rows of iter_rows with their shifts) and the two cells put in place, so a
+line costs one gather of tokens at row 1's own width, at most one NUL
+strip and one write; streamed rows are gathered a piece of at most _PIECE
+counts at a time.  The brute-force path, `kernel_rows`, runs the row
+kernel at every a for any map; it is kept selectable for
+cross-validation, `RunningSummary` summarizes its rows as they stream,
+and a power map's property check reads its own rows 0 and 1.  The reports, SpectrumSummary and
 PropertyReport, are written by the CLI as their fields in declared order:
 a field's name and place are its JSON key's.
 
@@ -318,12 +322,19 @@ def power_rows(field: Field, kind: str, d: int) -> tuple[np.ndarray, np.ndarray]
 def iter_rows(field: Field, rows, scale: int):
     """Rows a = 0, 1, ..., q - 1, one at a time, of the table whose row 0 is
     rows[0] and whose row a != 0 reads rows[1] at u = b / a^scale (see
-    row_scale).  With b = g^k, row a in log order is row 1 in log order
-    rotated by log(a^scale), so each row is one gather.  Trailing axes of the
-    rows are carried along.  Row 0 is rows[0] itself; every later row is a
-    new array."""
+    row_scale).  Trailing axes of the rows are carried along.  Row 0 is
+    rows[0] itself; every later row is a new array (see _rotations)."""
     row0, row1 = rows
     yield row0
+    for _, row in _rotations(field, row1, scale):
+        yield row
+
+
+def _rotations(field: Field, row1, scale: int):
+    """(shift, row a) for a = 1, ..., q - 1, the rows a != 0 of iter_rows.
+    With b = g^k, row a in log order is row 1 in log order rotated by
+    shift = log(a^scale), so each row is one gather, and its cell u = 1
+    sits at b = exp[shift]."""
     exp, log = field.log_tables()
     m = field.order - 1
     doubled = row1[np.concatenate((exp, exp))]  # row 1 in log order, twice
@@ -333,7 +344,7 @@ def iter_rows(field: Field, rows, scale: int):
         out[0] = row1[0]
         # indices are in range; "clip" lets take write into out unbuffered
         np.take(doubled[m - shift:], logs, axis=0, out=out[1:], mode="clip")
-        yield out
+        yield shift, out
 
 
 def expand_rows(field: Field, rows, scale: int) -> np.ndarray:
@@ -597,10 +608,11 @@ def _count_text(counts: np.ndarray) -> np.ndarray:
     power-of-2 width that holds the row's largest count and its comma (2
     bytes below 10, 4 below 1000, 8 below 10^7, 16 below 10^15), for each v
     in the row; every other entry is all NULs.  Each count in the row is
-    formatted once, so a row's tokens are one gather from the lookup."""
-    if counts.min() < 0:
+    formatted once, so a row's tokens are one gather from the lookup.  An
+    empty row gets the 2-byte lookup of count 0."""
+    if counts.min(initial=0) < 0:
         raise SpectraError("a CSV row of counts holds a negative value")
-    top = int(counts.max())
+    top = int(counts.max(initial=0))
     seen = np.zeros(top + 1, dtype=bool)
     seen[counts] = True
     values = np.flatnonzero(seen).tolist()
@@ -610,12 +622,14 @@ def _count_text(counts: np.ndarray) -> np.ndarray:
     return lookup
 
 
-def _write_tokens(tokens: np.ndarray, fobj, line_end: bool = True) -> None:
-    """Write the tokens' bytes, NULs dropped; at a line's end the last
-    token's comma becomes a newline (in the array)."""
+def _text(tokens: np.ndarray, line_end: bool = True) -> bytes:
+    """The tokens' bytes, NULs dropped; at a line's end the last token's
+    comma becomes a newline (in the array).  A 2-byte token is one digit
+    and its delimiter, with no NUL to drop, so its bytes are not stripped."""
     if line_end:
         tokens[-1] = tokens[-1].replace(b",", b"\n")
-    fobj.write(tokens.tobytes().translate(None, b"\0"))
+    data = tokens.tobytes()
+    return data if tokens.itemsize == 2 else data.translate(None, b"\0")
 
 
 def write_table_csv(field: Field, kind: str, label: str, rows, fobj, *,
@@ -624,22 +638,39 @@ def write_table_csv(field: Field, kind: str, label: str, rows, fobj, *,
     one line per row of counts: p^n rows of p^n counts for a whole table.
     Each row's counts become tokens by a gather from that row's own lookup
     (_count_text).  Given a scale, rows are the rows 0 and 1 of a power
-    map's table (see iter_rows and row_scale): each is turned into tokens
-    once, and every line a != 0 is one gather from row 1's tokens by
-    iter_rows.  Otherwise the rows may stream, as those of kernel_rows do,
-    and each line is gathered and written in pieces of at most _PIECE
-    counts.  The writer holds one row's lookup, O(largest count) bytes, and
-    O(q) bytes of tokens."""
+    map's table (see iter_rows and row_scale).  Row 0 is turned into tokens
+    once.  Row 1's cells u = 0 and u = 1 are formatted apart, since they
+    hold its widest counts (an FBCT's q), and the rest of row 1 is turned
+    into tokens once, at the width of its own largest count.  Line a != 0
+    holds the u = 0 cell at b = 0 and the u = 1 cell at b = a^scale; the
+    rest is one gather from row 1's tokens (_rotations), and the pieces go
+    out in one write per line.  Otherwise the rows may stream, as those of
+    kernel_rows do, and each line is gathered and written in pieces of at
+    most _PIECE counts.  The writer holds one row's lookup, O(largest
+    count) bytes, and O(q) bytes of tokens."""
     fobj.write(f"{kind.upper()},{field.p},{field.n},{label}\n".encode())
     if scale is not None:
-        for line in iter_rows(field, [_count_text(row)[row] for row in rows], scale):
-            _write_tokens(line, fobj)
+        row0, row1 = rows
+        fobj.write(_text(_count_text(row0)[row0]))
+        zero, one = row1[:2].tolist()
+        if min(zero, one) < 0:
+            raise SpectraError("a CSV row of counts holds a negative value")
+        zero, one, one_end = b"%d," % zero, b"%d," % one, b"%d\n" % one
+        lookup = _count_text(row1[2:])
+        tokens = np.zeros(row1.size, dtype=lookup.dtype)  # cells u = 0, 1 stay NUL, never written
+        tokens[2:] = lookup[row1[2:]]
+        exp, _ = field.log_tables()
+        last = field.order - 1
+        for shift, line in _rotations(field, tokens, scale):
+            at = exp[shift]  # b = a^scale, the cell u = 1 of line a
+            end = at == last
+            fobj.write(b"".join((zero, _text(line[1:at], False), one_end if end else one,
+                                 _text(line[at + 1:], not end))))
         return
     for row in rows:
         lookup = _count_text(row)
         for start in range(0, row.size, _PIECE):
-            _write_tokens(lookup[row[start:start + _PIECE]], fobj,
-                          line_end=start + _PIECE >= row.size)
+            fobj.write(_text(lookup[row[start:start + _PIECE]], start + _PIECE >= row.size))
 
 
 def write_row_csv(field: Field, kind: str, label: str, row: np.ndarray, fobj) -> None:

@@ -98,12 +98,18 @@ def test_spectra_csv_and_properties(tmp_path, capsys):
     *(pytest.param("sozd", field, 11, ["--check-properties"], id=f"sozd-{field}-check-properties")
       for field in ("p=2;n=6", "p=2;n=6;mod=1,1,0,0,0,0,1")),
     # row 0 of the DDT of x^67 over F_{2^8} (q = 256) is wider than row 1;
-    # x^3 is not a permutation of F_{2^4}
+    # x^3 is not a permutation of F_{2^4}.  The power path writes row 1's
+    # cells u = 0 and u = 1 apart from its other tokens, at b = 0 and
+    # b = a^scale of line a: over F_2 (q = 2) a line is just those two cells;
+    # in every SOZD table line a = q - 1 ends with its u = 1 cell; the DDT of
+    # x^19 over F_{2^8} has one wide count in row 1, DDT(1, 1) = 16 (every
+    # other is at most 4), as x^67 over F_{2^12} has DDT(1, 1) = 64
     *(pytest.param(kind, field, d, [], id=f"{kind}-{field}-x{d}")
       for field, d, kinds in [("p=2;n=8", 67, ("fbct", "sozd", "ddt")),
-                              ("p=2;n=4", 3, ("fbct", "ddt")), ("p=2;n=1", 1, ("fbct",)),
+                              ("p=2;n=4", 3, ("fbct", "ddt")), ("p=2;n=1", 1, ("fbct", "ddt")),
                               ("p=2;n=1", 3, ("ddt", "sozd")), ("p=3;n=4", 7, ("sozd", "ddt")),
-                              ("p=5;n=2", 3, ("sozd", "ddt"))]
+                              ("p=5;n=2", 3, ("sozd", "ddt")), ("p=3;n=5", 7, ("sozd",)),
+                              ("p=2;n=8", 19, ("ddt",))]
       for kind in kinds),
 ])
 def test_streamed_csv_equals_bruteforce_csv(tmp_path, capsys, field, kind, d, extra):
@@ -132,7 +138,7 @@ def test_full_csv_formats_a_power_maps_rows_0_and_1_only(tmp_path, capsys, monke
     monkeypatch.setattr(spectra, "_count_text", spy)
     sbox = tmp_path / "sbox.txt"
     sbox.write_text("".join(f"{(5 * x + 3) % 64}\n" for x in range(64)))
-    for map_args, formatted in [(["--power", "11"], [64, 64]),
+    for map_args, formatted in [(["--power", "11"], [64, 62]),  # row 1 less u = 0 and 1
                                 (["--table", str(sbox)], [64] * 64)]:
         calls.clear()
         code, _, _ = run(capsys, "spectra", "fbct", "--field", "p=2;n=6", *map_args,
@@ -513,6 +519,26 @@ def test_stdout_bytes_are_pinned(capsys, command, code, digest):
     got, out, _ = run(capsys, *shlex.split(command))
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the CSV, recorded before a power map's row 1 cells u = 0 and
+# u = 1 were written apart from its other tokens
+PINNED_CSV = [
+    ('spectra fbct --field "p=2;n=10" --power 67 --full --check-properties', 0,
+     "db8981e82b56627446a7bd29d21af7417cdab73d4a1faeacf29e4906e20885c1"),
+    ('spectra ddt --field "p=2;n=10" --power 67 --full', 0,
+     "e77e49eb9d2d55e081ac4ac4309ab7e98147b2cf0e277a4d1256ab23b40dd007"),
+    ('spectra sozd --field "p=3;n=6" --power 7 --full', 0,
+     "9b7c39e87dfa3446c4bbe6088bc5617c697a3f7fd6d99a89f64571af87c184d3"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", PINNED_CSV, ids=[c for c, _, _ in PINNED_CSV])
+def test_csv_bytes_are_pinned(tmp_path, capsys, command, code, digest):
+    csv = tmp_path / "t.csv"
+    got, _, _ = run(capsys, *shlex.split(command), "--csv", str(csv))
+    assert got == code
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
 
 def test_property_report_with_violations_bytes_are_pinned(capsys):

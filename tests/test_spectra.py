@@ -920,15 +920,16 @@ def test_csv_writer_memory_is_the_lookup_and_pieces(big):
 
 
 @pytest.mark.parametrize("p,n,d,kind,widths", [
-    (2, 6, 11, "sozd", (4, 4)), (2, 6, 11, "ddt", (4, 4)), (2, 1, 3, "sozd", (2, 2)),
-    (3, 4, 7, "sozd", (4, 4)), (3, 4, 7, "ddt", (4, 2)), (5, 2, 3, "ddt", (4, 2)),
-    (2, 12, 67, "sozd", (8, 8)), (2, 12, 67, "ddt", (8, 4)),
+    (2, 6, 11, "sozd", (4, 2)), (2, 6, 11, "ddt", (4, 2)), (2, 1, 3, "sozd", (2, 2)),
+    (3, 4, 7, "sozd", (4, 2)), (3, 4, 7, "ddt", (4, 2)), (5, 2, 3, "ddt", (4, 2)),
+    (2, 12, 67, "sozd", (8, 4)), (2, 12, 67, "ddt", (8, 2)),
 ])
 def test_power_table_csv_formats_rows_0_and_1_only(monkeypatch, p, n, d, kind, widths):
-    """Given the scale, write_table_csv formats rows 0 and 1 once each, each
-    at its own width (the count q in row 0 widens it past a DDT's row 1),
-    and gathers every other line from row 1's text; the bytes are those of
-    the expanded table."""
+    """Given the scale, write_table_csv formats row 0 and row 1 without its
+    cells u = 0 and u = 1 once each, each at its own width (an FBCT's count
+    q at u = 0 and u = 1, a DDT's at u = 1 over F_{2^12}, no longer widens
+    row 1's tokens), and gathers every other line from row 1's text; the
+    bytes are those of the expanded table."""
     f = make_field(p, n)
     rows = power_rows(f, kind, d)
     calls = []  # (counts, token width) of each call of the formatter, _count_text
@@ -943,18 +944,48 @@ def test_power_table_csv_formats_rows_0_and_1_only(monkeypatch, p, n, d, kind, w
     buf = io.BytesIO()
     write_table_csv(f, kind, str(d), rows, buf, scale=row_scale(kind, d))
     assert len(calls) == 2
-    for (counts, width), row, want in zip(calls, rows, widths):
+    for (counts, width), row, want in zip(calls, (rows[0], rows[1][2:]), widths):
         assert np.array_equal(counts, row) and width == want
     table = expand_rows(f, rows, row_scale(kind, d))
     assert csv_mismatch(buf.getvalue(), f"{kind.upper()},{p},{n},{d}", table) is None
 
 
+@pytest.mark.parametrize("path", ["power", "streamed"])
+@pytest.mark.parametrize("wide", [False, True], ids=["2-byte", "4-byte"])
+def test_two_byte_tokens_skip_the_nul_strip(monkeypatch, path, wide):
+    """A 2-byte token is one digit and its comma, with no NUL, so a line of
+    them is written as its bytes, unstripped; a line of wider tokens is
+    stripped.  To tell the two apart, the formatter here drops the comma of
+    count 4, whose token then keeps a NUL: it reaches the file from 2-byte
+    lines only.  On the power path row 1's count 64 at u = 0 and u = 1 is
+    written apart, so it does not widen the other tokens."""
+    count_text = spectra._count_text
+
+    def comma_less_4(counts):
+        lookup = count_text(counts)
+        lookup[4] = b"4"
+        return lookup
+
+    monkeypatch.setattr(spectra, "_count_text", comma_less_4)
+    row = np.array([64 if path == "power" else 8] * 2 + [4, 0, 4, 2, 4, 0])
+    if wide:
+        row[3] = 12
+    buf = io.BytesIO()
+    if path == "power":
+        write_table_csv(make_field(2, 3), "sozd", "3", (np.full(8, 64), row), buf, scale=1)
+    else:
+        write_table_csv(make_field(2, 3), "sozd", "3", [row, row], buf)
+    lines = 7 if path == "power" else 2  # the lines with three count-4 cells each
+    assert buf.getvalue().count(b"\0") == (0 if wide else 3 * lines)
+
+
 def test_power_table_csv_memory_is_a_few_rows():
     """The FBCT of x^67 over F_{2^12} written from its rows 0 and 1 peaks at
-    9.1-9.4 q-length int64 arrays, measured (the two rows' tokens, iter_rows'
-    doubled row 1, its log and shift arrays, two lines and one line's
-    bytes); formatting every line through the lookup and a piece buffer
-    peaked at 12.4."""
+    5.1 q-length int64 arrays, measured (row 0's 8-byte tokens, row 1's
+    4-byte ones and their doubled copy, the log and shift arrays, a line
+    and its bytes); with row 1 at the 8-byte width of its cells u = 0 and
+    u = 1 it peaked at 9.1-9.4, and formatting every line through the
+    lookup and a piece buffer at 12.4."""
     f = make_field(2, 12)
     rows = power_rows(f, "sozd", 67)
     with open(os.devnull, "wb") as sink:
