@@ -33,13 +33,14 @@ from .spectra import (
     TableMap,
     fbct_property_check,
     fbct_row_property_check,
-    kernel_rows,
+    kernel_blocks,
     map_label,
     power_row_summary,
     power_rows,
     power_table_summary,
     row_scale,
     sozd_table,
+    table_blocks,
     uses_power_rows,
     write_row_csv,
     write_table_csv,
@@ -239,24 +240,24 @@ def _power_table(args, field: Field, kind: str, d: int):
 
 
 def _kernel_table(args, field: Field, kind: str, fmap):
-    """The same from the row kernel, streamed one row a at a time.  A power
-    map's property check reads the first two rows the kernel yields, which
-    then stream on with the rest, so the check reads the rows it writes.  A
-    table map's check holds the whole table, the one q x q path, because it
-    reads columns."""
+    """The same from the row kernel, streamed one block of rows a at a time
+    (kernel_blocks).  A power map's property check reads rows 0 and 1 from
+    the first blocks the kernel yields, which then stream on with the rest,
+    so the check reads the rows it writes.  A table map's check holds the
+    whole table, the one q x q path, because it reads columns."""
     report = None
     if args.check_properties and not isinstance(fmap, PowerMap):
         table = sozd_table(field, fmap, method=args.method)
         report = fbct_property_check(table)
-        rows = table.entries
+        blocks = table_blocks(table.entries)
     else:
-        rows = kernel_rows(field, fmap, kind)
+        blocks = kernel_blocks(field, fmap, kind)
         if args.check_properties:
-            head = list(itertools.islice(rows, 2))
-            report = fbct_row_property_check(field, head)
-            rows = itertools.chain(head, rows)
+            head = list(itertools.islice(blocks, 2))  # rows 0 and 1 are in the first two
+            report = fbct_row_property_check(field, [row for _, b in head for row in b][:2])
+            blocks = itertools.chain(head, blocks)
     running = RunningSummary(field, kind)
-    rows = (running.add(row, a) for a, row in enumerate(rows))
+    rows = (running.add(block, a) for a, block in blocks)
     if args.csv:
         with open(args.csv, "wb") as fh:
             write_table_csv(field, kind, map_label(fmap), rows, fh)

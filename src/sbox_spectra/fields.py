@@ -519,11 +519,15 @@ class Field:
         for p > 256 the digit a - b or a - (p - b), in [-p, p), is reduced
         mod p.  So no intermediate reaches 2^31.  The peak is about
         eight int32 arrays of A's size, two of them take's intp copy of the
-        index.  The top limbs are what is left of A and B."""
+        index.  The top limbs are what is left of A and B.  A is broadcast
+        to the result's shape first, as a view, since the limbs accumulate in
+        place into arrays of A's shape; B, often a scalar, stays as it is."""
         A = self._encodings(A)
         B = self._encodings(B)
         if self.p == 2:
             return A ^ B
+        if B.ndim and A.shape != B.shape and A.shape != (shape := np.broadcast(A, B).shape):
+            A = np.broadcast_to(A, shape)
         P, w, tables = _limb_tables(self.p)
         limbs = []  # lowest first
         for lo in range(0, self.n, w):

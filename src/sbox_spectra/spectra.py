@@ -17,7 +17,7 @@ table's summary (`power_table_summary`), its FBCT property check
 (`fbct_row_property_check`) and its CSV (`write_table_csv` given the row
 scale) all come from the two rows in O(q) memory.  That check and the
 q x q one of a table map (`fbct_property_check`) apply one rule set,
-`_identities`, to a row and its column.  `flagged_cells` is the one
+`_identities`, to a block of rows and its columns.  `flagged_cells` is the one
 lister of the cells where a check fails, for the row check and for
 closed_forms' verification: given
 the check's boolean rows 0 and 1, it counts them (row 0's plus q - 1 times
@@ -30,13 +30,17 @@ which are written apart since they hold its widest counts (an FBCT's q).
 Every other line is then one gather from row 1's text (`_rotations`, the
 rows of iter_rows with their shifts) and the two cells put in place, so a
 line costs one gather of tokens at row 1's own width, at most one NUL
-strip and one write; streamed rows are gathered a piece of at most _PIECE
-counts at a time.  The brute-force path, `kernel_rows`, runs the row
-kernel at every a for any map; it is kept selectable for
-cross-validation, `RunningSummary` summarizes its rows as they stream,
-and a power map's property check reads its own rows 0 and 1.  The reports, SpectrumSummary and
-PropertyReport, are written by the CLI as their fields in declared order:
-a field's name and place are its JSON key's.
+strip and one write.  The brute-force path, `kernel_blocks`, runs the row
+kernel for any map on blocks of rows a, as many as fill _PIECE cells (64
+rows at q = 256, one row from q = 2^14 on); it is kept selectable for
+cross-validation.  Each stage takes a whole block per call:
+`RunningSummary` summarizes the blocks as they stream, the q x q check
+walks the table in the same blocks (`table_blocks`), and the CSV writer
+makes one lookup, one gather, one NUL strip and one write per block (a row
+longer than _PIECE goes out in pieces of _PIECE counts).  A power map's
+property check reads its own rows 0 and 1.  The reports, SpectrumSummary
+and PropertyReport, are written by the CLI as their fields in declared
+order: a field's name and place are its JSON key's.
 
 Both paths count rows through the derivative D_aF(x) = F(x+a) - F(x), with
 the same code for every characteristic.  A DDT row is the histogram of D_aF,
@@ -51,7 +55,11 @@ scanned pair by pair, s^2 pairs; a larger one is autocorrelated by a
 transform over the additive group F_p^n in O(q n), and there are at most
 q / T of them.  So
 a row takes O(q log q + q sqrt(q n)) time at worst, against the scan's
-O(q^2) for a map whose derivative takes few values, and O(q) memory.
+O(q^2) for a map whose derivative takes few values, and O(q) memory.  A
+block of rows is sorted row by row and scanned as one array, its rows kept
+apart by an offset of r * q on row r's derivatives and on its bins; each
+row still takes its own transform, so row 0 (D_0F = 0, one class of q
+elements) is transformed as in a lone row, not scanned in q passes.
 """
 
 from __future__ import annotations
@@ -121,18 +129,39 @@ class SpectrumSummary:
     domain: str
 
 
-def _derivative(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
-    """D_aF(x) = F(x+a) - F(x), per x."""
-    shifted = tab[field.add_vec(field.xs(), a)]
+# Cells per block of the brute-force path (the kernel's, the summary's, the
+# property check's and the CSV writer's) and per write of a longer row:
+# 128 KiB of tokens at width 8.  Much larger pieces each come from a fresh
+# mmap that every write page-faults in, and a whole-row gather adds the
+# line's bytes to peak memory.
+_PIECE = 1 << 14
+
+
+def _block_rows(q: int) -> int:
+    """Rows a per block: as many as fill _PIECE cells, at least one."""
+    return max(1, _PIECE // q)
+
+
+def _derivative(field: Field, tab: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """D_aF(x) = F(x+a) - F(x), per row a of the 1-D array a and per x: a
+    (a.size, q) block.  One row adds a scalar, as the limbs of odd p add it
+    most cheaply."""
+    shifted = tab[field.add_vec(field.xs(), a[:, None] if a.size > 1 else a[0])]
     if field.p == 2:  # subtraction is XOR: in place, one q-length array fewer
         shifted ^= tab
-        return shifted
-    return field.sub_vec(shifted, tab)
+    else:
+        shifted = field.sub_vec(shifted, tab)
+    return shifted.reshape(a.size, -1)
 
 
-def _ddt_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
+def _ddt_rows(field: Field, tab: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The DDT rows a, a block of a.size rows: cell (r, b) is bin r * q + b
+    of one bincount."""
     # bincount reads intp: cast here, the int32 derivative is freed before the counts exist
-    return np.bincount(_derivative(field, tab, a).astype(np.intp), minlength=field.order)
+    bins = _derivative(field, tab, a).astype(np.intp)
+    if a.size > 1:
+        bins += np.arange(0, bins.size, field.order)[:, None]
+    return np.bincount(bins.ravel(), minlength=bins.size).reshape(bins.shape)
 
 
 def _transform_threshold(q: int, n: int) -> int:
@@ -155,31 +184,31 @@ def _wht(v: np.ndarray, n: int) -> None:
         hi += lo  # (lo + hi) - 2 hi = lo - hi
 
 
-def _class_autocorrelation(field: Field, classes: list) -> np.ndarray | None:
+def _class_autocorrelation(field: Field, classes: list, out: np.ndarray) -> np.ndarray | None:
     """sum over the classes c (arrays of elements) of #{x in c : x + b in c},
     at every b, by Wiener-Khinchin over the additive group F_p^n: the
     autocorrelation of 1_c is the inverse transform of |transform of 1_c|^2
     (Carlet, Boolean Functions for Cryptography and Coding Theory, CUP 2021).
+    It is written into `out`, a q-length int64 row of zeros, and returned.
     For p = 2 the transform is the WHT, its own inverse up to 1/q, in int64:
     by Parseval every entry of sum_c W_c^2, and of its transform, is at most
     q * sum_c |c| <= q^2.  For odd p it is the FFT over shape (p,) * n (an
-    encoding's base-p digits), in floating point; the rounded sum is returned
+    encoding's base-p digits), in floating point; the rounded sum is written
     only if every residue is below 1/4 and the entries sum to sum_c |c|^2,
-    else None."""
+    else out is left as it is and None returned."""
     q, n = field.order, field.n
     if field.p == 2:
-        acc = np.zeros(q, dtype=np.int64)
         ind = np.empty(q, dtype=np.int64)
         for members in classes:
             ind.fill(0)
             ind[members] = 1
             _wht(ind, n)
             ind *= ind
-            acc += ind
+            out += ind
         del ind
-        _wht(acc, n)
-        acc >>= n
-        return acc
+        _wht(out, n)
+        out >>= n
+        return out
     shape = (field.p,) * n
     power = 0.0
     for members in classes:
@@ -195,63 +224,81 @@ def _class_autocorrelation(field: Field, classes: list) -> np.ndarray | None:
     if (np.abs(corr - rounded).max() >= 0.25
             or rounded.sum() != sum(len(members) ** 2 for members in classes)):
         return None
-    return rounded.astype(np.int64)
+    out[:] = rounded
+    return out
 
 
-def _sozd_row(field: Field, tab: np.ndarray, a: int) -> np.ndarray:
-    """SOZD(a, b) = #{x : D_aF(x+b) = D_aF(x)}, summed over the classes of
-    elements with equal derivative.  x is sorted by D_aF once.  A class of
-    more than T elements (_transform_threshold) shows as deriv[i] ==
-    deriv[i + T] in that order, one compare over the row; such classes are
-    autocorrelated by a transform (_class_autocorrelation), and the scan
-    below covers the others.  In the scan, the pairs x != y of equal
-    derivative sit j = 1, 2, ... places apart, and each adds to the entries
-    at b = y - x and b = x - y.  The first j with no such pair ends the scan:
-    a longer run of equal values would have one.  The differences are binned
-    once at least q of them are pending, so there are at most
-    sum_c DDT(a, c)^2 / q + 1 bincounts of length q, the sum over the
-    scanned classes."""
-    q = field.order
-    deriv = _derivative(field, tab, a)
-    order = np.argsort(deriv).astype(np.int32)  # its entries x, y go to sub_vec
-    deriv = deriv[order]
-    row = None
+def _sozd_rows(field: Field, tab: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The SOZD rows a, a block of a.size rows: SOZD(a, b) = #{x : D_aF(x+b)
+    = D_aF(x)}, summed over the classes of elements with equal derivative.
+    Each row's x is sorted by D_aF once, and row r's derivatives are raised
+    by r * q into keys, so the block is one sorted array of keys in which
+    equal keys never cross rows.  A class of more than T elements
+    (_transform_threshold) shows as key[i] == key[i + T], one compare over
+    the block; each row's such classes are autocorrelated by one transform
+    (_class_autocorrelation), and the scan below covers the others.  In the
+    scan, the pairs x != y of equal derivative sit j = 1, 2, ... places
+    apart, and each adds to the cells (r, b) of its row r at b = y - x and
+    b = x - y, bin r * q + b.  The first j with no such pair ends the scan: a
+    longer run of equal keys would have one.  The differences are binned
+    once at least a block's worth of them is pending, so a block of B rows
+    takes at most sum_c DDT(a, c)^2 / (B q) + 1 bincounts of length B q, the
+    sum over its rows and scanned classes.  A block of one row needs no
+    offsets: it builds the arrays of a lone row."""
+    q, size = field.order, a.size * field.order
+    key = _derivative(field, tab, a)
+    order = np.argsort(key, axis=1).astype(np.int32)  # its entries x, y go to sub_vec
+    if a.size == 1:
+        key = key[0][order[0]]
+    else:  # blocks of more than one row hold at most _PIECE cells
+        offsets = np.arange(0, size, q, dtype=np.int32)[:, None]  # r * q on row r
+        key += offsets
+        key = key.ravel()[(order + offsets).ravel()]
+    order = order.ravel()
+    counts = np.zeros((a.size, q), dtype=np.int64)
     cut = min(_transform_threshold(q, field.n), q)
-    large = deriv[cut:] == deriv[:q - cut]  # i opens a run of more than cut values
+    large = key[cut:] == key[:size - cut]  # i opens a run of more than cut values
     if large.any():
-        large[1:] &= deriv[1:q - cut] != deriv[:q - cut - 1]  # keep each class's first i
+        large[1:] &= key[1:size - cut] != key[:size - cut - 1]  # keep each class's first i
         firsts = np.flatnonzero(large)
         del large
-        lasts = np.searchsorted(deriv, deriv[firsts], side="right")
-        row = _class_autocorrelation(field, [order[i:k] for i, k in zip(firsts, lasts)])
-    if row is None:
-        row = np.zeros(q, dtype=np.int64)
-        starts = np.arange(q - 1)  # i with deriv[i] == deriv[i + j - 1]
-    else:
-        scanned = np.ones(q - 1, dtype=bool)
-        for i, k in zip(firsts.tolist(), lasts.tolist()):
-            scanned[i:k] = False
+        lasts = np.searchsorted(key, key[firsts], side="right")
+        scanned = np.ones(size - 1, dtype=bool)
+        for r, classes in itertools.groupby(zip(firsts.tolist(), lasts.tolist()),
+                                            lambda c: c[0] // q):
+            classes = list(classes)
+            if _class_autocorrelation(field, [order[i:k] for i, k in classes], counts[r]) is not None:
+                for i, k in classes:
+                    scanned[i:k] = False
         starts = np.flatnonzero(scanned)
-    row[0] = q
-    pending, size = [], 0
+        del scanned
+    else:
+        starts = np.arange(size - 1)  # i with key[i] == key[i + j - 1]
+    counts[:, 0] = q
+    flat = counts.reshape(-1)
+    pending, pairs = [], 0
     j = 1
     while True:
-        starts = starts[deriv[starts + j] == deriv[starts]]
+        starts = starts[key[starts + j] == key[starts]]
         if starts.size:
             x, y = order[starts], order[starts + j]
             if field.p == 2:  # y - x = x - y
                 diff = field.sub_vec(y, x)
                 pending += (diff, diff)
             else:  # y - x and x - y in one call
-                pending.append(field.sub_vec(np.concatenate((y, x)), np.concatenate((x, y))))
-            size += 2 * starts.size
-        if pending and (size >= q or not starts.size):
-            row += np.bincount(np.concatenate(pending, dtype=np.intp), minlength=q)
-            pending, size = [], 0
+                diff = field.sub_vec(np.concatenate((y, x)), np.concatenate((x, y)))
+                pending.append(diff)
+            if a.size > 1:  # to bin r * q + b, in place in pending
+                bins = diff.reshape(-1, starts.size)
+                bins += starts // q * q
+            pairs += 2 * starts.size
+        if pending and (pairs >= size or not starts.size):
+            flat += np.bincount(np.concatenate(pending, dtype=np.intp), minlength=size)
+            pending, pairs = [], 0
         if not starts.size:
-            return row
+            return counts
         j += 1
-        starts = starts[starts + j < q]
+        starts = starts[starts + j < size]
 
 
 def ddt_entry(field: Field, fmap, a, b) -> int:
@@ -282,12 +329,12 @@ def sozd_entry(field: Field, fmap, a, b) -> int:
 
 def ddt_row_power(field: Field, d: int) -> np.ndarray:
     """DDT row at a = 1 for x^d; rows a != 0 follow by b -> b/a^d."""
-    return _ddt_row(field, field.power_map_table(d), 1)
+    return _ddt_rows(field, field.power_map_table(d), np.array([1]))[0]
 
 
 def sozd_row_power(field: Field, d: int) -> np.ndarray:
     """SOZD row at a = 1 for x^d; rows a != 0 follow by b -> b/a."""
-    return _sozd_row(field, field.power_map_table(d), 1)
+    return _sozd_rows(field, field.power_map_table(d), np.array([1]))[0]
 
 
 def ddt_table(field: Field, fmap, method: str = "auto") -> SpectrumTable:
@@ -376,17 +423,26 @@ def flagged_cells(field: Field, bad_rows, scale: int, cap: int) -> tuple[int, li
     return int(np.count_nonzero(bad0)) + (q - 1) * us.size, cells
 
 
-def kernel_rows(field: Field, fmap, kind: str):
-    """Rows a = 0, 1, ..., q - 1, one at a time, of the DDT or SOZD table of
-    any map, each from the row kernel: the brute-force path."""
+def kernel_blocks(field: Field, fmap, kind: str):
+    """(a, the block of rows a, a + 1, ...) for a = 0, B, 2B, ... (B =
+    _block_rows(q)), each block from the row kernel, of the DDT or SOZD
+    table of any map: the brute-force path."""
     tab = image_table(field, fmap)
-    kernel = _ddt_row if kind == "ddt" else _sozd_row
-    return (kernel(field, tab, a) for a in range(field.order))
+    kernel = _ddt_rows if kind == "ddt" else _sozd_rows
+    q, rows = field.order, _block_rows(field.order)
+    return ((a, kernel(field, tab, np.arange(a, min(a + rows, q)))) for a in range(0, q, rows))
+
+
+def table_blocks(entries: np.ndarray):
+    """(a, the block of rows a, a + 1, ...) of a q x q table, in the blocks of
+    kernel_blocks."""
+    rows = _block_rows(len(entries))
+    return ((a, entries[a:a + rows]) for a in range(0, len(entries), rows))
 
 
 def uses_power_rows(fmap, method: str) -> bool:
     """Whether `method` takes the table from rows 0 and 1 ("fast", or "auto"
-    on a power map) rather than from kernel_rows ("bruteforce", or "auto" on
+    on a power map) rather than from kernel_blocks ("bruteforce", or "auto" on
     a table map)."""
     if method not in ("auto", "fast", "bruteforce"):
         raise SpectraError(f"unknown method {method!r}")
@@ -411,7 +467,10 @@ def _table(field: Field, fmap, method: str, kind: str) -> np.ndarray:
         )
     if uses_power_rows(fmap, method):
         return expand_rows(field, power_rows(field, kind, fmap.d), row_scale(kind, fmap.d))
-    return np.fromiter(kernel_rows(field, fmap, kind), dtype=np.dtype((np.int64, (q,))), count=q)
+    entries = np.empty((q, q), dtype=np.int64)
+    for a, block in kernel_blocks(field, fmap, kind):
+        entries[a:a + len(block)] = block
+    return entries
 
 
 # -- uniformities and histograms ----------------------------------------------
@@ -423,12 +482,12 @@ def _domain(field: Field, kind: str) -> str:
 
 
 class RunningSummary:
-    """Uniformity and histogram of a DDT or SOZD table fed as rows, in O(q)
-    memory.  The maximum ranges over a != 0: all b for the DDT; for the SOZD
-    table b != 0, and b != a too for p = 2 (the Feistel boomerang
-    uniformity).  The histogram covers all p^2n pairs.  A row may stand for
-    several rows a of the same values and the same maximum, as row 1 of a
-    power map does for every row a != 0: it is added once with that
+    """Uniformity and histogram of a DDT or SOZD table fed as blocks of rows,
+    in memory of a block.  The maximum ranges over a != 0: all b for the DDT;
+    for the SOZD table b != 0, and b != a too for p = 2 (the Feistel
+    boomerang uniformity).  The histogram covers all p^2n pairs.  A row may
+    stand for several rows a of the same values and the same maximum, as row
+    1 of a power map does for every row a != 0: it is added once with that
     multiplicity."""
 
     def __init__(self, field: Field, kind: str):
@@ -437,17 +496,30 @@ class RunningSummary:
         self._counts = Counter()  # value -> pair count
         self._max = 0
 
-    def add(self, row: np.ndarray, a: int, multiplicity: int = 1) -> np.ndarray:
-        """Count row a, `multiplicity` times, and return it."""
-        values, counts = np.unique(row, return_counts=True)
+    def add(self, rows: np.ndarray, a: int, multiplicity: int = 1) -> np.ndarray:
+        """Count the block of rows a, a + 1, ..., `multiplicity` times each,
+        and return it.  For p = 2 the SOZD cells b = a of the rows a != 0 lie
+        on the diagonal of the square of their columns a, a + 1, ...: the
+        maximum is that of the columns before and after the square and of a
+        copy of the square with its diagonal zeroed (the maximum starts at
+        0, so a zeroed cell counts for nothing)."""
+        values, counts = np.unique(rows, return_counts=True)
         self._counts.update(dict(zip(values.tolist(), (multiplicity * counts).tolist())))
-        if a and self.kind == "ddt":
-            self._max = max(self._max, int(row.max()))
-        elif a:
-            cut = a if self.field.p == 2 else row.size
-            self._max = max(self._max, int(row[1:cut].max(initial=0)),
-                            int(row[cut + 1:].max(initial=0)))
-        return row
+        nonzero = rows[1:] if a == 0 else rows  # the rows from max(a, 1) on
+        a, k = max(a, 1), len(nonzero)
+        if not k:
+            return rows
+        if self.kind == "ddt":
+            top = nonzero.max()
+        elif self.field.p != 2:
+            top = nonzero[:, 1:].max(initial=0)
+        else:
+            square = nonzero[:, a:a + k].copy()
+            square.ravel()[::k + 1] = 0
+            top = max(nonzero[:, 1:a].max(initial=0), nonzero[:, a + k:].max(initial=0),
+                      square.max(initial=0))
+        self._max = max(self._max, int(top))
+        return rows
 
     def summary(self) -> SpectrumSummary:
         return SpectrumSummary(
@@ -462,7 +534,7 @@ def power_row_summary(field: Field, kind: str, row: np.ndarray) -> SpectrumSumma
     every row a != 0 is the a = 1 row read at u = b/a^d (DDT) or u = b/a
     (SOZD), so b = 0 and b = a sit at u = 0 and u = 1."""
     running = RunningSummary(field, kind)
-    running.add(row, 1)
+    running.add(row[None], 1)
     summary = running.summary()
     return replace(summary, domain=f"{summary.domain} (from the a = 1 row of a power map)")
 
@@ -471,8 +543,8 @@ def power_table_summary(field: Field, kind: str, rows) -> SpectrumSummary:
     """The summary of the whole table of x^d from its rows 0 and 1 alone:
     row 1 stands for each of the q - 1 rows a != 0."""
     running = RunningSummary(field, kind)
-    running.add(rows[0], 0)
-    running.add(rows[1], 1, field.order - 1)
+    running.add(rows[0][None], 0)
+    running.add(rows[1][None], 1, field.order - 1)
     return running.summary()
 
 
@@ -494,10 +566,10 @@ def sozd_uniformity(table: SpectrumTable) -> SpectrumSummary:
 
 
 def _table_summary(table: SpectrumTable) -> SpectrumSummary:
-    """The summary of a whole table, fed to RunningSummary row by row."""
+    """The summary of a whole table, fed to RunningSummary block by block."""
     running = RunningSummary(table.field, table.kind)
-    for a, row in enumerate(table.entries):
-        running.add(row, a)
+    for a, rows in table_blocks(table.entries):
+        running.add(rows, a)
     return running.summary()
 
 
@@ -527,42 +599,54 @@ def _report(counts: dict[str, int], listing: dict[str, list]) -> PropertyReport:
                           violations=[v for prop in _PROPERTIES for v in listing[prop]])
 
 
-def _identities(row: np.ndarray, col: np.ndarray, a: int) -> list:
-    """The structural FBCT identities on row a of a q x q table, given the
-    row and its column: symmetry; the trivial cells, ab(a+b) = 0 (all of
-    row 0, b = 0 and b = a elsewhere), equal q = 2^n; every other entry = 0
-    (mod 4); and entry (a, b) = entry (a, a+b).  For each, in _PROPERTIES
-    order: the name, the boolean row of the cells b that break it, and the
-    detail text of cell b."""
-    q = row.size
-    trivial = np.full(q, a == 0)
-    trivial[0] = trivial[a] = True
-    shifted = np.arange(q)
-    shifted ^= a
-    shifted = row[shifted]  # entry (a, a + b)
-    return [
-        ("symmetry", row != col, lambda b: f"{row[b]} != {col[b]}"),
-        ("fixed-values", trivial & (row != q), lambda b: f"{row[b]} != {q}"),
-        ("multiplicity-mod-4", ~trivial & (row & 3 != 0), lambda b: f"{row[b]} % 4 != 0"),
-        ("translate-equality", row != shifted, lambda b: f"{row[b]} != {shifted[b]}"),
-    ]
+def _identities(rows: np.ndarray, cols: np.ndarray, a: int):
+    """The structural FBCT identities on the block of rows a, a + 1, ... of a
+    q x q table, given the rows and their columns (as rows): symmetry; the
+    trivial cells, ab(a+b) = 0 (all of row 0, b = 0 and b = a elsewhere),
+    equal q = 2^n; every other entry = 0 (mod 4); and entry (a, b) =
+    entry (a, a+b).  Yields for each, in _PROPERTIES order, the name, the
+    boolean block of the cells (r, b) of row a + r that break it, and the
+    detail text of cell (r, b); one at a time, so the block's temporaries
+    of one identity are gone before the next."""
+    k, q = rows.shape
+    trivial = np.zeros(rows.shape, dtype=bool)
+    trivial[:, 0] = True
+    trivial[np.arange(k), np.arange(a, a + k)] = True
+    if a == 0:
+        trivial[0] = True
+    yield "symmetry", rows != cols, lambda r, b: f"{rows[r, b]} != {cols[r, b]}"
+    yield "fixed-values", trivial & (rows != q), lambda r, b: f"{rows[r, b]} != {q}"
+    yield "multiplicity-mod-4", ~trivial & (rows & 3 != 0), lambda r, b: f"{rows[r, b]} % 4 != 0"
+    yield ("translate-equality", rows != _translates(rows, a),
+           lambda r, b: f"{rows[r, b]} != {rows[r, b ^ (a + r)]}")
+
+
+def _translates(rows: np.ndarray, a: int) -> np.ndarray:
+    """Entry (a, a + b) at each cell (a, b) of the block of rows a, a + 1, ...,
+    gathered one row at a time: an index the size of the block would double
+    the check's memory."""
+    out = np.empty_like(rows)
+    xs = np.arange(rows.shape[1])
+    for r, row in enumerate(rows):
+        np.take(row, xs ^ (a + r), out=out[r])
+    return out
 
 
 def fbct_property_check(table: SpectrumTable) -> PropertyReport:
     """Check the structural FBCT identities (see _identities) on a p = 2
-    SOZD table.  The walk reads one row and its column at a time, so it
-    needs O(q) memory beyond the table."""
+    SOZD table.  The walk reads one block of rows and its columns at a time
+    (table_blocks), so it needs memory of a block beyond the table."""
     if not table.is_fbct:
         raise SpectraError("property check applies to SOZD tables over p = 2")
     e = table.entries
     counts = dict.fromkeys(_PROPERTIES, 0)
     listing = {prop: [] for prop in _PROPERTIES}
-    for a, (row, col) in enumerate(zip(e, e.T)):
-        for prop, bad, detail in _identities(row, col, a):
-            bs = np.flatnonzero(bad)
-            counts[prop] += bs.size
-            listing[prop] += [PropertyViolation(prop, a, b, detail(b))
-                              for b in bs[:_VIOLATION_CAP - len(listing[prop])].tolist()]
+    for a, rows in table_blocks(e):
+        for prop, bad, detail in _identities(rows, e[:, a:a + len(rows)].T, a):
+            counts[prop] += int(np.count_nonzero(bad))
+            rs, bs = np.divmod(np.flatnonzero(bad)[:_VIOLATION_CAP - len(listing[prop])], len(e))
+            listing[prop] += [PropertyViolation(prop, a + r, b, detail(r, b))
+                              for r, b in zip(rs.tolist(), bs.tolist())]
     return _report(counts, listing)
 
 
@@ -582,10 +666,10 @@ def fbct_row_property_check(field: Field, rows) -> PropertyReport:
     col1 = row1.copy()
     col1[1:] = row1[field.div_vec(1, field.xs()[1:])]
     counts, listing = {}, {}
-    for (prop, bad0, detail0), (_, bad1, detail1) in zip(_identities(row0, col0, 0),
-                                                         _identities(row1, col1, 1)):
-        counts[prop], cells = flagged_cells(field, (bad0, bad1), 1, _VIOLATION_CAP)
-        found = [(a, b, (detail0, detail1)[r](u)) for a, b, r, u in cells]
+    for (prop, bad0, detail0), (_, bad1, detail1) in zip(_identities(row0[None], col0[None], 0),
+                                                         _identities(row1[None], col1[None], 1)):
+        counts[prop], cells = flagged_cells(field, (bad0[0], bad1[0]), 1, _VIOLATION_CAP)
+        found = [(a, b, (detail0, detail1)[r](0, u)) for a, b, r, u in cells]
         if prop == "symmetry":
             counts[prop] += int(np.count_nonzero(bad0))
             found = sorted(found + [(b, 0, f"{row1[0]} != {row0[b]}")
@@ -596,20 +680,14 @@ def fbct_row_property_check(field: Field, rows) -> PropertyReport:
 
 # -- serialization ---------------------------------------------------------------
 
-# Counts per write of a streamed row: 128 KiB of tokens at width 8.  Much
-# larger pieces each come from a fresh mmap that every write page-faults in,
-# and a whole-row gather adds the line's bytes to peak memory.
-_PIECE = 1 << 14
-
-
 def _count_text(counts: np.ndarray) -> np.ndarray:
-    """The CSV token lookup of a row of counts, indexed by the count.  Entry v
-    is the decimal text of v and a comma, NUL-padded to the narrowest
-    power-of-2 width that holds the row's largest count and its comma (2
+    """The CSV token lookup of a row or block of counts, indexed by the
+    count.  Entry v is the decimal text of v and a comma, NUL-padded to the
+    narrowest power-of-2 width that holds the largest count and its comma (2
     bytes below 10, 4 below 1000, 8 below 10^7, 16 below 10^15), for each v
-    in the row; every other entry is all NULs.  Each count in the row is
-    formatted once, so a row's tokens are one gather from the lookup.  An
-    empty row gets the 2-byte lookup of count 0."""
+    in the counts; every other entry is all NULs.  Each count is formatted
+    once, so the tokens are one gather from the lookup.  No counts get the
+    2-byte lookup of count 0."""
     if counts.min(initial=0) < 0:
         raise SpectraError("a CSV row of counts holds a negative value")
     top = int(counts.max(initial=0))
@@ -636,7 +714,7 @@ def write_table_csv(field: Field, kind: str, label: str, rows, fobj, *,
                     scale: int | None = None) -> None:
     """Write to the binary file fobj the header `kind,p,n,d_or_table`, then
     one line per row of counts: p^n rows of p^n counts for a whole table.
-    Each row's counts become tokens by a gather from that row's own lookup
+    Counts become tokens by a gather from a lookup of their own
     (_count_text).  Given a scale, rows are the rows 0 and 1 of a power
     map's table (see iter_rows and row_scale).  Row 0 is turned into tokens
     once.  Row 1's cells u = 0 and u = 1 are formatted apart, since they
@@ -644,10 +722,13 @@ def write_table_csv(field: Field, kind: str, label: str, rows, fobj, *,
     into tokens once, at the width of its own largest count.  Line a != 0
     holds the u = 0 cell at b = 0 and the u = 1 cell at b = a^scale; the
     rest is one gather from row 1's tokens (_rotations), and the pieces go
-    out in one write per line.  Otherwise the rows may stream, as those of
-    kernel_rows do, and each line is gathered and written in pieces of at
-    most _PIECE counts.  The writer holds one row's lookup, O(largest
-    count) bytes, and O(q) bytes of tokens."""
+    out in one write per line.  Otherwise the rows may stream, each item a
+    row or a block of rows, as kernel_blocks yields them.  A block gets one
+    lookup, its tokens one gather, in which the comma of each line's last
+    token becomes a newline, and their bytes one NUL strip and one write; a
+    row of more than _PIECE counts is gathered and written in pieces of at
+    most _PIECE.  The writer holds one block's lookup, O(largest count)
+    bytes, and O(max(q, _PIECE)) bytes of tokens."""
     fobj.write(f"{kind.upper()},{field.p},{field.n},{label}\n".encode())
     if scale is not None:
         row0, row1 = rows
@@ -667,10 +748,15 @@ def write_table_csv(field: Field, kind: str, label: str, rows, fobj, *,
             fobj.write(b"".join((zero, _text(line[1:at], False), one_end if end else one,
                                  _text(line[at + 1:], not end))))
         return
-    for row in rows:
-        lookup = _count_text(row)
-        for start in range(0, row.size, _PIECE):
-            fobj.write(_text(lookup[row[start:start + _PIECE]], start + _PIECE >= row.size))
+    for block in map(np.atleast_2d, rows):
+        lookup = _count_text(block)
+        size = block.shape[1]
+        for start in range(0, size, _PIECE):
+            tokens = lookup[block[:, start:start + _PIECE]]
+            if start + _PIECE >= size:  # each line's last token ends it
+                for line in tokens:
+                    line[-1] = line[-1].replace(b",", b"\n")
+            fobj.write(_text(tokens, False))
 
 
 def write_row_csv(field: Field, kind: str, label: str, row: np.ndarray, fobj) -> None:

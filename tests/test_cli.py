@@ -127,7 +127,8 @@ def test_streamed_csv_equals_bruteforce_csv(tmp_path, capsys, field, kind, d, ex
 
 def test_full_csv_formats_a_power_maps_rows_0_and_1_only(tmp_path, capsys, monkeypatch):
     """`spectra --full --csv` of a power map turns counts into text for its
-    rows 0 and 1 only, and a table map's rows are formatted one by one."""
+    rows 0 and 1 only, and a table map's rows are formatted one block of
+    rows at a time."""
     calls = []
     count_text = spectra._count_text
 
@@ -139,7 +140,7 @@ def test_full_csv_formats_a_power_maps_rows_0_and_1_only(tmp_path, capsys, monke
     sbox = tmp_path / "sbox.txt"
     sbox.write_text("".join(f"{(5 * x + 3) % 64}\n" for x in range(64)))
     for map_args, formatted in [(["--power", "11"], [64, 62]),  # row 1 less u = 0 and 1
-                                (["--table", str(sbox)], [64] * 64)]:
+                                (["--table", str(sbox)], [64 * 64])]:  # one block of 64 rows
         calls.clear()
         code, _, _ = run(capsys, "spectra", "fbct", "--field", "p=2;n=6", *map_args,
                          "--full", "--csv", str(tmp_path / "t.csv"))
@@ -161,15 +162,15 @@ def test_bruteforce_check_needs_no_power_rows(tmp_path, capsys, monkeypatch):
 
 
 def test_bruteforce_check_reads_the_kernel_rows(tmp_path, capsys, monkeypatch):
-    kernel_rows = cli.kernel_rows
+    kernel_blocks = cli.kernel_blocks
 
     def row_1_corrupted(field, fmap, kind):
-        for a, row in enumerate(kernel_rows(field, fmap, kind)):
-            if a == 1:
-                row[5] += 2
-            yield row
+        for a, block in kernel_blocks(field, fmap, kind):
+            if a <= 1 < a + len(block):
+                block[1 - a, 5] += 2
+            yield a, block
 
-    monkeypatch.setattr(cli, "kernel_rows", row_1_corrupted)
+    monkeypatch.setattr(cli, "kernel_blocks", row_1_corrupted)
     csv = tmp_path / "t.csv"
     code, out, _ = run(capsys, "spectra", "fbct", "--field", "p=2;n=6", "--power", "11",
                        "--full", "--method", "bruteforce", "--csv", str(csv),
@@ -191,8 +192,8 @@ def test_check_properties_is_validated_before_any_work(capsys, monkeypatch, tmp_
     def no_table_work(*args):
         pytest.fail("spectrum computed before the parameter check")
 
-    monkeypatch.setattr(spectra, "_sozd_row", no_table_work)
-    monkeypatch.setattr(spectra, "_ddt_row", no_table_work)
+    monkeypatch.setattr(spectra, "_sozd_rows", no_table_work)
+    monkeypatch.setattr(spectra, "_ddt_rows", no_table_work)
     csv = tmp_path / "t.csv"
     code, out, err = run(capsys, "spectra", *argv, "--full", "--csv", str(csv),
                          "--check-properties")
@@ -305,15 +306,14 @@ def test_table_map_check_properties(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["properties"] == json.loads(emitted(capsys, fbct_property_check(table)))
     assert (tmp_path / "clean.csv").read_bytes() == expected_csv.getvalue()
 
-    sozd_row = spectra._sozd_row
+    sozd_rows = spectra._sozd_rows
 
     def cell_3_7_corrupted(field, tab, a):
-        row = sozd_row(field, tab, a)
-        if a == 3:
-            row[7] += 1
-        return row
+        block = sozd_rows(field, tab, a)
+        block[a == 3, 7] += 1
+        return block
 
-    monkeypatch.setattr(spectra, "_sozd_row", cell_3_7_corrupted)
+    monkeypatch.setattr(spectra, "_sozd_rows", cell_3_7_corrupted)
     code, out, _ = run(capsys, *argv, str(tmp_path / "corrupted.csv"))
     assert code == 1
     props = json.loads(out)["properties"]
@@ -384,7 +384,7 @@ def test_verify_t3_checks_parameters_before_computing(capsys, monkeypatch):
     def no_table_work(*args):
         pytest.fail("spectrum computed before the parameter check")
 
-    monkeypatch.setattr(spectra, "_sozd_row", no_table_work)
+    monkeypatch.setattr(spectra, "_sozd_rows", no_table_work)
     code, out, err = run(capsys, "verify", "--theorem", "t3", "--p", "3", "--k", "7", "--n", "7")
     assert code == 2 and out == "" and "k=7 outside [1, n)" in err
     code, out, err = run(capsys, "verify", "--theorem", "t3", "--p", "2", "--k", "1", "--n", "5")

@@ -545,6 +545,25 @@ def test_odd_p_add_sub_at_the_top_digits(p, n, mod):
     assert f.add_vec([top], [top]).dtype == f.sub_vec(top, 1).dtype == np.int32
 
 
+@pytest.mark.parametrize("spec", ["p=2;n=3", "p=3;n=3", "p=5;n=2", "p=7;n=2",
+                                  "p=40009;n=1;mod=0,1"])
+def test_add_sub_vec_broadcast_either_operand(spec):
+    """A broadcasts against a larger B as B against a larger A, as in
+    mul_vec: (1, 3) with (2, 1) gives a (2, 3) result, each cell the
+    scalar op's, in both orders and against a scalar."""
+    f = parse_field_spec(spec)
+    rng = np.random.default_rng(f.p)
+    row = rng.integers(0, f.order, (1, 3))
+    col = rng.integers(0, f.order, (2, 1))
+    for vec, scalar in ((f.add_vec, f.add), (f.sub_vec, f.sub)):
+        for A, B in ((row, col), (col, row), (row[0], col), (5 % f.order, col)):
+            out = vec(A, B)
+            A2, B2 = np.broadcast_arrays(A, B)
+            assert out.shape == A2.shape
+            assert out.tolist() == [[scalar(int(x), int(y)) for x, y in zip(xa, ya)]
+                                    for xa, ya in zip(A2.tolist(), B2.tolist())]
+
+
 def test_vector_ops_refuse_orders_from_2_31():
     f = make_field(2147483659, 1, (0, 1), max_size=1 << 32)  # the first prime past 2^31
     for op in (f.xs, lambda: f.add_vec(1, 2), lambda: f.sub_vec(1, 2), lambda: f.mul_vec(1, 2),

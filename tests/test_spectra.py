@@ -212,6 +212,31 @@ def test_power_row_summary_equals_table_summary(p, n, kind, d):
     assert whole.histogram == hist_pairs(table.entries)
 
 
+@pytest.mark.parametrize("p,n,kind", [(2, 8, "sozd"), (2, 10, "sozd"), (3, 5, "sozd"),
+                                      (2, 8, "ddt"), (3, 5, "ddt")])
+def test_table_summary_across_blocks_equals_the_cell_reference(p, n, kind):
+    """A table summarized block by block (the last block of F_{3^5} is
+    short: 243 rows in blocks of 67) has the uniformity and histogram of
+    the cell masks: the largest cells sit where the maximum must not look,
+    row 0, column 0 and, for the p = 2 SOZD table, the diagonal."""
+    f = make_field(p, n)
+    q = f.order
+    entries = np.random.default_rng(q).integers(0, 20, (q, q))
+    entries[0] = 90
+    entries[:, 0] = 80
+    np.fill_diagonal(entries, 70)
+    domain = np.ones((q, q), dtype=bool)
+    domain[0] = False
+    if kind == "sozd":
+        domain[:, 0] = False
+        if p == 2:
+            np.fill_diagonal(domain, False)
+    table = SpectrumTable(kind, f, "table", entries)
+    summary = sozd_uniformity(table) if kind == "sozd" else differential_uniformity(f, table=table)
+    assert summary.uniformity == entries[domain].max()
+    assert summary.histogram == hist_pairs(entries)
+
+
 def hist_pairs(entries):
     values, counts = np.unique(entries, return_counts=True)
     return tuple(zip(values.tolist(), counts.tolist()))
@@ -294,23 +319,26 @@ def test_row_kernels_match_definitions(case):
 
 @pytest.mark.parametrize("p,n,d", [(2, 10, 35), (2, 10, 7), (2, 8, 2), (3, 6, 4), (3, 5, 2)])
 def test_sozd_row_flushes_are_bounded_by_the_pairs(monkeypatch, p, n, d):
-    # the pair differences are binned once per >= q pairs, not once per shift
+    # the pair differences are binned once per >= (rows x q) pairs, not once
+    # per shift: for row 1 alone and for the block of rows 1, 2, 3
     f = make_field(p, n)
     tab = f.power_map_table(d)
-    ddt1 = spectra._ddt_row(f, tab, 1)
-    flushes = 0
+    bruteforce = sozd_table(f, PowerMap(d), method="bruteforce").entries
     bincount = np.bincount
+    for a in (np.array([1]), np.arange(1, 4)):
+        ddt = spectra._ddt_rows(f, tab, a)
+        flushes = 0
 
-    def counting(*args, **kwargs):
-        nonlocal flushes
-        flushes += 1
-        return bincount(*args, **kwargs)
+        def counting(*args, **kwargs):
+            nonlocal flushes
+            flushes += 1
+            return bincount(*args, **kwargs)
 
-    monkeypatch.setattr(np, "bincount", counting)
-    row = spectra._sozd_row(f, tab, 1)
-    monkeypatch.undo()
-    assert flushes <= (ddt1**2).sum() / f.order + 2, flushes
-    assert np.array_equal(row, sozd_table(f, PowerMap(d), method="bruteforce").entries[1])
+        monkeypatch.setattr(np, "bincount", counting)
+        block = spectra._sozd_rows(f, tab, a)
+        monkeypatch.undo()
+        assert flushes <= (ddt**2).sum() / ddt.size + 2, (a, flushes)
+        assert np.array_equal(block, bruteforce[a])
 
 
 # -- the row kernel's transform of the large derivative classes ------------------------
@@ -327,9 +355,9 @@ def kernel_cut(mode):
     calls = []
     transform = spectra._class_autocorrelation
 
-    def spy(field, classes):
+    def spy(field, classes, out):
         calls.append([len(c) for c in classes])
-        return transform(field, classes)
+        return transform(field, classes, out)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectra, "_class_autocorrelation", spy)
@@ -339,18 +367,23 @@ def kernel_cut(mode):
 
 
 @settings(max_examples=25, deadline=None)
-@given(sboxes())
-def test_row_kernel_transformed_and_scanned_classes_match_definitions(case):
+@given(sboxes(), st.sampled_from([1, 3, 64]))
+def test_row_kernel_transformed_and_scanned_classes_match_definitions(case, rows):
     """Every class transformed (threshold 0) or none (threshold q): both
-    kernels' rows equal sozd_entry at every (a, b)."""
+    kernels' blocks of 1 row, of 3 rows and of the whole table (64 rows
+    reach past every field here) equal ddt_entry and sozd_entry at every
+    (a, b); each row of a block takes its own transform."""
     field, tm = case
     q = field.order
     tab = image_table(field, tm)
-    want = [[sozd_entry(field, tm, a, b) for b in range(q)] for a in range(q)]
+    want = {kind: [[entry(field, tm, a, b) for b in range(q)] for a in range(q)]
+            for kind, entry in (("ddt", ddt_entry), ("sozd", sozd_entry))}
+    blocks = [np.arange(a, min(a + rows, q)) for a in range(0, q, rows)]
     for mode in ("transform", "scan"):
         with kernel_cut(mode) as calls:
-            for a in range(q):
-                assert spectra._sozd_row(field, tab, a).tolist() == want[a], (a, mode)
+            for a in blocks:
+                assert spectra._sozd_rows(field, tab, a).tolist() == want["sozd"][a[0]:a[-1] + 1], (a, mode)
+                assert spectra._ddt_rows(field, tab, a).tolist() == want["ddt"][a[0]:a[-1] + 1], (a, mode)
         assert len(calls) == (q if mode == "transform" else 0)
 
 
@@ -429,8 +462,9 @@ def test_odd_p_transform_falls_back_to_the_scan_when_inexact(monkeypatch, error)
         return out
 
     monkeypatch.setattr(np.fft, "irfftn", perturbed)
-    assert spectra._class_autocorrelation(f, [f.xs()]) is None
-    assert spectra._sozd_row(f, tab, 1).tolist() == [f.order] * f.order
+    out = np.zeros(f.order, dtype=np.int64)
+    assert spectra._class_autocorrelation(f, [f.xs()], out) is None and not out.any()
+    assert spectra._sozd_rows(f, tab, np.array([1]))[0].tolist() == [f.order] * f.order
 
 
 def test_linear_row_at_f2_16_within_a_time_bound():
@@ -456,6 +490,22 @@ def test_transformed_row_memory_in_int32_arrays():
         tracemalloc.stop()
     assert row.dtype == np.int64 and (row == q).all()
     assert peak <= 11 * 4 * q, peak / (4 * q)
+
+
+def test_scanned_row_memory_in_int32_arrays():
+    """The F_{2^18} SOZD row of x^7, field and exp/log tables included, is
+    all scan (no class passes the threshold) and peaks at 15.5 q-length
+    int32 arrays (measured): a lone row builds no per-block offset arrays."""
+    q = 1 << 18
+    sozd_row_power(make_field(2, 10), 7)  # first-call imports and caches out of the peak
+    tracemalloc.start()
+    try:
+        row = sozd_row_power(make_field(2, 18), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row[0] == q and row.sum() == (ddt_row_power(make_field(2, 18), 7) ** 2).sum()
+    assert peak <= 16.5 * 4 * q, peak / (4 * q)
 
 
 # -- streamed rows -------------------------------------------------------------------
@@ -495,7 +545,7 @@ def test_streamed_rows_where_scale_times_log_passes_2_31():
     tab = image_table(f, PowerMap(d))
     rows = itertools.islice(iter_rows(f, power_rows(f, "ddt", d), d), 40)
     for a, row in enumerate(rows):
-        assert np.array_equal(row, spectra._ddt_row(f, tab, a)), a
+        assert np.array_equal(row, spectra._ddt_rows(f, tab, np.array([a]))[0]), a
 
 
 # -- flagged cells -------------------------------------------------------------------
@@ -669,6 +719,27 @@ def test_row_property_check_equals_table_check(field, d, data):
     for r, u, delta in data.draw(st.lists(cells, max_size=4)):
         rows[r][u] = max(rows[r][u] + delta, 0)
     check_rows_against_table(field, rows)
+
+
+@pytest.mark.parametrize("n,d", [(8, 19), (10, 37)])
+def test_table_property_check_across_blocks_equals_the_cell_reference(n, d):
+    """The q x q check walks blocks of rows (4 of 64 rows at q = 256, 64 of
+    16 at q = 1024); with cells corrupted in several blocks, in row 0,
+    column 0 and on the diagonal, more than 50 per property, its counts and
+    its first 50 violations per property are the per-cell reference's."""
+    f = make_field(2, n)
+    q = f.order
+    table = sozd_table(f, PowerMap(d))
+    rng = np.random.default_rng(n)
+    a, b = rng.integers(0, q, (2, 120))
+    table.entries[a, b] += rng.choice([-4, 1, 2, 4], 120)
+    t = rng.choice(np.arange(1, q), 60, replace=False)
+    table.entries[t[:40], t[:40]] -= 4  # trivial cells: the diagonal, row 0, column 0
+    table.entries[0, t[40:50]] -= 4
+    table.entries[t[50:], 0] -= 4
+    report = fbct_property_check(table)
+    assert as_tuples(report) == reference_property_check(table.entries)
+    assert all(count > 50 for count in report.counts.values()), report.counts
 
 
 def test_f2_fbct_passes_and_trivial_cells_are_fixed_values():
