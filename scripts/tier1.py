@@ -7,10 +7,11 @@ Five acceptance tests stay red on purpose: the published values they check
 
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
 
-from the repository root, prints the pass count, and exits 0 exactly when
-the set of failed or erroring tests is those five; otherwise it lists the
-unexpected failures and the expected ones that passed, and exits 1.  Every
-collected test runs.
+from the repository root, prints the pass count and then the total line
+count of src/sbox_spectra/*.py (the net source size the ROADMAP tracks), and
+exits 0 exactly when the set of failed or erroring tests is those five;
+otherwise it lists the unexpected failures and the expected ones that
+passed, and exits 1.  Every collected test runs.
 
 Usage: python scripts/tier1.py
 """
@@ -49,6 +50,8 @@ def main() -> int:
     skipped = sum(c.find("skipped") is not None for c in cases)
     print(f"tier-1: {len(cases) - len(failed) - skipped} passed, {len(failed)} failed, "
           f"{skipped} skipped")
+    sources = (ROOT / "src" / "sbox_spectra").glob("*.py")
+    print(f"src/sbox_spectra/*.py: {sum(len(p.read_bytes().splitlines()) for p in sources)} lines")
     for test in sorted(failed - BY_DESIGN):
         print(f"unexpected failure: {test}")
     for test in sorted(BY_DESIGN - failed):

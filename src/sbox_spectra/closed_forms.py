@@ -104,6 +104,12 @@ def _check_pk1(field: Field, k: int, condition: str = "exact") -> None:
         raise BadParametersError(f"unknown condition {condition!r}")
 
 
+def _pk1_uniformity(p: int, k: int, n: int) -> int:
+    """t3's claimed uniformity of x^(p^k+1) over F_{p^n}, following the
+    vanishing condition: p^n when n / gcd(n, k) is even, else 0."""
+    return p**n if (n // math.gcd(n, k)) % 2 == 0 else 0
+
+
 # -- the claims, each encoded once ---------------------------------------------------
 #
 # A claim maps arrays a, b of encodings that broadcast together (int32, as
@@ -365,11 +371,9 @@ def verify_sozd_pk1(p: int, k: int, n: int, condition: str = "exact") -> Verific
     _check_pk1(fld, k, condition)
     exact, stated = (_claim_rows(fld, partial(_claim_sozd_pk1, k=k, condition=c))
                      for c in ("exact", "stated"))
-    s = math.gcd(n, k)
-    claimed = p**n if (n // s) % 2 == 0 else 0
     params = {"p": p, "k": k, "n": n, "d": p**k + 1, "condition": condition}
     claim = exact if condition == "exact" else stated
-    report, _, summary = _report("t3", params, fld, "sozd", claim, claimed)
+    report, _, summary = _report("t3", params, fld, "sozd", claim, _pk1_uniformity(p, k, n))
     disc = exact.spans[exact.case, 0] != stated.spans[stated.case, 0]
     n_disc, examples = flagged_cells(fld, disc, 1, 20)
     report.extras = {
@@ -449,11 +453,7 @@ def registry_cases() -> list[RegistryCase]:
     for m in (3, 4, 5):
         add("fam-2m5", "2^m+5", 2, 2 * m, (1 << m) + 5, 1 << m, m=m)
     for p, k, n in ((3, 1, 2), (3, 1, 3), (3, 2, 4), (5, 1, 2), (5, 1, 3), (7, 1, 2)):
-        s = math.gcd(n, k)
-        add(
-            "fam-pk1", "p^k+1", p, n, p**k + 1,
-            p**n if (n // s) % 2 == 0 else 0, k=k,
-        )
+        add("fam-pk1", "p^k+1", p, n, p**k + 1, _pk1_uniformity(p, k, n), k=k)
     for n in (2, 3, 4, 5):
         add("fam-x4-f3n", "4", 3, n, 4, 0 if n % 2 else 3**n)
     return cases

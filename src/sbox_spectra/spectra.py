@@ -17,9 +17,11 @@ table's summary (`power_table_summary`), its FBCT property check
 (`fbct_row_property_check`) and its CSV (`write_table_csv` given the row
 scale) all come from the two rows in O(q) memory.  That check and the
 q x q one of a table map (`fbct_property_check`) apply one rule set,
-`_identities`, to a block of rows and its columns.  `flagged_cells` is the one
-lister of the cells where a check fails, for the row check and for
-closed_forms' verification: given
+`_identities`, to a block of rows and its columns.  The cells outside the
+uniformity's domain, which the FBCT identities fix at q, are one mask
+(`_outside_domain`): every summary's maximum and both checks read it.
+`flagged_cells` is the one lister of the cells where a check fails, for
+the row check and for closed_forms' verification: given
 the check's boolean rows 0 and 1, it counts them (row 0's plus q - 1 times
 row 1's) and lists the first few in (a, b) order.  The CSV writer turns
 a row of counts into text by a byte gather from that row's own lookup of
@@ -476,19 +478,35 @@ def _table(field: Field, fmap, method: str, kind: str) -> np.ndarray:
 # -- uniformities and histograms ----------------------------------------------
 
 def _domain(field: Field, kind: str) -> str:
+    """The uniformity's domain in words (see _outside_domain)."""
     if kind == "ddt":
         return "a != 0"
     return "a, b nonzero and a != b" if field.p == 2 else "a, b nonzero"
 
 
+def _outside_domain(kind: str, p: int, shape: tuple[int, int], a: int) -> np.ndarray:
+    """The boolean block, of the given shape, of the cells (r, b) of rows a,
+    a + 1, ... that lie outside the uniformity's domain: row 0; for the SOZD
+    table column 0 too, and for p = 2 the cells b = a (the Feistel boomerang
+    uniformity).  For the FBCT these are the cells with ab(a+b) = 0, which
+    its identities fix at q (see _identities)."""
+    outside = np.zeros(shape, dtype=bool)
+    if a == 0:
+        outside[0] = True
+    if kind == "sozd":
+        outside[:, 0] = True
+        if p == 2:  # cell (r, a + r) sits at flat index a + r (q + 1)
+            outside.ravel()[a::shape[1] + 1] = True
+    return outside
+
+
 class RunningSummary:
     """Uniformity and histogram of a DDT or SOZD table fed as blocks of rows,
-    in memory of a block.  The maximum ranges over a != 0: all b for the DDT;
-    for the SOZD table b != 0, and b != a too for p = 2 (the Feistel
-    boomerang uniformity).  The histogram covers all p^2n pairs.  A row may
-    stand for several rows a of the same values and the same maximum, as row
-    1 of a power map does for every row a != 0: it is added once with that
-    multiplicity."""
+    in memory of a block.  The maximum ranges over the cells inside the
+    domain (_outside_domain); the histogram covers all p^2n pairs.  A row
+    may stand for several rows a of the same values and the same maximum,
+    as row 1 of a power map does for every row a != 0: it is added once
+    with that multiplicity."""
 
     def __init__(self, field: Field, kind: str):
         self.field = field
@@ -498,27 +516,12 @@ class RunningSummary:
 
     def add(self, rows: np.ndarray, a: int, multiplicity: int = 1) -> np.ndarray:
         """Count the block of rows a, a + 1, ..., `multiplicity` times each,
-        and return it.  For p = 2 the SOZD cells b = a of the rows a != 0 lie
-        on the diagonal of the square of their columns a, a + 1, ...: the
-        maximum is that of the columns before and after the square and of a
-        copy of the square with its diagonal zeroed (the maximum starts at
-        0, so a zeroed cell counts for nothing)."""
+        and return it.  The maximum is one masked maximum of the block, 0
+        where no cell lies in the domain."""
         values, counts = np.unique(rows, return_counts=True)
         self._counts.update(dict(zip(values.tolist(), (multiplicity * counts).tolist())))
-        nonzero = rows[1:] if a == 0 else rows  # the rows from max(a, 1) on
-        a, k = max(a, 1), len(nonzero)
-        if not k:
-            return rows
-        if self.kind == "ddt":
-            top = nonzero.max()
-        elif self.field.p != 2:
-            top = nonzero[:, 1:].max(initial=0)
-        else:
-            square = nonzero[:, a:a + k].copy()
-            square.ravel()[::k + 1] = 0
-            top = max(nonzero[:, 1:a].max(initial=0), nonzero[:, a + k:].max(initial=0),
-                      square.max(initial=0))
-        self._max = max(self._max, int(top))
+        outside = _outside_domain(self.kind, self.field.p, rows.shape, a)
+        self._max = max(self._max, int(rows.max(where=~outside, initial=0)))
         return rows
 
     def summary(self) -> SpectrumSummary:
@@ -602,18 +605,14 @@ def _report(counts: dict[str, int], listing: dict[str, list]) -> PropertyReport:
 def _identities(rows: np.ndarray, cols: np.ndarray, a: int):
     """The structural FBCT identities on the block of rows a, a + 1, ... of a
     q x q table, given the rows and their columns (as rows): symmetry; the
-    trivial cells, ab(a+b) = 0 (all of row 0, b = 0 and b = a elsewhere),
-    equal q = 2^n; every other entry = 0 (mod 4); and entry (a, b) =
-    entry (a, a+b).  Yields for each, in _PROPERTIES order, the name, the
-    boolean block of the cells (r, b) of row a + r that break it, and the
-    detail text of cell (r, b); one at a time, so the block's temporaries
-    of one identity are gone before the next."""
-    k, q = rows.shape
-    trivial = np.zeros(rows.shape, dtype=bool)
-    trivial[:, 0] = True
-    trivial[np.arange(k), np.arange(a, a + k)] = True
-    if a == 0:
-        trivial[0] = True
+    trivial cells, ab(a+b) = 0, the FBCT's _outside_domain mask, equal
+    q = 2^n; every other entry = 0 (mod 4); and entry (a, b) = entry
+    (a, a+b).  Yields for each, in _PROPERTIES order, the name, the boolean
+    block of the cells (r, b) of row a + r that break it, and the detail
+    text of cell (r, b); one at a time, so the block's temporaries of one
+    identity are gone before the next."""
+    q = rows.shape[1]
+    trivial = _outside_domain("sozd", 2, rows.shape, a)
     yield "symmetry", rows != cols, lambda r, b: f"{rows[r, b]} != {cols[r, b]}"
     yield "fixed-values", trivial & (rows != q), lambda r, b: f"{rows[r, b]} != {q}"
     yield "multiplicity-mod-4", ~trivial & (rows & 3 != 0), lambda r, b: f"{rows[r, b]} % 4 != 0"

@@ -323,6 +323,27 @@ def test_table_map_check_properties(tmp_path, capsys, monkeypatch):
     assert len(lines) == 65 and int(lines[4].split(",")[7]) == table.entries[3, 7] + 1
 
 
+@pytest.mark.parametrize("kind,p,n,d,extra", [
+    ("fbct", 2, 6, 11, ["--check-properties"]),
+    ("sozd", 3, 4, 7, []),
+    ("ddt", 3, 4, 7, []),
+    ("fbct", 2, 1, 1, ["--check-properties"]),
+])
+def test_power_map_prints_what_the_same_map_as_a_table_prints(tmp_path, capsys, kind, p, n, d,
+                                                              extra):
+    """The power path (rows 0 and 1, the row check) and the table path
+    (kernel blocks, the block summary, the q x q check) read the domain
+    through different code, and print the same summary and report."""
+    f = make_field(p, n)
+    table_file = tmp_path / "power.txt"
+    table_file.write_text("".join(f"{f.pow(x, d)}\n" for x in range(f.order)))
+    field = f"p={p};n={n}"
+    power = run(capsys, "spectra", kind, "--field", field, "--power", str(d), "--full", *extra)
+    table = run(capsys, "spectra", kind, "--field", field, "--table", str(table_file), *extra)
+    assert power[0] == table[0] == 0
+    assert power[1] == table[1]
+
+
 def test_load_table_map_errors(tmp_path):
     f = make_field(2, 4)
     short = tmp_path / "short.txt"

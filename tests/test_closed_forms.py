@@ -519,6 +519,21 @@ def test_registry_contains_required_rows():
     assert cases[("fam-x4-f3n", 3, 4)].expected == 81
 
 
+def test_registry_family_rows_expect_the_verifiers_claims():
+    # the registry's fam-* rows and verify_theorem read one statement of
+    # each claimed uniformity, so they cannot drift apart
+    theorems = {"fam-2m3": "t1", "fam-2m5": "t2", "fam-pk1": "t3"}
+    rows = [c for c in registry_cases() if c.name in theorems]
+    assert len(rows) == 12
+    for case in rows:
+        if case.name == "fam-pk1":
+            params = {"p": case.p, "k": case.params["k"], "n": case.n, "condition": "exact"}
+        else:
+            params = {"m": case.params["m"]}
+        report = verify_theorem(theorems[case.name], **params)
+        assert report.uniformity_claimed == case.expected, (case.name, params)
+
+
 def test_registry_report_statuses():
     report = verify_registry(max_size=1024)
     by_key = {(r["name"], r["p"], r["n"]): r for r in report.rows}
