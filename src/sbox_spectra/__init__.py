@@ -5,10 +5,8 @@ from .errors import (
     BadParametersError,
     EvenCharacteristicError,
     LeadingCoefficientZeroError,
-    MixedFieldsError,
     NoBuiltinModulusError,
     NotADivisorError,
-    NotAPowerMapError,
     NotPrimeError,
     OddCharacteristicError,
     ReduciblePolynomialError,
@@ -19,7 +17,7 @@ from .errors import (
     WrongLengthError,
     ZeroLinearCoefficientError,
 )
-from .fields import Field, FieldElement, PowerFacts, make_field, parse_field_spec
+from .fields import Field, PowerFacts, make_field, parse_field_spec
 from .solvers import (
     RootResult,
     affine_root_count,

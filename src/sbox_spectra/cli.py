@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p_spec.add_mutually_exclusive_group()
     mode.add_argument("--full", action="store_true", help="full table (default)")
     mode.add_argument("--row", action="store_true", help="row at a = 1 (power maps)")
-    p_spec.add_argument("--method", choices=("auto", "fast", "bruteforce"), default="auto")
+    p_spec.add_argument("--method", choices=("auto", "bruteforce"), default="auto")
     p_spec.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; output and work do not depend on it")
     p_spec.add_argument("--csv", help="write the table as CSV to this path")

@@ -26,10 +26,6 @@ class NoBuiltinModulusError(SpectraError):
     """No built-in modulus for this (p, n) and none was supplied."""
 
 
-class MixedFieldsError(SpectraError):
-    """Operands belong to different fields."""
-
-
 class NotADivisorError(SpectraError):
     """Subfield index d does not divide the extension degree n."""
 
@@ -52,10 +48,6 @@ class ZeroLinearCoefficientError(SpectraError):
 
 class BadParametersError(SpectraError):
     """Parameters outside the range a predictor or solver supports."""
-
-
-class NotAPowerMapError(SpectraError):
-    """Operation is only defined for power maps x^d."""
 
 
 class WrongLengthError(SpectraError):

@@ -1,6 +1,6 @@
 """Exact arithmetic and structural queries in F_{p^n}.
 
-Elements are canonically encoded as integers in [0, p^n): the residue
+Elements are ints, their canonical encodings in [0, p^n): the residue
 polynomial c_0 + c_1 x + ... + c_{n-1} x^{n-1} packs to sum(c_i * p^i).
 For p = 2 addition is a single XOR.  For odd p an encoding is cut into
 base-P limbs (P = p^w, at most 256) and a pair of limbs is added or
@@ -13,27 +13,26 @@ so the vector ops refuse orders from 2^31.
 A Field caches exp/log tables over a generator once multiplication is first
 needed (for orders up to TABLE_CAP), turning mul/inv/pow/character/sqrt
 into O(1) lookups; larger fields fall back to polynomial arithmetic for
-these scalar ops (sqrt by Tonelli-Shanks), while the vectorized ones (and
-so every spectrum row) need the tables.  Each scalar op makes that choice
-itself, so callers such as the root solvers run one code path at every
-order and never read the tables.  The scalar ops read Python-list copies
-of the int32 tables, made on the first scalar call (_have_tables), which
-for odd p also builds the Zech logarithms zech[k] = log(1 + g^k) (-1 where
-1 + g^k = 0), so scalar add/sub/neg are O(1) lookups too (Huber, IEEE
-Trans. IT 36(4), 1990):
+these scalar ops (sqrt by Tonelli-Shanks, odd-p add/sub/neg digit by
+digit), while the vectorized ones (and so every spectrum row) need the
+tables.  Each scalar op makes that choice itself, so callers such as the
+root solvers run one code path at every order and never read the tables.
+The scalar ops read Python-list copies of the int32 tables, made on the
+first scalar call (_have_tables), which for odd p also builds the Zech
+logarithms zech[k] = log(1 + g^k) (-1 where 1 + g^k = 0), so scalar
+add/sub/neg are O(1) lookups too (Huber, IEEE Trans. IT 36(4), 1990):
 g^i + g^j = g^(i + zech[j - i]) and -g^i = g^(i + (q-1)/2).  The tables are
 built by doubling: with exp[:L] = g^0..g^(L-1) filled, exp[L:2L] =
 g^L * exp[:L].  Multiplying by a fixed c is F_p-linear, so n scalar
 products give c times each basis element p^j, and a lookup table per byte
 (p = 2) or limb (odd p) maps the whole block: O(n log q) scalar products.
-Fields and elements are immutable values; lazy cache builds are idempotent,
-so sharing across threads is safe.
+Fields are immutable values; lazy cache builds are idempotent, so sharing
+across threads is safe.
 
 make_field interns the fields of order up to INTERN_MAX_ORDER (2^12): an LRU
 cache of at most INTERN_ENTRIES (32) Fields, keyed by (p, n, modulus) with
 the built-in modulus filled in, so each small field's tables and solver
-cache are built once per process.  Elements from two make_field calls for
-the same small field therefore mix.  The size bound is checked on every
+cache are built once per process.  The size bound is checked on every
 call; larger fields are built anew each time.  The intern holds at most
 about 200 MiB, nearly all of it full solver caches (see _interned_field).
 """
@@ -52,7 +51,6 @@ from ._conway import CONWAY_POLYNOMIALS
 from .errors import (
     BadParametersError,
     EvenCharacteristicError,
-    MixedFieldsError,
     NoBuiltinModulusError,
     NotADivisorError,
     NotPrimeError,
@@ -176,39 +174,11 @@ class Field:
         return out
 
     def as_index(self, x) -> int:
-        """Coerce an element or raw encoding to a validated index."""
-        if isinstance(x, FieldElement):
-            if x.field is not self:
-                raise MixedFieldsError(f"element of {x.field!r} used in {self!r}")
-            return x.idx
+        """Coerce a raw encoding (any int-like value) to a validated index."""
         i = int(x)
         if not 0 <= i < self.order:
             raise UnparsableElementError(f"encoding {i} outside [0, {self.order})")
         return i
-
-    def element(self, x) -> FieldElement:
-        """Wrap an encoding, coefficient sequence, or element of this field."""
-        if isinstance(x, FieldElement):
-            return FieldElement(self, self.as_index(x))
-        if isinstance(x, (list, tuple)):
-            return FieldElement(self, self.from_coeffs(x))
-        return FieldElement(self, self.as_index(x))
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
-
-    def elements(self):
-        """All p^n elements in canonical order, zero first."""
-        for i in range(self.order):
-            yield FieldElement(self, i)
-
-    def __iter__(self):
-        return self.elements()
 
     def format_element(self, x) -> str:
         i = self.as_index(x)
@@ -244,6 +214,11 @@ class Field:
         a = pa.int_to_coeffs(i, self.p)
         b = pa.int_to_coeffs(j, self.p)
         return pa.coeffs_to_int(pa.poly_mulmod(a, b, list(self.modulus), self.p), self.p)
+
+    def _add_raw(self, i: int, j: int, op=pa.poly_add) -> int:
+        """i + j (op = poly_add) or i - j (op = poly_sub), digit by digit."""
+        p = self.p
+        return pa.coeffs_to_int(op(pa.int_to_coeffs(i, p), pa.int_to_coeffs(j, p), p), p)
 
     def _pow_raw(self, i: int, e: int) -> int:
         if i == 0:
@@ -348,14 +323,14 @@ class Field:
             li = log[i]
             z = self._zech[(log[j] - li) % m]
             return 0 if z < 0 else self._exp[(li + z) % m]
-        return int(self.add_vec(i, j))
+        return self._add_raw(i, j)
 
     def neg(self, i: int) -> int:
         if self.p == 2 or i == 0:
             return i
         if self._exp is not None or self._have_tables():
             return self._exp[(self._log[i] + self._m // 2) % self._m]
-        return int(self.sub_vec(0, i))
+        return self._add_raw(0, i, pa.poly_sub)
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
@@ -594,71 +569,6 @@ class Field:
         if d < 1:
             raise BadParametersError("power map exponent must be >= 1")
         return self.pow_vec(self.xs(), d)
-
-
-class FieldElement:
-    """An immutable element of a specific Field."""
-
-    __slots__ = ("field", "idx")
-
-    def __init__(self, field: Field, idx: int):
-        self.field = field
-        self.idx = idx
-
-    def _peer(self, other) -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field is not self.field:
-            raise MixedFieldsError("elements from different fields")
-        return other.idx
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.idx, self._peer(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.idx, self._peer(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.idx))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.idx, self._peer(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.idx, self._peer(other)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.idx, e))
-
-    def inv(self):
-        return FieldElement(self.field, self.field.inv(self.idx))
-
-    def frobenius(self, j: int = 1):
-        return FieldElement(self.field, self.field.frobenius(self.idx, j))
-
-    def trace(self, d: int = 1):
-        return FieldElement(self.field, self.field.trace(self.idx, d))
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field is other.field and self.idx == other.idx
-
-    def __hash__(self):
-        return hash((id(self.field), self.idx))
-
-    def __int__(self):
-        return self.idx
-
-    def __bool__(self):
-        return self.idx != 0
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs(self.idx)
-
-    def __repr__(self):
-        return f"<F({self.field.p}^{self.field.n}) {self.field.format_element(self.idx)}>"
 
 
 # -- construction and parsing -------------------------------------------------

@@ -24,8 +24,8 @@ pow, frobenius, trace, sqrt); whether those read exp/log tables or run on
 polynomial arithmetic is decided in fields alone, so each solver has one
 code path for every order.
 
-All element arguments and results are canonical encodings (ints); pass
-FieldElement values and they are coerced.
+All element arguments and results are canonical encodings (ints); other
+int-like arguments (np.int64, bool, numeric str) go through Field.as_index.
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotAPowerMapError, SpectraError, UnsupportedSizeError, WrongLengthError
+from .errors import SpectraError, UnsupportedSizeError, WrongLengthError
 from .fields import Field
 
 
@@ -340,8 +340,8 @@ def sozd_row_power(field: Field, d: int) -> np.ndarray:
 
 
 def ddt_table(field: Field, fmap, method: str = "auto") -> SpectrumTable:
-    """Full DDT.  method: "auto" (fast path for power maps), "fast", or
-    "bruteforce" (the oracle path, selectable for cross-validation)."""
+    """Full DDT.  method: "auto" (fast path for power maps) or "bruteforce"
+    (the oracle path, selectable for cross-validation)."""
     entries = _table(field, fmap, method, kind="ddt")
     return SpectrumTable("ddt", field, map_label(fmap), entries)
 
@@ -443,16 +443,12 @@ def table_blocks(entries: np.ndarray):
 
 
 def uses_power_rows(fmap, method: str) -> bool:
-    """Whether `method` takes the table from rows 0 and 1 ("fast", or "auto"
-    on a power map) rather than from kernel_blocks ("bruteforce", or "auto" on
-    a table map)."""
-    if method not in ("auto", "fast", "bruteforce"):
+    """Whether `method` takes the table from rows 0 and 1 ("auto" on a power
+    map) rather than from kernel_blocks ("bruteforce", or "auto" on a table
+    map)."""
+    if method not in ("auto", "bruteforce"):
         raise SpectraError(f"unknown method {method!r}")
-    if method == "fast" or (method == "auto" and isinstance(fmap, PowerMap)):
-        if not isinstance(fmap, PowerMap):
-            raise NotAPowerMapError("fast path needs a power map")
-        return True
-    return False
+    return method == "auto" and isinstance(fmap, PowerMap)
 
 
 def _table(field: Field, fmap, method: str, kind: str) -> np.ndarray:

@@ -74,7 +74,7 @@ def x13_table():
 def x19_tables():
     f = make_field(2, 8)
     t0 = time.time()
-    fast = sozd_table(f, PowerMap(19), method="fast")
+    fast = sozd_table(f, PowerMap(19), method="auto")
     fast_elapsed = time.time() - t0
     t0 = time.time()
     brute = sozd_table(f, PowerMap(19), method="bruteforce")

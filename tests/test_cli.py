@@ -601,10 +601,10 @@ CANONICAL_RUNS = [
          "--method", "bruteforce", "--jobs", "4", "--csv", "{}/out.csv"],
         id="ddt-power-row-bruteforce-jobs4-csv"),
     pytest.param(
-        ["sozd", "--field", "p=3;n=3", "--power", "5", "--jobs", "4", "--method", "fast"],
+        ["sozd", "--field", "p=3;n=3", "--power", "5", "--jobs", "4", "--method", "auto"],
         ["sozd", "--field", "p=3;n=3;mod=1,2,0,1", "--power", "5", "--full",
-         "--method", "fast", "--jobs", "4"],
-        id="sozd-power-fast-jobs4"),
+         "--method", "auto", "--jobs", "4"],
+        id="sozd-power-auto-jobs4"),
     pytest.param(
         ["ddt", "--field", "p=2;n=5", "--power", "7", "--row"],
         ["ddt", "--field", "p=2;n=5;mod=1,0,1,0,0,1", "--power", "7", "--row",

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from sbox_spectra import (
     BadParametersError,
     EvenCharacteristicError,
-    MixedFieldsError,
     NoBuiltinModulusError,
     NotADivisorError,
     NotPrimeError,
@@ -24,6 +23,7 @@ from sbox_spectra import (
     make_field,
     parse_field_spec,
     solve_linearized_trinomial,
+    solve_quadratic,
     sozd_row_power,
 )
 from sbox_spectra import cli, fields
@@ -86,7 +86,6 @@ def test_small_fields_are_interned():
     assert make_field(2, 6, [1, 1, 0, 0, 0, 0, 1]) is not make_field(2, 6)
     assert make_field(2, 13) is not make_field(2, 13)  # above INTERN_MAX_ORDER
     assert parse_field_spec("p=3;n=8") is not parse_field_spec("p=3;n=8")
-    assert make_field(2, 6).one == make_field(2, 6).one  # elements of the same Field mix
 
 
 def test_explicit_conway_modulus_shares_the_entry():
@@ -347,32 +346,12 @@ def test_eta_even_characteristic(f26):
 # -- enumeration and encoding --------------------------------------------------
 
 def test_enumeration_order(f33):
-    elems = list(f33.elements())
-    assert elems[0].idx == 0
-    assert len(elems) == 27
-    assert len({e.idx for e in elems}) == 27
-    assert [e.idx for e in elems] == list(range(27))
+    assert len(f33) == 27
     # coefficient vectors sort like their encodings (constant term least significant)
-    for e in elems:
-        assert f33.from_coeffs(e.coeffs) == e.idx
-
-
-def test_element_wrappers(f26):
-    a = f26.element(5)
-    b = f26.element([1, 1])  # 1 + x
-    assert (a + b).idx == f26.add(5, 3)
-    assert (a * b).idx == f26.mul(5, 3)
-    assert (a / b * b) == a
-    assert int(a**63) == 1
-    assert (-a) == a  # characteristic 2
-    assert a != b and hash(a) != hash(f26.element(6))
-
-
-def test_mixed_fields_rejected(f26, f28):
-    with pytest.raises(MixedFieldsError):
-        _ = f26.element(1) + f28.element(1)
-    with pytest.raises(MixedFieldsError):
-        f26.as_index(f28.element(1))
+    digits = [f33.coeffs(i) for i in range(27)]
+    assert digits == sorted(digits, key=lambda c: c[::-1]) and len(set(digits)) == 27
+    for i, c in enumerate(digits):
+        assert f33.from_coeffs(c) == i
 
 
 def test_power_facts(f26, f28):
@@ -454,6 +433,35 @@ def test_zech_arithmetic_sampled_pairs(p, n):
     rng = np.random.default_rng(p * n)
     assert_digitwise(f, rng.integers(0, f.order, (3000, 2)).tolist())
     assert (f._zech is None) == (f.order > TABLE_CAP)
+
+
+# x^25 + 2x^3 + 1 over F_3, irreducible: an order past 2^31, where the vector ops refuse
+F3_25 = (3, 25, [1, 0, 0, 2] + [0] * 21 + [1])
+
+
+@pytest.mark.parametrize("p,n,modulus", [(3, 13, None), F3_25], ids=["F3^13", "F3^25"])
+def test_scalar_ops_past_the_table_cap_never_reach_the_vector_ops(monkeypatch, p, n, modulus):
+    # above TABLE_CAP every scalar op runs on polynomial arithmetic; 3^13 lies
+    # below 2^31, where a vector op would still answer, and 3^25 above it
+    def refuse(self, *args):
+        raise AssertionError("a scalar op called a vector op")
+
+    for name in ("add_vec", "sub_vec", "mul_vec", "pow_vec"):
+        monkeypatch.setattr(Field, name, refuse)
+    f = make_field(p, n, modulus, max_size=p**n)
+    assert f.order > TABLE_CAP
+    pairs = np.random.default_rng(n).integers(0, f.order, (300, 2)).tolist()
+    for i, j in pairs:
+        assert f.add(i, j) == digit_add(f, i, j)
+        assert f.sub(i, j) == digit_add(f, i, j, -1)
+        assert f.neg(i) == digit_add(f, 0, i, -1)
+    assert f.mul(5, 7) == 26  # (2 + x)(1 + 2x) = 2 + 2x + 2x^2
+    (r, s), (x, y) = pairs[:2]
+    assert f.trace(1) == n % p and f.trace(f.add(x, y)) == f.add(f.trace(x), f.trace(y)) < p
+    assert f.sqrt(f.mul(r, r)) in (r, f.neg(r))
+    res = solve_quadratic(f, 1, f.neg(f.add(r, s)), f.mul(r, s))  # (x - r)(x - s)
+    assert res.kind == "pair" and res.roots == tuple(sorted((r, s)))
+    assert f._np_exp is None
 
 
 def test_odd_p_addition_is_linear_memory():
