@@ -174,8 +174,15 @@ class Field:
         return out
 
     def as_index(self, x) -> int:
-        """Coerce a raw encoding (any int-like value) to a validated index."""
-        i = int(x)
+        """Coerce a raw encoding to a validated index: a value equal to an
+        int (2.0, np.int64, True) or decimal text ("5").  A non-integral
+        number (1.7, "1.7") is refused, not truncated."""
+        try:
+            i = int(x)
+        except (ValueError, OverflowError):
+            raise UnparsableElementError(f"cannot read {x!r} as an encoding") from None
+        if i != x and not isinstance(x, str):
+            raise UnparsableElementError(f"encoding {x!r} is not an integer")
         if not 0 <= i < self.order:
             raise UnparsableElementError(f"encoding {i} outside [0, {self.order})")
         return i

@@ -723,7 +723,9 @@ def write_table_csv(field: Field, kind: str, label: str, rows, fobj, *,
     token becomes a newline, and their bytes one NUL strip and one write; a
     row of more than _PIECE counts is gathered and written in pieces of at
     most _PIECE.  The writer holds one block's lookup, O(largest count)
-    bytes, and O(max(q, _PIECE)) bytes of tokens."""
+    bytes, and O(max(q, _PIECE)) bytes of tokens.  Its writes are calls to
+    fobj.write; the file object's buffer sets how many bytes each write
+    syscall carries (the CLI opens its CSV files with a 256 KiB buffer)."""
     fobj.write(f"{kind.upper()},{field.p},{field.n},{label}\n".encode())
     if scale is not None:
         row0, row1 = rows

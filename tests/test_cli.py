@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -560,6 +561,27 @@ def test_csv_bytes_are_pinned(tmp_path, capsys, command, code, digest):
     got, _, _ = run(capsys, *shlex.split(command), "--csv", str(csv))
     assert got == code
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+
+def write_syscalls() -> int:
+    """The write syscalls this process has made (syscw of /proc/self/io)."""
+    with open("/proc/self/io") as fh:
+        return next(int(ln.split()[1]) for ln in fh if ln.startswith("syscw:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+def test_csv_reaches_the_kernel_in_256_kib_writes(tmp_path):
+    """The 2.1 MB FBCT CSV of x^35 over F_{2^10} goes out in a few writes
+    of 2^18 bytes, not one write per line (1025)."""
+    csv = tmp_path / "t.csv"
+    argv = ["spectra", "fbct", "--field", "p=2;n=10", "--power", "35", "--full",
+            "--csv", str(csv)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        before = write_syscalls()
+        code = main(argv)
+        writes = write_syscalls() - before
+    assert code == 0
+    assert writes <= 2 * -(-csv.stat().st_size // (1 << 18)) + 4
 
 
 def test_property_report_with_violations_bytes_are_pinned(capsys):

@@ -677,7 +677,10 @@ def test_error_types_per_argument(f26, f33):
         (f33, (0, 1, 27), UnparsableElementError),  # coerced before the a2 test
         (f33, (27, 1, 1), UnparsableElementError),
         (f33, (1, -1, 1), UnparsableElementError),
+        (f33, (1.7, 0, 2.2), UnparsableElementError),  # not truncated to x^2 + 2
+        (f33, ("1.7", 0, 1), UnparsableElementError),
         (f33, (2, np.int64(1), "1"), None),
+        (f33, (2.0, True, "5"), None),
     ]
     for f, args, error in quadratic_cases:
         if error is None:
