@@ -11,12 +11,14 @@ array of encodings is int32 (the vector ops convert what they are given),
 so the vector ops refuse orders from 2^31.
 
 A Field caches exp/log tables over a generator once multiplication is first
-needed (for orders up to TABLE_CAP), turning mul/inv/pow/character/sqrt
-into O(1) lookups; larger fields fall back to polynomial arithmetic for
-these scalar ops (sqrt by Tonelli-Shanks, odd-p add/sub/neg digit by
-digit), while the vectorized ones (and so every spectrum row) need the
-tables.  Each scalar op makes that choice itself, so callers such as the
-root solvers run one code path at every order and never read the tables.
+needed (for orders up to TABLE_CAP): exp first, and log only when an op
+reads it, so a power map's rows (power_map_table) build no log.  The tables
+turn mul/inv/pow/character/sqrt into O(1) lookups; larger fields fall back
+to polynomial arithmetic for these scalar ops (sqrt by Tonelli-Shanks, odd-p
+add/sub/neg digit by digit), while the vectorized ones (and so every
+spectrum row) need the tables.  Each scalar op makes that choice itself, so
+callers such as the root solvers run one code path at every order and never
+read the tables.
 The scalar ops read Python-list copies of the int32 tables, made on the
 first scalar call (_have_tables), which for odd p also builds the Zech
 logarithms zech[k] = log(1 + g^k) (-1 where 1 + g^k = 0), so scalar
@@ -265,13 +267,21 @@ class Field:
             exp[size:size + step] = self._scale_vec(c, exp[:step])
             size += step
             c = self._mul_raw(c, c)
-        log = np.full(self.order, -1, dtype=np.int32)
-        log[exp] = np.arange(m, dtype=np.int32)
-        # _np_exp is the readiness sentinel: assign it last so concurrent lazy
-        # builds (idempotent under the GIL) never observe a half-built state
+        # log waits for an op that reads it (_ensure_log).  Each array is its
+        # own readiness sentinel, assigned last, so concurrent lazy builds
+        # (idempotent under the GIL) never observe a half-built state
         self._generator = g
-        self._np_log = log
         self._np_exp = exp
+
+    def _ensure_log(self):
+        """log[exp[k]] = k, log[0] = -1: a random scatter of q cells, which a
+        power map's rows never pay for."""
+        if self._np_log is not None:
+            return
+        self._ensure_tables()
+        log = np.full(self.order, -1, dtype=np.int32)
+        log[self._np_exp] = np.arange(self._m, dtype=np.int32)
+        self._np_log = log
 
     def _scale_vec(self, c: int, v: np.ndarray) -> np.ndarray:
         """c * v for an array of encodings v, through the F_p-linear map
@@ -301,7 +311,7 @@ class Field:
 
     def log_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The int32 arrays exp (exp[k] = g^k, k < q - 1) and log (log[0] = -1)."""
-        self._ensure_tables()
+        self._ensure_log()
         return self._np_exp, self._np_log
 
     def _have_tables(self) -> bool:
@@ -311,7 +321,7 @@ class Field:
         arrays; above TABLE_CAP there are none.  Callers test `self._exp is
         not None` first, which skips this call once the mirrors exist."""
         if self._exp is None and self.order <= TABLE_CAP:
-            self._ensure_tables()
+            self._ensure_log()
             if self.p != 2:
                 self._zech = self._np_log[self.add_vec(self._np_exp, 1)].tolist()
             self._log = self._np_log.tolist()
@@ -535,7 +545,7 @@ class Field:
     def mul_vec(self, A, B) -> np.ndarray:
         A = self._encodings(A)
         B = self._encodings(B)
-        self._ensure_tables()
+        self._ensure_log()
         # every cell at once, as in pow_vec: log[0] = -1 still gives an
         # in-range index, and the cells with a zero factor are set to 0 after
         k = self._np_log[A] + self._np_log[B]
@@ -549,7 +559,7 @@ class Field:
         B = self._encodings(B)
         if np.any(B == 0):
             raise ZeroDivisionError("division by zero")
-        self._ensure_tables()
+        self._ensure_log()
         k = self._np_log[A] - self._np_log[B]  # as in mul_vec
         k %= self._m
         out = np.asarray(self._np_exp[k])
@@ -562,7 +572,7 @@ class Field:
             raise BadParametersError("exponent must be nonnegative")
         if e == 0:
             return np.ones(A.shape, dtype=np.int32)
-        self._ensure_tables()
+        self._ensure_log()
         # every A at once, no nonzero mask: log[0] = -1 gives some in-range k,
         # and the entries at A == 0 are set to 0^e = 0 afterwards
         k = np.multiply(self._np_log[A], e % self._m, dtype=np.int64)  # passes 2^31
@@ -572,10 +582,24 @@ class Field:
         return out
 
     def power_map_table(self, d: int) -> np.ndarray:
-        """Images of every element under x -> x^d, in canonical order."""
+        """Images of every element under x -> x^d, in canonical order, from
+        exp alone: with m = q - 1 and dd = d mod m, g^k maps to exp[k dd mod
+        m], one gather of exp, scattered through exp to canonical order.
+        take's "wrap" mode reduces an index by repeated subtraction, so k dd
+        is formed below 2m as c_i + r_j, k = iB + j, c_i = iB dd mod m and
+        r_j = j dd mod m."""
         if d < 1:
             raise BadParametersError("power map exponent must be >= 1")
-        return self.pow_vec(self.xs(), d)
+        self._ensure_tables()
+        exp, m = self._np_exp, self._m
+        dd = d % m or m  # a zero step would stop arange (F_2, or d = 0 mod m)
+        tab = np.zeros(self.order, dtype=np.int32)
+        B = math.isqrt(m) + 1
+        c = np.arange(0, m * dd, B * dd, dtype=np.int64) % m
+        r = np.arange(0, B * dd, dd, dtype=np.int64) % m
+        k = np.add.outer(c, r).ravel()[:m]
+        tab[exp] = np.take(exp, k, mode="wrap")
+        return tab
 
 
 # -- construction and parsing -------------------------------------------------

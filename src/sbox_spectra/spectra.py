@@ -513,9 +513,11 @@ class RunningSummary:
     def add(self, rows: np.ndarray, a: int, multiplicity: int = 1) -> np.ndarray:
         """Count the block of rows a, a + 1, ..., `multiplicity` times each,
         and return it.  The maximum is one masked maximum of the block, 0
-        where no cell lies in the domain."""
-        values, counts = np.unique(rows, return_counts=True)
-        self._counts.update(dict(zip(values.tolist(), (multiplicity * counts).tolist())))
+        where no cell lies in the domain.  The cells are counts in [0, q],
+        so the histogram is one bincount (nonzero is faster on bools)."""
+        counts = np.bincount(rows.ravel())
+        values = np.flatnonzero(counts > 0)
+        self._counts.update(dict(zip(values.tolist(), (multiplicity * counts[values]).tolist())))
         outside = _outside_domain(self.kind, self.field.p, rows.shape, a)
         self._max = max(self._max, int(rows.max(where=~outside, initial=0)))
         return rows

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from sbox_spectra import (
     UnparsableElementError,
     UnparsableFieldSpecError,
     UnsupportedSizeError,
+    ddt_row_power,
     make_field,
     parse_field_spec,
     solve_linearized_trinomial,
@@ -30,6 +32,7 @@ from sbox_spectra import cli, fields
 from sbox_spectra._conway import CONWAY_POLYNOMIALS
 from sbox_spectra.fields import MAX_SIZE_ENV, TABLE_CAP, Field
 from sbox_spectra.polyarith import is_irreducible
+from sbox_spectra.spectra import power_row_summary, write_row_csv
 
 
 # -- construction ------------------------------------------------------------
@@ -487,6 +490,14 @@ def test_odd_p_addition_is_linear_memory():
 # (NEP 50), which differ in the dtype an int32 array takes from a Python int.
 
 
+NON_CONWAY_MODULI = [
+    (2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1]),  # AES x^8+x^4+x^3+x+1: x is not primitive
+    (2, 10, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]),  # x^10+x^3+1
+    (2, 5, [1, 0, 0, 1, 0, 1]),  # x^5+x^3+1
+    (3, 3, [1, 2, 0, 1]),  # x^3+2x+1
+]
+
+
 def top_log_encodings(f):
     """Encodings with the largest logs, q - 2 down to q - 9, and the smallest."""
     exp, _ = f.log_tables()
@@ -511,13 +522,19 @@ def test_pow_vec_past_2_31_equals_scalar_pow(p, n):
     inverses = f.pow_vec(nz, minus_one)
     assert np.array_equal(inverses, f.div_vec(1, nz))
     assert all(f._mul_raw(x, y) == 1 for x, y in zip(nz.tolist(), inverses.tolist()))
+    # the inverse map's images: an exponent near q costs no more than d = 7
+    assert np.array_equal(f.power_map_table(minus_one)[A], f.pow_vec(A, minus_one))
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (2, 6), (3, 1), (3, 4), (5, 2), (7, 3)])
-def test_pow_vec_over_the_whole_field_equals_scalar_pow(p, n):
+@pytest.mark.parametrize("p,n,mod", [pytest.param(p, n, None, id=f"{p}-{n}") for p, n in
+                                     ((2, 1), (2, 6), (3, 1), (3, 4), (5, 2), (7, 3))]
+                         + [pytest.param(p, n, mod, id=f"{p}-{n}-mod")
+                            for p, n, mod in (NON_CONWAY_MODULI[0], NON_CONWAY_MODULI[3])])
+def test_pow_vec_over_the_whole_field_equals_scalar_pow(p, n, mod):
     # every element, 0 included, at exponents 0, 1 and e = 0, 1 (mod q - 1)
-    f = make_field(p, n)
-    m = f.order - 1
+    f = make_field(p, n, mod)
+    q = f.order
+    m = q - 1
     xs = f.xs()
     for e in (0, 1, 2, m, m + 1, 2 * m, 5 * m + 3, m << 40):
         got = f.pow_vec(xs, e)
@@ -526,6 +543,11 @@ def test_pow_vec_over_the_whole_field_equals_scalar_pow(p, n):
         for x in (0, 1, f.order - 1):  # a 0-d array in, a 0-d array out
             one = f.pow_vec(x, e)
             assert one.shape == () and int(one) == f.pow(x, e), (x, e)
+    # power_map_table reads exp alone; over F_2 every d is 0 (mod q - 1)
+    for d in (1, 2, 7, q - 2, m, q, 2 * m, 3 * q + 5, (1 << 64) + 3):
+        if d >= 1:
+            tab = f.power_map_table(d)
+            assert tab.dtype == np.int32 and np.array_equal(tab, f.pow_vec(xs, d)), d
 
 
 @pytest.mark.parametrize("p,n", [(2, 20), (3, 12)])
@@ -654,12 +676,6 @@ def sequential_tables(f):
 
 
 CONWAY_UP_TO_2_12 = sorted(k for k in CONWAY_POLYNOMIALS if k[0] ** k[1] <= 1 << 12)
-NON_CONWAY_MODULI = [
-    (2, 8, [1, 1, 0, 1, 1, 0, 0, 0, 1]),  # AES x^8+x^4+x^3+x+1: x is not primitive
-    (2, 10, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]),  # x^10+x^3+1
-    (2, 5, [1, 0, 0, 1, 0, 1]),  # x^5+x^3+1
-    (3, 3, [1, 2, 0, 1]),  # x^3+2x+1
-]
 
 
 @pytest.mark.parametrize("p,n,mod", [(p, n, None) for p, n in CONWAY_UP_TO_2_12]
@@ -680,7 +696,7 @@ def test_tables_equal_sequential_build(p, n, mod):
 def test_tables_at_the_cap(p, n):
     f = make_field(p, n)
     q, g = f.order, f.generator
-    exp, log = f._np_exp, f._np_log
+    exp, log = f.log_tables()
     assert np.array_equal(np.sort(exp), np.arange(1, q))
     assert np.array_equal(log[exp], np.arange(q - 1))
     assert log[0] == -1
@@ -708,11 +724,18 @@ def test_table_build_makes_few_scalar_products(monkeypatch, p, n):
 
 
 def test_rows_leave_the_list_mirrors_unbuilt():
-    # the vectorised row path reads only the int64 tables
+    # the vectorised row path reads only the int32 exp table: no list
+    # mirrors, and no log until an op reads it
     f = make_field(2, 16)
     row = sozd_row_power(f, 7)
+    ddt = ddt_row_power(f, 7)
+    power_row_summary(f, "ddt", ddt)
+    write_row_csv(f, "sozd", "x^7", row, io.BytesIO())
     assert f._np_exp is not None and f._exp is None and f._log is None
+    assert f._np_log is None
     fresh = make_field(2, 16)
+    for built, ref in zip(f.log_tables(), fresh.log_tables()):
+        assert np.array_equal(built, ref)
     fresh.mul(1, 1)
     rng = np.random.default_rng(16)
     for i, j in rng.integers(1, f.order, (200, 2)).tolist():
