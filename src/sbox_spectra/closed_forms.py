@@ -187,8 +187,7 @@ def _claim_sozd_pk1(field: Field, a: np.ndarray, b: np.ndarray, k: int,
     pn = field.order
     if condition == "exact":
         e = field.p**k - 1
-        # odd-p add_vec adds in place, so its operands must have one shape
-        total = field.add_vec(*np.broadcast_arrays(field.pow_vec(a, e), field.pow_vec(b, e)))
+        total = field.add_vec(field.pow_vec(a, e), field.pow_vec(b, e))
         vanishes = (a == 0) | (b == 0) | (total == 0)
         return _first_case(("vanishing-difference", vanishes, pn), ("nonvanishing", None, 0))
     square = field.pow_vec(field.div_vec(a, np.where(b == 0, 1, b)), 2)  # (a/b)^2 where b != 0

@@ -11,14 +11,16 @@ array of encodings is int32 (the vector ops convert what they are given),
 so the vector ops refuse orders from 2^31.
 
 A Field caches exp/log tables over a generator once multiplication is first
-needed (for orders up to TABLE_CAP): exp first, and log only when an op
-reads it, so a power map's rows (power_map_table) build no log.  The tables
-turn mul/inv/pow/character/sqrt into O(1) lookups; larger fields fall back
-to polynomial arithmetic for these scalar ops (sqrt by Tonelli-Shanks, odd-p
-add/sub/neg digit by digit), while the vectorized ones (and so every
-spectrum row) need the tables.  Each scalar op makes that choice itself, so
-callers such as the root solvers run one code path at every order and never
-read the tables.
+needed (for orders up to TABLE_CAP).  The generator search runs once per
+Field (subfield_indices may run it first); exp follows, and log only when
+mul_vec, div_vec, pow_vec, log_tables or a scalar op reads it, so a power
+map's images (power_map_table, the FBCT row check's inverses too) build no
+log.  The tables turn mul/inv/pow/character/sqrt into O(1) lookups; larger
+fields fall back to polynomial arithmetic for these scalar ops (sqrt by
+Tonelli-Shanks, odd-p add/sub/neg digit by digit), while the vectorized
+ones (and so every spectrum row) need the tables.  Each scalar op makes
+that choice itself, so callers such as the root solvers run one code path
+at every order and never read the tables.
 The scalar ops read Python-list copies of the int32 tables, made on the
 first scalar call (_have_tables), which for odd p also builds the Zech
 logarithms zech[k] = log(1 + g^k) (-1 where 1 + g^k = 0), so scalar
@@ -257,8 +259,9 @@ class Field:
             raise UnsupportedSizeError(
                 f"exp/log tables not built for order {self.order} > {TABLE_CAP}"
             )
-        g = self._find_generator()
-        m = self._m
+        if self._generator is None:  # subfield_indices may have found it
+            self._generator = self._find_generator()
+        g, m = self._generator, self._m
         exp = np.empty(m, dtype=np.int32)
         exp[0] = 1
         size, c = 1, g  # invariant: exp[:size] is filled and c = g^size
@@ -270,7 +273,6 @@ class Field:
         # log waits for an op that reads it (_ensure_log).  Each array is its
         # own readiness sentinel, assigned last, so concurrent lazy builds
         # (idempotent under the GIL) never observe a half-built state
-        self._generator = g
         self._np_exp = exp
 
     def _ensure_log(self):

@@ -21,11 +21,6 @@ def trim(c: list[int]) -> list[int]:
     return c[:i]
 
 
-def degree(c: list[int]) -> int:
-    """Degree of a trimmed polynomial; -1 for the zero polynomial."""
-    return len(trim(c)) - 1
-
-
 def poly_add(a: list[int], b: list[int], p: int) -> list[int]:
     if len(a) < len(b):
         a, b = b, a

@@ -15,14 +15,16 @@ rotated by log(a^d) (DDT) or log(a) (SOZD), so `iter_rows` yields the table
 one row at a time at one gather per row, and `expand_rows` stacks it.  The
 table's summary (`power_table_summary`), its FBCT property check
 (`fbct_row_property_check`) and its CSV (`write_table_csv` given the row
-scale) all come from the two rows in O(q) memory.  That check and the
-q x q one of a table map (`fbct_property_check`) apply one rule set,
-`_identities`, to a block of rows and its columns.  The cells outside the
-uniformity's domain, which the FBCT identities fix at q, are one mask
-(`_outside_domain`): every summary's maximum and both checks read it.
-`flagged_cells` is the one lister of the cells where a check fails, for
-the row check and for closed_forms' verification: given
-the check's boolean rows 0 and 1, it counts them (row 0's plus q - 1 times
+scale) all come from the two rows in O(q) memory.  Of these only the row
+expansion (iter_rows, and so the CSV) reads the field's log table, and the
+check only when it lists violations: a clean check reads exp alone.  That
+check and the q x q one of a table map (`fbct_property_check`) apply one
+rule set, `_identities`, to a block of rows and its columns.  The cells
+outside the uniformity's domain, which the FBCT identities fix at q, are
+one mask (`_outside_domain`): every summary's maximum and both checks read
+it.  `flagged_cells` is the one lister of the cells where a check fails,
+for the row check and for closed_forms' verification: given the check's
+boolean rows 0 and 1, it counts them (row 0's plus q - 1 times
 row 1's) and lists the first few in (a, b) order.  The CSV writer turns
 a row of counts into text by a byte gather from that row's own lookup of
 formatted counts (`_count_text`); the NULs that pad a token are dropped
@@ -654,14 +656,14 @@ def fbct_row_property_check(field: Field, rows) -> PropertyReport:
     each property's pair of boolean rows, counted and listed by
     flagged_cells.  Column 0 holds entry (b, 0) = row1[0] for b != 0; row
     1's column holds entry (b, a) = row1[1/u], and row1[0] at u = 0, whose
-    cells (a, 0) are symmetry's row-0 cells (0, a) transposed, added here."""
+    cells (a, 0) are symmetry's row-0 cells (0, a) transposed, added here.
+    1/u = u^(q-2) (u on F_2) is gathered from exp alone (power_map_table)."""
     if field.p != 2:
         raise SpectraError("property check applies to SOZD tables over p = 2")
     row0, row1 = rows
     col0 = np.full(field.order, row1[0])
     col0[0] = row0[0]
-    col1 = row1.copy()
-    col1[1:] = row1[field.div_vec(1, field.xs()[1:])]
+    col1 = row1[field.power_map_table(max(field.order - 2, 1))]
     counts, listing = {}, {}
     for (prop, bad0, detail0), (_, bad1, detail1) in zip(_identities(row0[None], col0[None], 0),
                                                          _identities(row1[None], col1[None], 1)):

@@ -317,6 +317,18 @@ def test_generator_search_runs_once_past_the_table_cap(monkeypatch):
     assert f._np_exp is None  # the generator is kept without building tables
 
 
+def test_tables_reuse_the_generator_a_subfield_query_found(monkeypatch):
+    calls = []
+    search = Field._find_generator
+    monkeypatch.setattr(Field, "_find_generator", lambda self: calls.append(1) or search(self))
+    f = Field(2, 12, CONWAY_POLYNOMIALS[2, 12])  # make_field's is interned and may hold it
+    subfield = f.subfield_indices(4)  # its scalar products build the tables
+    table = f.power_map_table(7)
+    assert len(calls) == 1
+    assert all(int(table[x]) == f._pow_raw(x, 7) for x in range(0, f.order, 37))
+    assert subfield == [x for x in range(f.order) if f.frobenius(x, 4) == x]
+
+
 # -- quadratic character ------------------------------------------------------
 
 def test_quadratic_character_basics(f33):

@@ -582,6 +582,15 @@ def test_row_property_check_builds_no_scalar_tables():
     assert f._exp is None
 
 
+def test_clean_row_property_check_builds_no_log():
+    """Row 1's column is gathered through the inverse map's image table,
+    from exp alone; only a listing of violations multiplies."""
+    f = Field(2, 16, CONWAY_POLYNOMIALS[2, 16])
+    report = fbct_row_property_check(f, power_rows(f, "sozd", 7))
+    assert report.ok and report.violations == []
+    assert f._np_exp is not None and f._np_log is None
+
+
 def test_table_property_check_memory_is_one_row_and_column():
     """The q x q check holds O(q) beyond its table: a q = 1024 table's
     boolean q x q mask alone would be 1 MiB."""
