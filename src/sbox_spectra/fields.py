@@ -308,7 +308,14 @@ class Field:
 
     @property
     def generator(self) -> int:
-        self._ensure_tables()
+        """The generator g of the exp table, g^k = exp[k].  Up to TABLE_CAP
+        reading it builds exp (perfbench's set-up probe times the build
+        through it); above, where there are no tables, it is the search's
+        result, kept for the next call."""
+        if self.order <= TABLE_CAP:
+            self._ensure_tables()
+        elif self._generator is None:
+            self._generator = self._find_generator()
         return self._generator
 
     def log_tables(self) -> tuple[np.ndarray, np.ndarray]:

@@ -27,24 +27,28 @@ for the row check and for closed_forms' verification: given the check's
 boolean rows 0 and 1, it counts them (row 0's plus q - 1 times
 row 1's) and lists the first few in (a, b) order.  The CSV writer turns
 a row of counts into text by a byte gather from that row's own lookup of
-formatted counts (`_count_text`); the NULs that pad a token are dropped
-on output, except from 2-byte tokens, which have none.  A power map's row
-0 is formatted once, and so is row 1 without its cells u = 0 and u = 1,
-which are written apart since they hold its widest counts (an FBCT's q).
-Every other line is then one gather from row 1's text (`_rotations`, the
-rows of iter_rows with their shifts) and the two cells put in place, so a
-line costs one gather of tokens at row 1's own width, at most one NUL
+formatted counts (`_count_text`).  Where the row's counts of two digits
+or more are a few distinct values in few cells, every token is 2 bytes, a
+digit or a mark byte for one wide count, and a comma, and the text is the
+tokens' bytes with each mark replaced by its digits (one bytes.replace
+per mark); otherwise tokens are NUL-padded to the width of the largest
+count, and the NULs are dropped on output.  A power map's row 0 is
+formatted once, and so is row 1 without its cells u = 0 and u = 1, which
+are written apart since they hold its widest counts (an FBCT's q).  Every
+other line is then one gather from row 1's tokens (`_rotations`, the rows
+of iter_rows with their shifts) joined with the two cells' text, so a
+line costs one gather of tokens in row 1's own form, one expansion or
 strip and one write.  The brute-force path, `kernel_blocks`, runs the row
 kernel for any map on blocks of rows a, as many as fill _PIECE cells (64
 rows at q = 256, one row from q = 2^14 on); it is kept selectable for
 cross-validation.  Each stage takes a whole block per call:
 `RunningSummary` summarizes the blocks as they stream, the q x q check
 walks the table in the same blocks (`table_blocks`), and the CSV writer
-makes one lookup, one gather, one NUL strip and one write per block (a row
-longer than _PIECE goes out in pieces of _PIECE counts).  A power map's
-property check reads its own rows 0 and 1.  The reports, SpectrumSummary
-and PropertyReport, are written by the CLI as their fields in declared
-order: a field's name and place are its JSON key's.
+makes one lookup, one gather, one expansion or strip and one write per
+block (a row longer than _PIECE goes out in pieces of _PIECE counts).  A
+power map's property check reads its own rows 0 and 1.  The reports,
+SpectrumSummary and PropertyReport, are written by the CLI as their
+fields in declared order: a field's name and place are its JSON key's.
 
 Both paths count rows through the derivative D_aF(x) = F(x+a) - F(x), with
 the same code for every characteristic.  A DDT row is the histogram of D_aF,
@@ -679,34 +683,63 @@ def fbct_row_property_check(field: Field, rows) -> PropertyReport:
 
 # -- serialization ---------------------------------------------------------------
 
-def _count_text(counts: np.ndarray) -> np.ndarray:
+# A lookup of counts takes 2-byte tokens with marks (_count_text) when its
+# counts of two digits or more take at most len(_MARKS) distinct values and
+# fill at most _MARK_SHARE of its cells: a marked cell costs more than a
+# padded one, and each mark a scan of the text.  Over 16384 cells marks won
+# at shares up to 1/16 for 1 to 8 wide values (README "Limits").
+_MARKS = [bytes([m]) for m in range(1, 9)]  # never a digit, comma, newline or NUL
+_MARK_SHARE = 1 / 16
+
+
+def _count_text(counts: np.ndarray) -> tuple[np.ndarray, tuple | None]:
     """The CSV token lookup of a row or block of counts, indexed by the
-    count.  Entry v is the decimal text of v and a comma, NUL-padded to the
-    narrowest power-of-2 width that holds the largest count and its comma (2
-    bytes below 10, 4 below 1000, 8 below 10^7, 16 below 10^15), for each v
-    in the counts; every other entry is all NULs.  Each count is formatted
-    once, so the tokens are one gather from the lookup.  No counts get the
-    2-byte lookup of count 0."""
+    count, and the marks that _text expands in the tokens' bytes.  Each
+    count is formatted once, so the tokens are one gather from the lookup;
+    the entries of counts absent from the row are all NULs.  When the row's
+    counts of two digits or more are few (see _MARK_SHARE), every token is
+    2 bytes: a count below 10 is its digit and a comma, and each wider count
+    is a mark of its own (_MARKS) and a comma; the marks are then the
+    (mark, digits) pairs of the wider counts, ascending.  Otherwise entry v
+    is the text of v and a comma, NUL-padded to the narrowest power-of-2
+    width that holds the largest count and its comma (4 bytes below 1000, 8
+    below 10^7, 16 below 10^15), and the marks are None: the NULs are
+    dropped."""
     if counts.min(initial=0) < 0:
         raise SpectraError("a CSV row of counts holds a negative value")
     top = int(counts.max(initial=0))
     seen = np.zeros(top + 1, dtype=bool)
     seen[counts] = True
     values = np.flatnonzero(seen).tolist()
+    wide = values[np.count_nonzero(seen[:10]):]
+    if len(wide) <= len(_MARKS) and (not wide or np.count_nonzero(counts >= 10)
+                                     <= _MARK_SHARE * counts.size):
+        lookup = np.zeros(top + 1, dtype="S2")
+        narrow = [b"%d," % v for v in values[:len(values) - len(wide)]]
+        lookup[values] = narrow + [m + b"," for m in _MARKS[:len(wide)]]
+        return lookup, tuple((m, b"%d" % v) for m, v in zip(_MARKS, wide))
     width = 1 << len(str(top)).bit_length()  # the power of 2 past the digits: the comma fits
     lookup = np.zeros(top + 1, dtype=f"S{width}")
     lookup[values] = [b"%d," % v for v in values]
-    return lookup
+    return lookup, None
 
 
-def _text(tokens: np.ndarray, line_end: bool = True) -> bytes:
-    """The tokens' bytes, NULs dropped; at a line's end the last token's
-    comma becomes a newline (in the array).  A 2-byte token is one digit
-    and its delimiter, with no NUL to drop, so its bytes are not stripped."""
-    if line_end:
-        tokens[-1] = tokens[-1].replace(b",", b"\n")
-    data = tokens.tobytes()
-    return data if tokens.itemsize == 2 else data.translate(None, b"\0")
+def _end_line(tokens: np.ndarray) -> None:
+    """The comma of the last token becomes a newline (in the array)."""
+    tokens[-1] = tokens[-1].replace(b",", b"\n")
+
+
+def _text(data, marks: tuple | None) -> bytes:
+    """The CSV bytes of data, the bytes of tokens from a lookup of
+    _count_text with these marks, and of any texts of counts between them:
+    each mark becomes its count's digits, one bytes.replace per mark, or,
+    for padded tokens (marks None), the NULs are dropped."""
+    data = bytes(data)
+    if marks is None:
+        return data.translate(None, b"\0")
+    for mark, digits in marks:
+        data = data.replace(mark, digits)
+    return data
 
 
 def write_table_csv(field: Field, kind: str, label: str, rows, fobj, *,
@@ -714,50 +747,56 @@ def write_table_csv(field: Field, kind: str, label: str, rows, fobj, *,
     """Write to the binary file fobj the header `kind,p,n,d_or_table`, then
     one line per row of counts: p^n rows of p^n counts for a whole table.
     Counts become tokens by a gather from a lookup of their own
-    (_count_text).  Given a scale, rows are the rows 0 and 1 of a power
-    map's table (see iter_rows and row_scale).  Row 0 is turned into tokens
-    once.  Row 1's cells u = 0 and u = 1 are formatted apart, since they
-    hold its widest counts (an FBCT's q), and the rest of row 1 is turned
-    into tokens once, at the width of its own largest count.  Line a != 0
-    holds the u = 0 cell at b = 0 and the u = 1 cell at b = a^scale; the
-    rest is one gather from row 1's tokens (_rotations), and the pieces go
+    (_count_text), 2-byte tokens with marks for a few wide counts or padded
+    ones, and the tokens' bytes become text by _text.  Given a scale, rows
+    are the rows 0 and 1 of a power map's table (see iter_rows and
+    row_scale).  Row 0 is turned into tokens once.  Row 1's cells u = 0 and
+    u = 1 are formatted apart, since they hold its widest counts (an FBCT's
+    q), and the rest of row 1 is turned into tokens once, its token form
+    chosen from its own counts.  Line a != 0 holds the u = 0 cell at b = 0
+    and the u = 1 cell at b = a^scale; the rest is one gather from row 1's
+    tokens (_rotations), and the pieces are joined, made text once and go
     out in one write per line.  Otherwise the rows may stream, each item a
     row or a block of rows, as kernel_blocks yields them.  A block gets one
     lookup, its tokens one gather, in which the comma of each line's last
-    token becomes a newline, and their bytes one NUL strip and one write; a
-    row of more than _PIECE counts is gathered and written in pieces of at
-    most _PIECE.  The writer holds one block's lookup, O(largest count)
-    bytes, and O(max(q, _PIECE)) bytes of tokens.  Its writes are calls to
+    token becomes a newline, and their bytes one _text and one write; a row
+    of more than _PIECE counts is gathered and written in pieces of at most
+    _PIECE.  The writer holds one block's lookup, O(largest count) bytes,
+    and O(max(q, _PIECE)) bytes of tokens.  Its writes are calls to
     fobj.write; the file object's buffer sets how many bytes each write
     syscall carries (the CLI opens its CSV files with a 256 KiB buffer)."""
     fobj.write(f"{kind.upper()},{field.p},{field.n},{label}\n".encode())
     if scale is not None:
         row0, row1 = rows
-        fobj.write(_text(_count_text(row0)[row0]))
+        lookup, marks = _count_text(row0)
+        tokens = lookup[row0]
+        _end_line(tokens)
+        fobj.write(_text(tokens, marks))
         zero, one = row1[:2].tolist()
         if min(zero, one) < 0:
             raise SpectraError("a CSV row of counts holds a negative value")
         zero, one, one_end = b"%d," % zero, b"%d," % one, b"%d\n" % one
-        lookup = _count_text(row1[2:])
+        lookup, marks = _count_text(row1[2:])
         tokens = np.zeros(row1.size, dtype=lookup.dtype)  # cells u = 0, 1 stay NUL, never written
         tokens[2:] = lookup[row1[2:]]
         exp, _ = field.log_tables()
         last = field.order - 1
         for shift, line in _rotations(field, tokens, scale):
             at = exp[shift]  # b = a^scale, the cell u = 1 of line a
-            end = at == last
-            fobj.write(b"".join((zero, _text(line[1:at], False), one_end if end else one,
-                                 _text(line[at + 1:], not end))))
+            if at != last:
+                _end_line(line)
+            fobj.write(_text(b"".join((zero, line[1:at], one_end if at == last else one,
+                                       line[at + 1:])), marks))
         return
     for block in map(np.atleast_2d, rows):
-        lookup = _count_text(block)
+        lookup, marks = _count_text(block)
         size = block.shape[1]
         for start in range(0, size, _PIECE):
             tokens = lookup[block[:, start:start + _PIECE]]
             if start + _PIECE >= size:  # each line's last token ends it
                 for line in tokens:
-                    line[-1] = line[-1].replace(b",", b"\n")
-            fobj.write(_text(tokens, False))
+                    _end_line(line)
+            fobj.write(_text(tokens, marks))
 
 
 def write_row_csv(field: Field, kind: str, label: str, row: np.ndarray, fobj) -> None:

@@ -14,7 +14,7 @@ import pytest
 import sbox_spectra
 from sbox_spectra import cli, closed_forms, spectra
 from sbox_spectra.cli import build_parser, load_table_map, main
-from sbox_spectra.errors import UnparsableElementError, WrongLengthError
+from sbox_spectra.errors import SpectraError, UnparsableElementError, WrongLengthError
 from sbox_spectra.fields import make_field, parse_field_spec
 from sbox_spectra.spectra import (
     PowerMap,
@@ -134,8 +134,9 @@ def test_full_csv_formats_a_power_maps_rows_0_and_1_only(tmp_path, capsys, monke
     count_text = spectra._count_text
 
     def spy(counts):
+        lookup, marks = count_text(counts)
         calls.append(counts.size)
-        return count_text(counts)
+        return lookup, marks
 
     monkeypatch.setattr(spectra, "_count_text", spy)
     sbox = tmp_path / "sbox.txt"
@@ -582,6 +583,78 @@ def test_csv_reaches_the_kernel_in_256_kib_writes(tmp_path):
         writes = write_syscalls() - before
     assert code == 0
     assert writes <= 2 * -(-csv.stat().st_size // (1 << 18)) + 4
+
+
+FBCT_X35 = ["spectra", "fbct", "--field", "p=2;n=10", "--power", "35", "--full"]
+
+
+def fresh_csv(tmp_path, argv) -> bytes:
+    path = tmp_path / "fresh.csv"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([*argv, "--csv", str(path)]) == 0
+    return path.read_bytes()
+
+
+def test_csv_over_a_longer_file_is_a_fresh_write(tmp_path, capsys):
+    """A CSV is written over an existing file in place: where the old file
+    is longer, its tail is cut off at the end of the new bytes."""
+    csv = tmp_path / "t.csv"
+    code, _, _ = run(capsys, *FBCT_X35, "--csv", str(csv))
+    assert code == 0
+    code, _, _ = run(capsys, "spectra", "fbct", "--field", "p=2;n=8", "--power", "67", "--full",
+                     "--csv", str(csv))
+    assert code == 0
+    want = fresh_csv(tmp_path, ["spectra", "fbct", "--field", "p=2;n=8", "--power", "67",
+                                "--full"])
+    assert csv.read_bytes() == want and len(want) < 2**21
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink") or os.name == "nt", reason="needs symlinks")
+def test_csv_through_a_symlink_is_written_to_its_target(tmp_path, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"old\n" * 10**6)
+    link.symlink_to(target)
+    code, _, _ = run(capsys, *FBCT_X35, "--csv", str(link))
+    assert code == 0
+    assert link.is_symlink() and target.read_bytes() == fresh_csv(tmp_path, FBCT_X35)
+
+
+@pytest.mark.skipif(os.name == "nt", reason="POSIX file modes")
+def test_csv_keeps_the_mode_of_an_existing_file(tmp_path, capsys):
+    csv = tmp_path / "t.csv"
+    csv.write_bytes(b"old\n")
+    csv.chmod(0o640)
+    code, _, _ = run(capsys, *FBCT_X35, "--csv", str(csv))
+    assert code == 0
+    assert csv.stat().st_mode & 0o777 == 0o640 and csv.read_bytes() == fresh_csv(tmp_path,
+                                                                                FBCT_X35)
+
+
+def test_csv_to_the_null_device(capsys):
+    """/dev/null is not a regular file, so it is not truncated."""
+    code, out, _ = run(capsys, *FBCT_X35, "--csv", os.devnull)
+    assert code == 0 and json.loads(out)["histogram"]
+
+
+def test_a_writer_that_raises_leaves_only_the_bytes_it_wrote(tmp_path, capsys, monkeypatch):
+    """An exception mid-table still flushes and truncates the file: it ends
+    at the header and row 0, the bytes written before row 1's formatter
+    raised, with no tail of the longer file it was written over."""
+    csv = tmp_path / "t.csv"
+    csv.write_bytes(b"9," * 10**6 + b"\n")
+    count_text = spectra._count_text
+
+    def fail_on_row_1(counts):
+        if counts.size != 1024:
+            raise SpectraError("formatter failed")
+        return count_text(counts)
+
+    monkeypatch.setattr(spectra, "_count_text", fail_on_row_1)
+    code, _, err = run(capsys, *FBCT_X35, "--csv", str(csv))
+    assert code == 2 and "formatter failed" in err
+    monkeypatch.undo()
+    head = b"".join(fresh_csv(tmp_path, FBCT_X35).splitlines(keepends=True)[:2])
+    assert csv.read_bytes() == head and head.startswith(b"SOZD,2,10,35\n1024,")
 
 
 def test_property_report_with_violations_bytes_are_pinned(capsys):

@@ -31,7 +31,7 @@ from sbox_spectra import (
 from sbox_spectra import cli, fields
 from sbox_spectra._conway import CONWAY_POLYNOMIALS
 from sbox_spectra.fields import MAX_SIZE_ENV, TABLE_CAP, Field
-from sbox_spectra.polyarith import is_irreducible
+from sbox_spectra.polyarith import is_irreducible, prime_factors
 from sbox_spectra.spectra import power_row_summary, write_row_csv
 
 
@@ -315,6 +315,20 @@ def test_generator_search_runs_once_past_the_table_cap(monkeypatch):
     assert first == second and first.count == len(first.roots) == 4
     assert len(calls) == 1
     assert f._np_exp is None  # the generator is kept without building tables
+
+
+def test_generator_past_the_table_cap_builds_no_tables():
+    """Above TABLE_CAP the generator is the search's, primitive, and no
+    tables are built; at the cap reading it still builds exp."""
+    f = Field(2, 22, CONWAY_POLYNOMIALS[2, 22])  # make_field's is interned and may hold it
+    g = f.generator
+    m = f.order - 1
+    assert all(f.pow(g, m // r) != 1 for r in prime_factors(m)) and f.pow(g, m) == 1
+    assert f.generator == g and f._np_exp is None
+    at_cap = Field(2, 20, CONWAY_POLYNOMIALS[2, 20])
+    assert at_cap.order == TABLE_CAP
+    g = at_cap.generator
+    assert at_cap._np_exp is not None and int(at_cap._np_exp[1]) == g
 
 
 def test_tables_reuse_the_generator_a_subfield_query_found(monkeypatch):

@@ -901,13 +901,33 @@ def test_csv_table_bytes_equal_reference_as_the_lookup_grows(pools, wide, length
     assert csv_mismatch(_csv(rows), "DDT,2,2,3", rows) is None
 
 
+_K, _F = len(spectra._MARKS), spectra._MARK_SHARE
+
+
+def token_form(counts):
+    """The token form the writer's rule gives a row or block of counts, as
+    (token width, marks): 2-byte tokens with a mark for each distinct count
+    of two digits or more, ascending, when there are at most _K of them in
+    at most a share _F of the cells; else tokens padded to the narrowest of
+    4, 8 and 16 bytes that holds the largest count and its comma, marks
+    None."""
+    values = counts.ravel().tolist()
+    wide = sorted({v for v in values if v >= 10})
+    if len(wide) <= _K and sum(v >= 10 for v in values) <= _F * len(values):
+        return 2, tuple((bytes([1 + i]), b"%d" % v) for i, v in enumerate(wide))
+    return min(w for w in (4, 8, 16) if w > len(str(max(values)))), None
+
+
 @pytest.mark.parametrize("small,big,widths", [(9, 10, (2, 4)), (999, 1000, (4, 8))])
 @pytest.mark.parametrize("layout", ["one-piece", "across-pieces", "across-rows"])
 def test_csv_bytes_where_counts_gain_a_digit(monkeypatch, small, big, widths, layout):
-    """A row's tokens are 2 bytes wide below 10, 4 below 1000 and 8 below
-    10^7: counts that cross 9 -> 10 or 999 -> 1000 within one piece, from
-    one piece to the next, or from one row to the next (each row at the
-    width of its own largest count) are written as the reference is."""
+    """Counts that cross 9 -> 10 or 999 -> 1000 within one piece, from one
+    piece to the next, or from one row to the next are written as the
+    reference is, each row in the token form of its own counts: 2-byte
+    tokens, with marks for a few wide counts (a 10 among one-digit counts,
+    across pieces or rows), or tokens padded to `widths`, the width of a
+    row whose largest count is small or big (a 10 in a quarter of the
+    cells, and rows of three-digit counts)."""
     rng = np.random.default_rng(small)
     if layout == "one-piece":
         rows = [np.array([small, 0, small, big, small - 1, big, 1, small])]
@@ -922,18 +942,44 @@ def test_csv_bytes_where_counts_gain_a_digit(monkeypatch, small, big, widths, la
         wide = rng.integers(0, small + 1, size=_PIECE + 1)
         wide[[3, -2]] = big
         rows = [narrow, wide, narrow]
-    seen = []  # the token width of each row's lookup
+    seen = []  # the token width and marks of each row's lookup
     count_text = spectra._count_text
 
     def spy(counts):
-        lookup = count_text(counts)
-        seen.append(lookup.itemsize)
-        return lookup
+        lookup, marks = count_text(counts)
+        seen.append((lookup.itemsize, marks))
+        return lookup, marks
 
     monkeypatch.setattr(spectra, "_count_text", spy)
     text = _csv(rows)
-    assert seen == [widths[int(row.max() >= big)] for row in rows]
+    assert seen == [token_form(row) for row in rows]
+    for (width, marks), row in zip(seen, rows):
+        assert width == (2 if marks is not None else widths[int(row.max() >= big)])
+    if small == 9:  # a 10 among one-digit counts takes a mark, unless it fills a quarter
+        assert [marks for _, marks in seen] == (
+            [None] if layout == "one-piece" else
+            [((b"\x01", b"10"),)] if layout == "across-pieces" else
+            [(), ((b"\x01", b"10"),), ()])
     assert csv_mismatch(text, "DDT,2,2,3", rows) is None
+
+
+def check_count_text(row):
+    """_count_text(row) is the lookup of token_form(row): each count of the
+    row maps to its text and comma, NUL-padded to the width, or, in mark
+    form, to its mark and comma if it has two digits or more; every count
+    absent from the row maps to all NULs; and _text of the gathered tokens
+    is the row's reference text."""
+    lookup, marks = spectra._count_text(row)
+    width, want = token_form(row)
+    assert (lookup.itemsize, marks) == (width, want) and lookup.size > row.max()
+    texts = {v: b"%d," % v for v in set(row.tolist())}
+    texts.update({int(digits): mark + b"," for mark, digits in marks or ()})
+    for v, text in texts.items():
+        assert lookup[v:v + 1].tobytes() == text.ljust(width, b"\0")
+    # the present entries hold exactly their text's bytes, so the nonzero
+    # bytes of the whole lookup are theirs alone: the absent ones are all NUL
+    assert np.count_nonzero(lookup.view(np.uint8)) == sum(map(len, texts.values()))
+    assert spectra._text(lookup[row], marks) == b"".join(b"%d," % v for v in row.tolist())
 
 
 @settings(max_examples=40, deadline=None)
@@ -942,22 +988,65 @@ def test_csv_bytes_where_counts_gain_a_digit(monkeypatch, small, big, widths, la
 @example(pool=[9, 10], length=8, seed=0).via("9 -> 10")
 @example(pool=[999, 1000], length=8, seed=0).via("999 -> 1000")
 @example(pool=[9_999_999, 10**7], length=8, seed=0).via("9,999,999 -> 10^7")
+@example(pool=[0, 4, 64], length=50, seed=1).via("a few 64s among 0 and 4")
 def test_count_text_formats_the_rows_counts_at_its_own_width(pool, length, seed):
-    """Each count of the row maps to its text and comma, NUL-padded to the
-    narrowest of 2, 4, 8 and 16 bytes that holds the row's largest count
-    and its comma; every count absent from the row maps to all NULs."""
-    row = np.random.default_rng(seed).choice(np.array(pool, dtype=np.int64), size=length)
-    lookup = spectra._count_text(row)
-    top = int(row.max())
-    width = min(w for w in (2, 4, 8, 16) if w > len(str(top)))
-    assert lookup.itemsize == width and lookup.size > top
-    present = set(row.tolist())
-    for v in present:
-        assert lookup[v:v + 1].tobytes() == (b"%d," % v).ljust(width, b"\0")
-    # the present entries hold exactly their text's bytes, so the nonzero
-    # bytes of the whole lookup are theirs alone: the absent ones are all NUL
-    text_bytes = sum(len(b"%d," % v) for v in present)
-    assert np.count_nonzero(lookup.view(np.uint8)) == text_bytes
+    """Each count of the row maps to its token in the form of the row's own
+    counts (token_form): padded to the narrowest of 4, 8 and 16 bytes that
+    holds its largest count and its comma, or 2 bytes with marks."""
+    check_count_text(np.random.default_rng(seed).choice(np.array(pool, dtype=np.int64),
+                                                        size=length))
+
+
+_DIGITS = st.lists(st.integers(0, 9), min_size=1, max_size=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(digits=_DIGITS, extra=st.integers(0, 1), spare=st.integers(0, 40),
+       wide=st.lists(_COUNTS.filter(lambda v: v >= 10), min_size=_K + 1, max_size=_K + 1,
+                     unique=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_count_text_marks_at_most_k_distinct_wide_counts(digits, extra, spare, wide, seed):
+    """A row whose wide counts fill no more than the share _F of its cells
+    takes marks for _K distinct wide counts and padded tokens for _K + 1."""
+    wide = wide[:_K + extra]
+    rng = np.random.default_rng(seed)
+    size = math.ceil(len(wide) / _F) + spare
+    row = rng.choice(np.array(digits, dtype=np.int64), size=size)
+    row[rng.choice(size, len(wide), replace=False)] = wide
+    assert (token_form(row)[1] is None) == bool(extra)
+    check_count_text(row)
+    assert csv_mismatch(_csv([row]), "DDT,2,2,3", [row]) is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(digits=_DIGITS, extra=st.integers(0, 1), size=st.integers(1, 3 * _PIECE),
+       values=st.lists(_COUNTS.filter(lambda v: v >= 10), min_size=1, max_size=_K, unique=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_count_text_marks_at_most_a_share_f_of_the_cells(digits, extra, size, values, seed):
+    """A row of at most _K distinct wide counts takes marks when they fill
+    floor(_F * size) cells and padded tokens for one cell more."""
+    rng = np.random.default_rng(seed)
+    cells = min(math.floor(_F * size) + extra, size)
+    if cells < len(values):
+        values = values[:max(cells, 1)]
+    row = rng.choice(np.array(digits, dtype=np.int64), size=size)
+    at = rng.choice(size, cells, replace=False)
+    row[at] = rng.choice(np.array(values, dtype=np.int64), size=cells)
+    row[at[:len(values)]] = values[:cells]
+    check_count_text(row)
+    if cells:
+        assert (token_form(row)[1] is None) == bool(extra)
+    assert csv_mismatch(_csv([row]), "DDT,2,2,3", [row]) is None
+
+
+@pytest.mark.parametrize("q", [16, 64, 4096])
+def test_a_row_of_all_q_takes_padded_tokens(q):
+    """A power map's FBCT row 0, q in every cell, is one wide count in all
+    the cells: more than the share _F, so its tokens are padded."""
+    row = np.full(q, q)
+    assert token_form(row) == (1 << len(str(q)).bit_length(), None)
+    check_count_text(row)
+    assert csv_mismatch(_csv([row]), "DDT,2,2,3", [row]) is None
 
 
 def test_csv_file_and_string_buffer_agree(tmp_path):
@@ -1000,32 +1089,36 @@ def test_csv_writer_memory_is_the_lookup_and_pieces(big):
 
 
 @pytest.mark.parametrize("p,n,d,kind,widths", [
-    (2, 6, 11, "sozd", (4, 2)), (2, 6, 11, "ddt", (4, 2)), (2, 1, 3, "sozd", (2, 2)),
-    (3, 4, 7, "sozd", (4, 2)), (3, 4, 7, "ddt", (4, 2)), (5, 2, 3, "ddt", (4, 2)),
-    (2, 12, 67, "sozd", (8, 4)), (2, 12, 67, "ddt", (8, 2)),
+    (2, 6, 11, "sozd", (4, 2)), (2, 6, 11, "ddt", (2, 2)), (2, 1, 3, "sozd", (2, 2)),
+    (3, 4, 7, "sozd", (4, 2)), (3, 4, 7, "ddt", (2, 2)), (5, 2, 3, "ddt", (2, 2)),
+    (2, 12, 67, "sozd", (8, 2)), (2, 12, 67, "ddt", (2, 2)),
 ])
 def test_power_table_csv_formats_rows_0_and_1_only(monkeypatch, p, n, d, kind, widths):
     """Given the scale, write_table_csv formats row 0 and row 1 without its
-    cells u = 0 and u = 1 once each, each at its own width (an FBCT's count
-    q at u = 0 and u = 1, a DDT's at u = 1 over F_{2^12}, no longer widens
-    row 1's tokens), and gathers every other line from row 1's text; the
-    bytes are those of the expanded table."""
+    cells u = 0 and u = 1 once each, each in the token form of its own
+    counts (an FBCT's row 0 of all q is padded; the count q at u = 0 and
+    u = 1 no longer counts against row 1's marks, and x^67's 62 cells of 64
+    over F_{2^12} take one), and gathers every other line from row 1's
+    text; the bytes are those of the expanded table."""
     f = make_field(p, n)
     rows = power_rows(f, kind, d)
-    calls = []  # (counts, token width) of each call of the formatter, _count_text
+    calls = []  # (counts, token width, marks) of each call of the formatter, _count_text
     count_text = spectra._count_text
 
     def spy(counts):
-        lookup = count_text(counts)
-        calls.append((counts.copy(), lookup.itemsize))
-        return lookup
+        lookup, marks = count_text(counts)
+        calls.append((counts.copy(), lookup.itemsize, marks))
+        return lookup, marks
 
     monkeypatch.setattr(spectra, "_count_text", spy)
     buf = io.BytesIO()
     write_table_csv(f, kind, str(d), rows, buf, scale=row_scale(kind, d))
     assert len(calls) == 2
-    for (counts, width), row, want in zip(calls, (rows[0], rows[1][2:]), widths):
+    for (counts, width, marks), row, want in zip(calls, (rows[0], rows[1][2:]), widths):
         assert np.array_equal(counts, row) and width == want
+        assert (width, marks) == token_form(row)
+    if (p, n, d, kind) == (2, 12, 67, "sozd"):
+        assert calls[1][2] == ((b"\x01", b"64"),)
     table = expand_rows(f, rows, row_scale(kind, d))
     assert csv_mismatch(buf.getvalue(), f"{kind.upper()},{p},{n},{d}", table) is None
 
@@ -1033,18 +1126,20 @@ def test_power_table_csv_formats_rows_0_and_1_only(monkeypatch, p, n, d, kind, w
 @pytest.mark.parametrize("path", ["power", "streamed"])
 @pytest.mark.parametrize("wide", [False, True], ids=["2-byte", "4-byte"])
 def test_two_byte_tokens_skip_the_nul_strip(monkeypatch, path, wide):
-    """A 2-byte token is one digit and its comma, with no NUL, so a line of
-    them is written as its bytes, unstripped; a line of wider tokens is
-    stripped.  To tell the two apart, the formatter here drops the comma of
-    count 4, whose token then keeps a NUL: it reaches the file from 2-byte
-    lines only.  On the power path row 1's count 64 at u = 0 and u = 1 is
-    written apart, so it does not widen the other tokens."""
+    """2-byte tokens are a digit or a mark and a comma, with no NUL, so a
+    line of them is written with its marks expanded, unstripped; a line of
+    padded tokens is stripped.  To tell the two apart, the formatter here
+    drops the comma of count 4, whose token then keeps a NUL: it reaches
+    the file from 2-byte lines only.  A count 12 in a sixth of the cells is
+    too many for marks, so it pads the tokens to 4 bytes.  On the power path
+    row 1's count 64 at u = 0 and u = 1 is written apart, so it does not
+    widen the other tokens."""
     count_text = spectra._count_text
 
     def comma_less_4(counts):
-        lookup = count_text(counts)
+        lookup, marks = count_text(counts)
         lookup[4] = b"4"
-        return lookup
+        return lookup, marks
 
     monkeypatch.setattr(spectra, "_count_text", comma_less_4)
     row = np.array([64 if path == "power" else 8] * 2 + [4, 0, 4, 2, 4, 0])
@@ -1061,11 +1156,12 @@ def test_two_byte_tokens_skip_the_nul_strip(monkeypatch, path, wide):
 
 def test_power_table_csv_memory_is_a_few_rows():
     """The FBCT of x^67 over F_{2^12} written from its rows 0 and 1 peaks at
-    5.1 q-length int64 arrays, measured (row 0's 8-byte tokens, row 1's
-    4-byte ones and their doubled copy, the log and shift arrays, a line
-    and its bytes); with row 1 at the 8-byte width of its cells u = 0 and
-    u = 1 it peaked at 9.1-9.4, and formatting every line through the
-    lookup and a piece buffer at 12.4."""
+    4.0 q-length int64 arrays, measured (row 0's 8-byte tokens, row 1's
+    2-byte ones and their doubled copy, the log and shift arrays, a line,
+    its joined bytes and their text); with row 1's tokens at 4 bytes it
+    peaked at 5.1, at the 8-byte width of its cells u = 0 and u = 1 at
+    9.1-9.4, and formatting every line through the lookup and a piece
+    buffer at 12.4."""
     f = make_field(2, 12)
     rows = power_rows(f, "sozd", 67)
     with open(os.devnull, "wb") as sink:
