@@ -18,13 +18,10 @@ from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
 import functools
 import itertools
 import json
-import os
 import shlex
-import stat
 import sys
 
 from .closed_forms import registry_cases, verify_registry, verify_theorem
@@ -126,23 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
 _CSV_BUFFER = 1 << 18
 
 
-@contextlib.contextmanager
 def _open_csv(path: str):
     """A --csv file, binary, buffered so that its bytes reach the kernel in
-    writes of _CSV_BUFFER (256 KiB), not one write per line.  An existing
-    file is written over in place, not truncated on open: on ext4, writing
-    34 MB over an earlier 34 MB file took 37 ms truncated on open (17 ms of
-    it the open) and 13 ms in place.  On close, and on any exception, the
-    file is flushed and truncated at its offset, if it is a regular file
-    (not /dev/null or a pipe).  A run killed mid-write leaves the new bytes
-    followed by the old file's tail."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    with open(fd, "wb", buffering=_CSV_BUFFER) as fh:
-        try:
-            yield fh
-        finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()  # flushes, then cuts at the offset
+    writes of _CSV_BUFFER (256 KiB), not one write per line.  It is
+    truncated on open, so a run killed mid-write leaves a short file."""
+    return open(path, "wb", buffering=_CSV_BUFFER)
 
 
 def _emit(obj, json_path: str | None = None) -> None:

@@ -252,6 +252,13 @@ class Field:
                 return g
         raise RuntimeError("no generator found")  # unreachable for a true field
 
+    def _kept_generator(self) -> int:
+        """The generator, searched on first need and kept: the tables, the
+        subfield queries and the generator property share one search."""
+        if self._generator is None:
+            self._generator = self._find_generator()
+        return self._generator
+
     def _ensure_tables(self):
         if self._np_exp is not None:
             return
@@ -259,9 +266,7 @@ class Field:
             raise UnsupportedSizeError(
                 f"exp/log tables not built for order {self.order} > {TABLE_CAP}"
             )
-        if self._generator is None:  # subfield_indices may have found it
-            self._generator = self._find_generator()
-        g, m = self._generator, self._m
+        g, m = self._kept_generator(), self._m
         exp = np.empty(m, dtype=np.int32)
         exp[0] = 1
         size, c = 1, g  # invariant: exp[:size] is filled and c = g^size
@@ -314,9 +319,7 @@ class Field:
         result, kept for the next call."""
         if self.order <= TABLE_CAP:
             self._ensure_tables()
-        elif self._generator is None:
-            self._generator = self._find_generator()
-        return self._generator
+        return self._kept_generator()
 
     def log_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The int32 arrays exp (exp[k] = g^k, k < q - 1) and log (log[0] = -1)."""
@@ -469,9 +472,7 @@ class Field:
         without tables, and is kept for the next call."""
         if d <= 0 or self.n % d:
             raise NotADivisorError(f"d={d} does not divide n={self.n}")
-        if self._generator is None:
-            self._generator = self._find_generator()
-        g = self._generator
+        g = self._kept_generator()
         zeta = self.pow(g, self._m // (self.p**d - 1))
         out, x = [0], 1
         for _ in range(self.p**d - 1):

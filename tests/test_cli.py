@@ -596,8 +596,8 @@ def fresh_csv(tmp_path, argv) -> bytes:
 
 
 def test_csv_over_a_longer_file_is_a_fresh_write(tmp_path, capsys):
-    """A CSV is written over an existing file in place: where the old file
-    is longer, its tail is cut off at the end of the new bytes."""
+    """--csv truncates an existing file on open: over a longer file it
+    leaves exactly the bytes of a fresh write, no tail of the old file."""
     csv = tmp_path / "t.csv"
     code, _, _ = run(capsys, *FBCT_X35, "--csv", str(csv))
     assert code == 0
@@ -609,36 +609,14 @@ def test_csv_over_a_longer_file_is_a_fresh_write(tmp_path, capsys):
     assert csv.read_bytes() == want and len(want) < 2**21
 
 
-@pytest.mark.skipif(not hasattr(os, "symlink") or os.name == "nt", reason="needs symlinks")
-def test_csv_through_a_symlink_is_written_to_its_target(tmp_path, capsys):
-    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
-    target.write_bytes(b"old\n" * 10**6)
-    link.symlink_to(target)
-    code, _, _ = run(capsys, *FBCT_X35, "--csv", str(link))
-    assert code == 0
-    assert link.is_symlink() and target.read_bytes() == fresh_csv(tmp_path, FBCT_X35)
-
-
-@pytest.mark.skipif(os.name == "nt", reason="POSIX file modes")
-def test_csv_keeps_the_mode_of_an_existing_file(tmp_path, capsys):
-    csv = tmp_path / "t.csv"
-    csv.write_bytes(b"old\n")
-    csv.chmod(0o640)
-    code, _, _ = run(capsys, *FBCT_X35, "--csv", str(csv))
-    assert code == 0
-    assert csv.stat().st_mode & 0o777 == 0o640 and csv.read_bytes() == fresh_csv(tmp_path,
-                                                                                FBCT_X35)
-
-
 def test_csv_to_the_null_device(capsys):
-    """/dev/null is not a regular file, so it is not truncated."""
     code, out, _ = run(capsys, *FBCT_X35, "--csv", os.devnull)
     assert code == 0 and json.loads(out)["histogram"]
 
 
 def test_a_writer_that_raises_leaves_only_the_bytes_it_wrote(tmp_path, capsys, monkeypatch):
-    """An exception mid-table still flushes and truncates the file: it ends
-    at the header and row 0, the bytes written before row 1's formatter
+    """An exception mid-table still flushes the file on close: it ends at
+    the header and row 0, the bytes written before row 1's formatter
     raised, with no tail of the longer file it was written over."""
     csv = tmp_path / "t.csv"
     csv.write_bytes(b"9," * 10**6 + b"\n")
