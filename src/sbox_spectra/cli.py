@@ -21,7 +21,9 @@ import collections
 import functools
 import itertools
 import json
+import os
 import shlex
+import stat
 import sys
 
 from .closed_forms import registry_cases, verify_registry, verify_theorem
@@ -130,6 +132,17 @@ def _open_csv(path: str):
     return open(path, "wb", buffering=_CSV_BUFFER)
 
 
+def _refuse_csv_on_stdout(path: str) -> None:
+    """Refuse --csv on the regular file stdout writes to (--csv /dev/stdout
+    > out.txt), which the JSON report would overwrite; a pipe passes."""
+    try:
+        csv, out = os.stat(path), os.fstat(sys.stdout.fileno())
+    except (OSError, ValueError):  # no such file yet, or stdout has no descriptor
+        return
+    if stat.S_ISREG(out.st_mode) and os.path.samestat(csv, out):
+        raise SpectraError(f"--csv {path} is the file stdout writes to")
+
+
 def _emit(obj, json_path: str | None = None) -> None:
     """Write obj as JSON to stdout, and the same text to json_path if given.
     A report dataclass in obj is written as its fields, in declared order."""
@@ -208,6 +221,8 @@ def _cmd_spectra(args) -> int:
         raise SpectraError("fbct requires characteristic 2; use sozd for odd p")
     kind = "ddt" if args.table_kind == "ddt" else "sozd"
     fmap = PowerMap(args.power) if args.power is not None else load_table_map(field, args.table)
+    if args.csv:
+        _refuse_csv_on_stdout(args.csv)
     print(f"# {_canonical_command(args, field)}", file=sys.stderr)
 
     if args.row:

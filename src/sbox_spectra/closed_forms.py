@@ -8,23 +8,21 @@ Four prediction families are implemented, one per published closed form:
   t3: SOZD of x^(p^k+1) over F_{p^n}, p odd, 1 <= k < n
   t4: DDT of x^4 over F_{3^n}
 
-Each claim is encoded once, as a vectorised function `_claim_*` of arrays
-of cells (a, b): per cell, the index of the case that fires, and per case
-the inclusive (lo, hi) span it predicts.  Where the published case analysis
-proves only a bound, the span is that interval and the verifier checks
-containment.  The `predict_*` functions read one cell of it, the
-`predicted_*_table` helpers every cell.  `verify_*` computes the exhaustive
-spectrum and reports every (a, b) where claim and computation disagree, plus
-the claimed-versus-actual uniformity.  The registry holds power-function
-families with published second-order zero differential uniformities for
-bulk cross-checking.
+Each claim is encoded once, as a vectorised function `_claim_*` of the rows
+a in {0, 1} at arrays of b: per cell, the index of the case that fires, and
+per case the inclusive (lo, hi) span it predicts (where the published case
+analysis proves only a bound, that interval, checked by containment).  On
+row 1 every condition is a Frobenius fixed-point test on b, evaluated by
+Field.frobenius_vec, so no claim reads an exp/log table, at any order.
 
 Claims and spectra alike are fixed by their rows a = 0 and a = 1: a row
 a != 0 is the a = 1 row read at b/a (b/a^d for the DDT of x^d).  So
-verification and the registry read two O(q) rows, q = p^n, and build no
-q x q table: the mismatch count and its capped listing in (a, b) order
-come from the two boolean rows of mismatches through spectra.flagged_cells,
-with vectorised field arithmetic only.
+`predict_*` read one cell of the two rows, the `predicted_*_table` helpers
+expand them, and `verify_*` and the registry read two O(q) spectrum rows,
+q = p^n, and build no q x q table: the mismatch count and its capped listing
+in (a, b) order come from the two boolean rows of mismatches through
+spectra.flagged_cells.  The registry holds power-function families with
+published second-order zero differential uniformities.
 
 The reports (VerificationReport, RegistryCase, RegistryReport) are written
 by the CLI as their fields in declared order: a field's name and place are
@@ -43,6 +41,7 @@ from .errors import BadParametersError, EvenCharacteristicError
 from .fields import Field, make_field
 from .spectra import (
     SpectrumSummary,
+    expand_rows,
     flagged_cells,
     power_row_summary,
     power_rows,
@@ -112,13 +111,10 @@ def _pk1_uniformity(p: int, k: int, n: int) -> int:
 
 # -- the claims, each encoded once ---------------------------------------------------
 #
-# A claim maps arrays a, b of encodings that broadcast together (int32, as
-# field.xs() and the vector ops give them; rows a as a column against every
-# b) to the case that fires at each cell (a, b), an int8 index into its
-# cases, each with the inclusive (lo, hi) span it predicts, int64 like the
-# counts.  It tests (a, b) themselves rather than u = b/a, so the
-# invariance under (a, b) -> (ca, cb) ((ca, c^4 b) for t4) that row-first
-# verification rests on stays a property to test.
+# A claim maps int32 arrays a (each a in {0, 1}; the rows as a column) and b
+# that broadcast together to the int8 index of the case that fires at each
+# cell (a, b), each case with the inclusive (lo, hi) int64 span it predicts.
+# Any other cell reads row 1 at b/a (b/a^4 for t4), as the spectra do.
 
 @dataclass(frozen=True)
 class _Claim:
@@ -147,62 +143,58 @@ def _first_case(*cases) -> _Claim:
 
 
 def _claim_fbct_2m3(field: Field, a: np.ndarray, b: np.ndarray) -> _Claim:
-    """FBCT of x^(2^m+3): 2^n degenerate, 2^m on the subfield coset b in
-    a*F_{2^m}^*, 4 otherwise."""
+    """FBCT of x^(2^m+3) at a in {0, 1}: 2^n degenerate, 2^m on the subfield
+    coset b in a*F_{2^m}^* (b^(2^m) = b on row 1), 4 otherwise."""
     m = _m_of(field)
-    e = (1 << m) - 1  # b/a in F_{2^m}^* iff a^e = b^e
     return _first_case(
         ("degenerate", (a == 0) | (b == 0) | (a == b), field.order),
-        ("subfield-coset", field.pow_vec(a, e) == field.pow_vec(b, e), 1 << m),
+        ("subfield-coset", field.frobenius_vec(b, m) == b, 1 << m),
         ("residual", None, 4),
     )
 
 
 def _claim_fbct_2m5(field: Field, a: np.ndarray, b: np.ndarray) -> _Claim:
-    """FBCT of x^(2^m+5): 2^n degenerate; on a^3 = b^3 the value eps = 4
-    (m odd) or 0 (m even); 2^m on the subfield coset; else 16.
-
-    At m = 3 the residual claim (16) exceeds the claimed uniformity 2^3, so
-    the residual case is downgraded to the proven interval [0, 16]."""
+    """FBCT of x^(2^m+5) at a in {0, 1}: 2^n degenerate; on a^3 = b^3 (b^4
+    = b on row 1) the value eps = 4 (m odd) or 0 (m even); 2^m on the
+    subfield coset, as in t1; else 16.  At m = 3 the residual claim (16)
+    exceeds the claimed uniformity 2^3, so the residual case is downgraded
+    to the proven interval [0, 16]."""
     m = _m_of(field)
-    e = (1 << m) - 1
     return _first_case(
         ("degenerate", (a == 0) | (b == 0) | (a == b), field.order),
-        ("cube-equal", field.pow_vec(a, 3) == field.pow_vec(b, 3), 4 if m % 2 else 0),
-        ("subfield-coset", field.pow_vec(a, e) == field.pow_vec(b, e), 1 << m),
+        ("cube-equal", field.frobenius_vec(b, 2) == b, 4 if m % 2 else 0),
+        ("subfield-coset", field.frobenius_vec(b, m) == b, 1 << m),
         ("residual-bound-only", None, (0, 16)) if m == 3 else ("residual", None, 16),
     )
 
 
 def _claim_sozd_pk1(field: Field, a: np.ndarray, b: np.ndarray, k: int,
                     condition: str) -> _Claim:
-    """SOZD of x^(p^k+1), p odd, under one of two conditions.
+    """SOZD of x^(p^k+1), p odd, at a in {0, 1}, under one of two conditions.
 
-    exact: p^n iff a*b*(a^(p^k-1) + b^(p^k-1)) = 0, else 0.  The defining
-    equation collapses to this x-free condition, so it is ground truth.
-    stated: p^n iff b = 0 or (a/b)^2 lies in F_{p^s}, s = gcd(n, k); this
-    is the published membership condition, kept as a claim under test.
+    exact: p^n iff a*b*(a^(p^k-1) + b^(p^k-1)) = 0 (on row 1, b^(p^k) =
+    -b), else 0.  The defining equation collapses to this x-free condition,
+    so it is ground truth.  stated: p^n iff b = 0 or (a/b)^2 lies in F_{p^s},
+    s = gcd(n, k) (on row 1, b^(p^s) = +-b); this is the published
+    membership condition, kept as a claim under test.
     """
     _check_pk1(field, k, condition)
     pn = field.order
     if condition == "exact":
-        e = field.p**k - 1
-        total = field.add_vec(field.pow_vec(a, e), field.pow_vec(b, e))
-        vanishes = (a == 0) | (b == 0) | (total == 0)
+        vanishes = (a == 0) | (b == 0) | (field.add_vec(field.frobenius_vec(b, k), b) == 0)
         return _first_case(("vanishing-difference", vanishes, pn), ("nonvanishing", None, 0))
-    square = field.pow_vec(field.div_vec(a, np.where(b == 0, 1, b)), 2)  # (a/b)^2 where b != 0
-    frobenius = field.p ** math.gcd(field.n, k)  # x in F_{p^s} iff x^(p^s) = x
+    image = field.frobenius_vec(b, math.gcd(field.n, k))
     return _first_case(
         ("b-zero", b == 0, pn),
-        ("square-ratio-in-subfield", field.pow_vec(square, frobenius) == square, pn),
+        ("square-ratio-in-subfield", (a == 0) | (image == b) | (field.add_vec(image, b) == 0), pn),
         ("outside-subfield", None, 0),
     )
 
 
 def _claim_ddt_x4(field: Field, a: np.ndarray, b: np.ndarray) -> _Claim:
-    """DDT of x^4 over F_{3^n}: 3^n at (0,0), 0 on the rest of row zero; rows
-    a != 0 are all-ones for odd n (the map is planar) and for even n carry
-    entries in [0, 3] with row maximum 3."""
+    """DDT of x^4 over F_{3^n} at a in {0, 1}: 3^n at (0,0), 0 on the rest
+    of row zero; rows a != 0 are all-ones for odd n (the map is planar) and
+    for even n carry entries in [0, 3] with row maximum 3."""
     if field.p != 3:
         raise BadParametersError("this family lives over F_{3^n}")
     return _first_case(
@@ -212,29 +204,29 @@ def _claim_ddt_x4(field: Field, a: np.ndarray, b: np.ndarray) -> _Claim:
     )
 
 
-def _one_cell(field: Field, claim, a, b) -> Prediction:
-    """A claim's Prediction at the single cell (a, b)."""
-    cell = claim(field, np.array([field.as_index(a)]), np.array([field.as_index(b)]))
+def _one_cell(field: Field, claim, a, b, scale: int = 1) -> Prediction:
+    """A claim's Prediction at the single cell (a, b), read on row 0 at b or
+    on row 1 at b/a^scale, by table-free scalar arithmetic."""
+    a, b = field.as_index(a), field.as_index(b)
+    u = field._mul_raw(b, field._pow_raw(a, -scale)) if a else b
+    cell = claim(field, np.array([min(a, 1)], dtype=np.int32), np.array([u], dtype=np.int32))
     lo, hi = cell.span[0].tolist()
     name = cell.names[cell.case[0]]
     return Prediction(name, value=lo) if lo == hi else Prediction(name, bounds=(lo, hi))
 
 
-def _claim_rows(field: Field, claim, rows=(0, 1)) -> _Claim:
-    """A claim on the rows a in `rows` at every b: its case index has shape
-    (len(rows), q).  The rows go in as a column, so a term in a alone is
-    computed once per row, not once per cell.  Rows 0 and 1 decide a claim,
-    as they decide the spectra of the power maps: the claims are invariant
-    under the same row scalings."""
-    return claim(field, np.asarray(rows, dtype=np.int32)[:, None], field.xs())
+def _claim_rows(field: Field, claim) -> _Claim:
+    """A claim on rows a = 0, 1 (a column) at every b: case shape (2, q)."""
+    return claim(field, np.array([[0], [1]], dtype=np.int32), field.xs())
 
 
-def _predicted_table(field: Field, claim) -> tuple[np.ndarray, np.ndarray]:
-    """(values, interval_mask) of a claim at every cell: a cell under the
-    mask carries a bound, and its value is the bound's lower end."""
-    rows = _claim_rows(field, claim, field.xs())
+def _predicted_table(field: Field, claim, scale: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(values, interval_mask) of a claim at every cell, its rows' case index
+    expanded: a cell under the mask carries a bound, its value the lower end."""
+    rows = _claim_rows(field, claim)
     lo, hi = rows.spans.T
-    return lo[rows.case], (lo != hi)[rows.case]
+    case = expand_rows(field, rows.case, scale)
+    return lo[case], (lo != hi)[case]
 
 
 def predict_fbct_2m3(field: Field, a, b) -> Prediction:
@@ -256,7 +248,7 @@ def predict_sozd_pk1(field: Field, k: int, a, b) -> DualPrediction:
 
 def predict_ddt_x4_f3n(field: Field, a, b) -> Prediction:
     """Per-pair DDT claim for x^4 over F_{3^n} (see _claim_ddt_x4)."""
-    return _one_cell(field, _claim_ddt_x4, a, b)
+    return _one_cell(field, _claim_ddt_x4, a, b, scale=4)
 
 
 def predicted_fbct_2m3_table(field: Field) -> np.ndarray:
@@ -275,7 +267,7 @@ def predicted_sozd_pk1_table(field: Field, k: int, condition: str = "exact") -> 
 
 def predicted_ddt_x4_table(field: Field) -> tuple[np.ndarray, np.ndarray]:
     """Returns (values, interval_mask) as predicted_fbct_2m5_table."""
-    return _predicted_table(field, _claim_ddt_x4)
+    return _predicted_table(field, _claim_ddt_x4, scale=4)
 
 
 # -- diffs on rows a = 0 and a = 1 ---------------------------------------------

@@ -13,23 +13,23 @@ so the vector ops refuse orders from 2^31.
 A Field caches exp/log tables over a generator once multiplication is first
 needed (for orders up to TABLE_CAP).  The generator search runs once per
 Field (subfield_indices may run it first); exp follows, and log only when
-mul_vec, div_vec, pow_vec, log_tables or a scalar op reads it, so a power
-map's images (power_map_table, the FBCT row check's inverses too) build no
-log.  The tables turn mul/inv/pow/character/sqrt into O(1) lookups; larger
+mul_vec, pow_vec, log_tables or a scalar op reads it, so a power map's
+images (power_map_table, the FBCT row check's inverses too) build no log.
+The tables turn mul/inv/pow/character/sqrt into O(1) lookups; larger
 fields fall back to polynomial arithmetic for these scalar ops (sqrt by
-Tonelli-Shanks, odd-p add/sub/neg digit by digit), while the vectorized
-ones (and so every spectrum row) need the tables.  Each scalar op makes
-that choice itself, so callers such as the root solvers run one code path
-at every order and never read the tables.
+Tonelli-Shanks, odd-p add/sub/neg digit by digit), while mul_vec, pow_vec
+(and so every spectrum row) need the tables.  Each scalar op makes that
+choice itself, so callers such as the root solvers run one code path at
+every order and never read the tables.
 The scalar ops read Python-list copies of the int32 tables, made on the
 first scalar call (_have_tables), which for odd p also builds the Zech
 logarithms zech[k] = log(1 + g^k) (-1 where 1 + g^k = 0), so scalar
 add/sub/neg are O(1) lookups too (Huber, IEEE Trans. IT 36(4), 1990):
-g^i + g^j = g^(i + zech[j - i]) and -g^i = g^(i + (q-1)/2).  The tables are
-built by doubling: with exp[:L] = g^0..g^(L-1) filled, exp[L:2L] =
-g^L * exp[:L].  Multiplying by a fixed c is F_p-linear, so n scalar
-products give c times each basis element p^j, and a lookup table per byte
-(p = 2) or limb (odd p) maps the whole block: O(n log q) scalar products.
+g^i + g^j = g^(i + zech[j - i]) and -g^i = g^(i + (q-1)/2).
+_linear_vec maps an array by an F_p-linear map, given its images of the
+basis p^j, one lookup table per byte (p = 2) or limb (odd p).  exp is built
+by doubling with it (exp[L:2L] = g^L exp[:L]: O(n log q) scalar products),
+and frobenius_vec raises to p^j with it (frobenius_images), tableless.
 Fields are immutable values; lazy cache builds are idempotent, so sharing
 across threads is safe.
 
@@ -272,7 +272,8 @@ class Field:
         size, c = 1, g  # invariant: exp[:size] is filled and c = g^size
         while size < m:
             step = min(size, m - size)
-            exp[size:size + step] = self._scale_vec(c, exp[:step])
+            images = [self._mul_raw(c, self.p**j) for j in range(self.n)]  # of y -> c*y
+            exp[size:size + step] = self._linear_vec(images, exp[:step])
             size += step
             c = self._mul_raw(c, c)
         # log waits for an op that reads it (_ensure_log).  Each array is its
@@ -290,26 +291,34 @@ class Field:
         log[self._np_exp] = np.arange(self._m, dtype=np.int32)
         self._np_log = log
 
-    def _scale_vec(self, c: int, v: np.ndarray) -> np.ndarray:
-        """c * v for an array of encodings v, through the F_p-linear map
-        y -> c*y: n scalar products give its images of the basis p^j."""
+    def _linear_vec(self, images: list[int], v: np.ndarray) -> np.ndarray:
+        """L(v) for an int32 array v and the F_p-linear map L with images[j]
+        = L(p^j), one table per byte (p = 2) or limb (odd p) of v."""
         p, n = self.p, self.n
-        images = [self._mul_raw(c, p**j) for j in range(n)]
         if p == 2:
             out = np.zeros(v.shape, dtype=np.int32)
             for lo, table in _xor_tables(images, np.int32):
                 out ^= table[(v >> lo) & 0xFF]
             return out
         P, w, _ = _limb_tables(p)
-        coeffs = np.array([self.coeffs(img) for img in images], dtype=np.int64)  # row j: c*p^j
+        coeffs = np.array([self.coeffs(img) for img in images], dtype=np.int64)  # row j: L(p^j)
         ppows = p ** np.arange(n, dtype=np.int64)
-        for lo in range(0, n, w):  # table[u] = c * (u * p^lo) for each limb u
+        for lo in range(0, n, w):  # table[u] = L(u * p^lo) for each limb u
             rows = coeffs[lo:lo + w]
             digits = np.arange(p ** len(rows))[:, None] // p ** np.arange(len(rows)) % p
             table = (((digits @ rows) % p) @ ppows).astype(np.int32)
             part = table[v // p**lo % P]
             out = part if lo == 0 else self._add_or_sub(out, part, False)
         return out
+
+    @functools.cached_property
+    def frobenius_images(self) -> list[list[int]]:
+        """Row i holds (p^j)^(p^i), j < n, the basis under x -> x^(p^i):
+        built once, row i + 1 the raw p-th powers of row i (no tables)."""
+        rows = [[self.p**j for j in range(self.n)]]
+        while len(rows) < self.n:
+            rows.append([self._pow_raw(x, self.p) for x in rows[-1]])
+        return rows
 
     @property
     def generator(self) -> int:
@@ -564,18 +573,6 @@ class Field:
         np.copyto(out, 0, where=(A == 0) | (B == 0))
         return out
 
-    def div_vec(self, A, B) -> np.ndarray:
-        A = self._encodings(A)
-        B = self._encodings(B)
-        if np.any(B == 0):
-            raise ZeroDivisionError("division by zero")
-        self._ensure_log()
-        k = self._np_log[A] - self._np_log[B]  # as in mul_vec
-        k %= self._m
-        out = np.asarray(self._np_exp[k])
-        np.copyto(out, 0, where=A == 0)  # where broadcasts: A may be smaller than out
-        return out
-
     def pow_vec(self, A, e: int) -> np.ndarray:
         A = self._encodings(A)
         if e < 0:
@@ -590,6 +587,10 @@ class Field:
         out = np.asarray(self._np_exp[k])  # an array for a 0-d A too
         out[A == 0] = 0
         return out
+
+    def frobenius_vec(self, A, j: int) -> np.ndarray:
+        """A^(p^j), j mod n, by the linear map x -> x^(p^j): no exp/log table."""
+        return self._linear_vec(self.frobenius_images[j % self.n], self._encodings(A))
 
     def power_map_table(self, d: int) -> np.ndarray:
         """Images of every element under x -> x^d, in canonical order, from

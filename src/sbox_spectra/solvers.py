@@ -15,9 +15,8 @@ Three solvers, each with an exhaustive-evaluation oracle in the test suite:
   n x n 2-circulant matrix A_L (Wu & Liu, Finite Fields Appl. 22, 2013):
   the images L(2^j) of the basis are eliminated as n-bit words.
 
-The trinomial tables, and the Frobenius images (2^j)^(2^i) the affine
-counter reads, live in a per-Field cache of at most _CACHE_ENTRIES entries,
-which is freed with its Field.
+The trinomial tables live in a per-Field cache of at most _CACHE_ENTRIES
+entries, freed with its Field; the affine counter reads frobenius_images.
 
 The solvers use only Field's scalar ops (add, sub, neg, mul, div, inv,
 pow, frobenius, trace, sqrt); whether those read exp/log tables or run on
@@ -132,7 +131,7 @@ def solve_quadratic(field: Field, a2, a1, a0) -> RootResult:
 
 
 _CACHE_ENTRIES = 2048  # entries kept per Field; every (k, a) pair of F_{2^8} fits
-# keys: (k, a) for the trinomial maps, "frobenius" for the affine counter
+# keys: (k, a) for the trinomial maps
 
 
 def _cache_entry(field: Field, key, build, *args):
@@ -141,7 +140,7 @@ def _cache_entry(field: Field, key, build, *args):
     lives as long as the Field; it keeps at most _CACHE_ENTRIES entries,
     dropping the oldest.  At n = 24 a trinomial entry is three 256-entry
     int64 tables, about 7.1 KiB in all (tracemalloc), so a full cache holds
-    about 14.5 MiB; the one Frobenius entry is n^2 ints."""
+    about 14.5 MiB."""
     cache = field._solver_cache
     entry = cache.get(key)
     if entry is None:
@@ -307,12 +306,6 @@ def build_AL(field: Field, coeffs) -> list[list[int]]:
     ]
 
 
-def _frobenius_images(field: Field) -> list[list[int]]:
-    """Row i holds (2^j)^(2^i) for j < n."""
-    n = field.n
-    return [[field.frobenius(1 << j, i) for j in range(n)] for i in range(n)]
-
-
 def affine_root_count(field: Field, coeffs, b) -> int:
     """Number of roots of L(x) + b: 2^(n - r) when b lies in the image of L,
     else 0, where r is the F_2-rank of L, equal to rank(A_L) (see build_AL).
@@ -320,10 +313,9 @@ def affine_root_count(field: Field, coeffs, b) -> int:
     and b is reduced against them: O(n^2) field products and word operations."""
     b = b if type(b) is int and 0 <= b < field.order else field.as_index(b)
     cs = _linearized_coeffs(field, coeffs)
-    frobenius = _cache_entry(field, "frobenius", _frobenius_images)
     mul = field.mul
     images = [0] * field.n
-    for c, row in zip(cs, frobenius):
+    for c, row in zip(cs, field.frobenius_images):
         if c:
             images = [v ^ mul(c, y) for v, y in zip(images, row)]
     pivots = _echelon(images)

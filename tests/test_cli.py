@@ -614,6 +614,41 @@ def test_csv_to_the_null_device(capsys):
     assert code == 0 and json.loads(out)["histogram"]
 
 
+def _run_to(stdout, *argv):
+    """argv run in a fresh interpreter whose stdout is `stdout` (an open
+    file, or subprocess.PIPE), its stderr captured."""
+    src = os.path.dirname(os.path.dirname(sbox_spectra.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "sbox_spectra", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_csv_on_the_regular_file_of_stdout_exits_2(tmp_path):
+    """`--csv /dev/stdout > out.txt` would write the JSON report over the CSV:
+    it is refused before the file is opened, and so is the file's own path."""
+    out = tmp_path / "out.txt"
+    for path in ("/dev/stdout", str(out)):
+        with open(out, "wb") as fh:
+            proc = _run_to(fh, "spectra", "fbct", "--field", "p=2;n=4", "--power", "3", "--full",
+                           "--csv", path)
+        assert proc.returncode == 2, proc.stderr
+        assert b"stdout" in proc.stderr and out.read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_csv_on_a_pipe_of_stdout_is_written(tmp_path):
+    """A pipe on stdout is no regular file: the CSV goes down it, then the
+    JSON report."""
+    argv = ["spectra", "fbct", "--field", "p=2;n=4", "--power", "3", "--full"]
+    proc = _run_to(subprocess.PIPE, *argv, "--csv", "/dev/stdout")
+    assert proc.returncode == 0, proc.stderr
+    csv = fresh_csv(tmp_path, argv)
+    assert proc.stdout.startswith(csv)
+    assert json.loads(proc.stdout[len(csv):])["histogram"]
+
+
 def test_a_writer_that_raises_leaves_only_the_bytes_it_wrote(tmp_path, capsys, monkeypatch):
     """An exception mid-table still flushes the file on close: it ends at
     the header and row 0, the bytes written before row 1's formatter
@@ -721,11 +756,7 @@ def test_canonical_command_reproduces_the_run(tmp_path, capsys, argv, canonical)
 
 def run_alone(argv):
     """Exit code and stdout bytes of argv run alone, in a fresh interpreter."""
-    src = os.path.dirname(os.path.dirname(sbox_spectra.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "sbox_spectra", *argv],
-                          capture_output=True, env=env, timeout=120)
+    proc = _run_to(subprocess.PIPE, *argv)
     return proc.returncode, proc.stdout
 
 

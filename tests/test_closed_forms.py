@@ -7,6 +7,8 @@ where they differ from the published per-entry claims, the registry and
 verify reports are required to flag the difference rather than hide it.
 """
 
+import itertools
+import math
 import tracemalloc
 from functools import partial
 
@@ -25,6 +27,7 @@ from sbox_spectra import (
     predict_fbct_2m3,
     predict_fbct_2m5,
     predict_sozd_pk1,
+    Prediction,
     registry_cases,
     sozd_table,
     verify_ddt_x4,
@@ -35,18 +38,96 @@ from sbox_spectra import (
     verify_theorem,
 )
 from sbox_spectra import cli, fields
+from sbox_spectra._conway import CONWAY_POLYNOMIALS
 from sbox_spectra.closed_forms import (
+    _check_pk1,
     _claim_ddt_x4,
     _claim_fbct_2m3,
     _claim_fbct_2m5,
     _claim_rows,
     _claim_sozd_pk1,
+    _first_case,
+    _m_of,
     predicted_ddt_x4_table,
     predicted_fbct_2m3_table,
     predicted_fbct_2m5_table,
     predicted_sozd_pk1_table,
 )
-from sbox_spectra.spectra import expand_rows
+from sbox_spectra.polyarith import is_irreducible
+from sbox_spectra.spectra import expand_rows, iter_rows
+
+
+# -- the published claims, per cell: the oracle ----------------------------------
+#
+# The claims as the papers state them, at any cell (a, b), evaluated with
+# pow_vec on the grid.  The library states each on rows a = 0 and 1 only,
+# as Frobenius fixed-point tests; its rows expanded by the row scaling must
+# give these cells.  (a/b in t3's stated condition is a * b^(q-2).)
+
+def _published_fbct_2m3(field, a, b):
+    m = _m_of(field)
+    e = (1 << m) - 1  # b/a in F_{2^m}^* iff a^e = b^e
+    return _first_case(
+        ("degenerate", (a == 0) | (b == 0) | (a == b), field.order),
+        ("subfield-coset", field.pow_vec(a, e) == field.pow_vec(b, e), 1 << m),
+        ("residual", None, 4),
+    )
+
+
+def _published_fbct_2m5(field, a, b):
+    m = _m_of(field)
+    e = (1 << m) - 1
+    return _first_case(
+        ("degenerate", (a == 0) | (b == 0) | (a == b), field.order),
+        ("cube-equal", field.pow_vec(a, 3) == field.pow_vec(b, 3), 4 if m % 2 else 0),
+        ("subfield-coset", field.pow_vec(a, e) == field.pow_vec(b, e), 1 << m),
+        ("residual-bound-only", None, (0, 16)) if m == 3 else ("residual", None, 16),
+    )
+
+
+def _published_sozd_pk1(field, a, b, k, condition):
+    _check_pk1(field, k, condition)
+    pn = field.order
+    if condition == "exact":
+        e = field.p**k - 1
+        total = field.add_vec(field.pow_vec(a, e), field.pow_vec(b, e))
+        vanishes = (a == 0) | (b == 0) | (total == 0)
+        return _first_case(("vanishing-difference", vanishes, pn), ("nonvanishing", None, 0))
+    ratio = field.mul_vec(a, field.pow_vec(np.where(b == 0, 1, b), pn - 2))  # a/b where b != 0
+    square = field.pow_vec(ratio, 2)
+    frobenius = field.p ** math.gcd(field.n, k)  # x in F_{p^s} iff x^(p^s) = x
+    return _first_case(
+        ("b-zero", b == 0, pn),
+        ("square-ratio-in-subfield", field.pow_vec(square, frobenius) == square, pn),
+        ("outside-subfield", None, 0),
+    )
+
+
+def _published_ddt_x4(field, a, b):
+    if field.p != 3:
+        raise BadParametersError("this family lives over F_{3^n}")
+    return _first_case(
+        ("zero-row", (a == 0) & (b == 0), field.order),
+        ("zero-row", a == 0, 0),
+        ("planar-row", None, 1) if field.n % 2 else ("even-degree-row", None, (0, 3)),
+    )
+
+
+def _published_grid(field, published, rows=None):
+    """The published claim at the rows a in `rows` (every row by default)
+    and every b."""
+    xs = field.xs()
+    rows = xs if rows is None else np.asarray(rows, dtype=np.int32)
+    return published(field, *np.broadcast_arrays(rows[:, None], xs))
+
+
+def _second_modulus(p, n):
+    """The least monic irreducible of degree n over F_p, by encoding, that is
+    not the built-in one."""
+    for c in range(1, p**n):
+        mod = [c // p**i % p for i in range(n)] + [1]
+        if tuple(mod) != CONWAY_POLYNOMIALS[p, n] and is_irreducible(mod, p):
+            return mod
 
 
 # -- scalar predictors ---------------------------------------------------------
@@ -154,56 +235,86 @@ def test_predictor_value_domains(f26, f28):
     assert not interval10.any()
 
 
-# -- predicted tables agree with the claim rows expanded by row scaling ----------
+# -- predicted tables agree with the published claims ------------------------------
 #
-# A predicted table evaluates its claim at every cell; rows 0 and 1 of the
-# claim, expanded by the row scaling, must give the same table.
-
-def _expanded_claim(field, claim, scale=1):
-    return expand_rows(field, _claim_rows(field, claim).span, scale)
-
+# A predicted table expands the claim's rows 0 and 1 by the row scaling; the
+# published claim evaluated at every cell must give the same table.
 
 def test_vectorized_2m3_matches_scalar(f26):
-    rows = _expanded_claim(f26, _claim_fbct_2m3)
-    assert np.array_equal(predicted_fbct_2m3_table(f26), rows[..., 0])
+    grid = _published_grid(f26, _published_fbct_2m3)
+    assert np.array_equal(predicted_fbct_2m3_table(f26), grid.span[..., 0])
 
 
 def test_vectorized_2m5_matches_scalar(f26, f28):
     for field in (f26, f28):
         table, interval = predicted_fbct_2m5_table(field)
-        rows = _expanded_claim(field, _claim_fbct_2m5)
-        assert np.array_equal(table, rows[..., 0])
-        assert np.array_equal(interval, rows[..., 0] != rows[..., 1])
+        grid = _published_grid(field, _published_fbct_2m5).span
+        assert np.array_equal(table, grid[..., 0])
+        assert np.array_equal(interval, grid[..., 0] != grid[..., 1])
 
 
 def test_vectorized_pk1_matches_scalar(f33):
     for condition in ("exact", "stated"):
-        rows = _expanded_claim(f33, partial(_claim_sozd_pk1, k=1, condition=condition))
-        assert np.array_equal(predicted_sozd_pk1_table(f33, 1, condition), rows[..., 0])
+        grid = _published_grid(f33, partial(_published_sozd_pk1, k=1, condition=condition))
+        assert np.array_equal(predicted_sozd_pk1_table(f33, 1, condition), grid.span[..., 0])
 
 
 def test_vectorized_ddt_x4_matches_scalar(f33, f32):
     for field in (f33, f32):
         table, interval = predicted_ddt_x4_table(field)
-        rows = _expanded_claim(field, _claim_ddt_x4, 4)
-        assert np.array_equal(table, rows[..., 0])
-        assert np.array_equal(interval, rows[..., 0] != rows[..., 1])
+        grid = _published_grid(field, _published_ddt_x4).span
+        assert np.array_equal(table, grid[..., 0])
+        assert np.array_equal(interval, grid[..., 0] != grid[..., 1])
 
 
-# -- the claims on their own -----------------------------------------------------------
+# -- the claims on rows 0 and 1 against the published claims ---------------------------
+
+def _claim_cases():
+    """(id, field, claim, published claim, row scale) for every claim and the
+    fields its rows are checked over at every cell."""
+    out = []
+    for m in (3, 4, 5):
+        for mod, tag in ((None, "conway"), (_second_modulus(2, 2 * m), "second")):
+            f = make_field(2, 2 * m, mod)
+            out += [(f"t1-m{m}-{tag}", f, _claim_fbct_2m3, _published_fbct_2m3, 1),
+                    (f"t2-m{m}-{tag}", f, _claim_fbct_2m5, _published_fbct_2m5, 1)]
+    for p, n in ((3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3)):
+        f = make_field(p, n)
+        out += [(f"t3-{p}^{n}-k{k}-{c}", f, partial(_claim_sozd_pk1, k=k, condition=c),
+                 partial(_published_sozd_pk1, k=k, condition=c), 1)
+                for k in range(1, n) for c in ("exact", "stated")]
+    out += [(f"t4-3^{n}", make_field(3, n), _claim_ddt_x4, _published_ddt_x4, 4)
+            for n in (2, 3, 4, 5)]
+    return out
+
+
+CLAIM_CASES = _claim_cases()
+
+
+@pytest.mark.parametrize("field,claim,published,scale", [c[1:] for c in CLAIM_CASES],
+                         ids=[c[0] for c in CLAIM_CASES])
+def test_expanded_claim_rows_equal_the_published_claim(field, claim, published, scale):
+    rows = _claim_rows(field, claim)
+    want = _published_grid(field, published)
+    assert rows.names == want.names
+    assert np.array_equal(rows.spans, want.spans)
+    assert rows.case.shape == (2, field.order)
+    assert np.array_equal(expand_rows(field, rows.case, scale), want.case)
+
 
 def _claims():
-    """(id, field, claim, e) for every claim and the fields it is tested over:
-    row-first verification assumes claim(ca, c^e b) = claim(a, b), c != 0."""
+    """(id, field, published claim, e) for every claim and the fields it is
+    tested over: row-first verification assumes claim(ca, c^e b) =
+    claim(a, b), c != 0."""
     out = []
     for n in (6, 8):
         f = make_field(2, n)
-        out += [(f"t1-2^{n}", f, _claim_fbct_2m3, 1), (f"t2-2^{n}", f, _claim_fbct_2m5, 1)]
+        out += [(f"t1-2^{n}", f, _published_fbct_2m3, 1), (f"t2-2^{n}", f, _published_fbct_2m5, 1)]
     for p, n in ((3, 3), (3, 4), (5, 2)):
         f = make_field(p, n)
-        out += [(f"t3-{p}^{n}-k{k}-{c}", f, partial(_claim_sozd_pk1, k=k, condition=c), 1)
+        out += [(f"t3-{p}^{n}-k{k}-{c}", f, partial(_published_sozd_pk1, k=k, condition=c), 1)
                 for k in range(1, n) for c in ("exact", "stated")]
-    out += [(f"t4-3^{n}", make_field(3, n), _claim_ddt_x4, 4) for n in (2, 3)]
+    out += [(f"t4-3^{n}", make_field(3, n), _published_ddt_x4, 4) for n in (2, 3)]
     return out
 
 
@@ -227,16 +338,15 @@ def test_claims_are_invariant_under_row_scaling(field, claim, e, data):
 
 
 def _stride(field):
-    """Every cell up to q = 64; every 7th cell in (a, b) order above, where
-    the one-cell calls (about 30 us each) would dominate the suite."""
-    return 1 if field.order <= 64 else 7
+    """Every cell up to q = 64; every 31st cell in (a, b) order above, where
+    the one-cell calls (about 0.1-0.4 ms each) would dominate the suite."""
+    return 1 if field.order <= 64 else 31
 
 
-def _grid_predictions(field, claim):
-    """(case name, (lo, hi)) at the checked cells, in (a, b) order, from one
-    call over the whole grid."""
-    xs = field.xs()
-    grid = claim(field, *np.broadcast_arrays(xs[:, None], xs))
+def _grid_predictions(field, published):
+    """(case name, (lo, hi)) at the checked cells, in (a, b) order, from the
+    published claim over the whole grid."""
+    grid = _published_grid(field, published)
     names = np.array(grid.names)[grid.case].ravel().tolist()
     return list(zip(names, map(tuple, grid.span.reshape(-1, 2).tolist())))[::_stride(field)]
 
@@ -254,9 +364,9 @@ def _cell_predictions(field, predict, conditions=None):
 @pytest.mark.parametrize("n", [6, 8])
 def test_one_cell_fbct_predictions_equal_the_grid(n):
     f = make_field(2, n)
-    for predict, claim in ((predict_fbct_2m3, _claim_fbct_2m3),
-                           (predict_fbct_2m5, _claim_fbct_2m5)):
-        assert _cell_predictions(f, partial(predict, f)) == _grid_predictions(f, claim)
+    for predict, published in ((predict_fbct_2m3, _published_fbct_2m3),
+                               (predict_fbct_2m5, _published_fbct_2m5)):
+        assert _cell_predictions(f, partial(predict, f)) == _grid_predictions(f, published)
 
 
 @pytest.mark.parametrize("p,n", [(3, 3), (3, 4), (5, 2)])
@@ -265,7 +375,7 @@ def test_one_cell_pk1_predictions_equal_the_grid(p, n):
     conditions = ("exact", "stated")
     for k in range(1, n):
         one_cell = _cell_predictions(f, partial(predict_sozd_pk1, f, k), conditions)
-        assert one_cell == [_grid_predictions(f, partial(_claim_sozd_pk1, k=k, condition=c))
+        assert one_cell == [_grid_predictions(f, partial(_published_sozd_pk1, k=k, condition=c))
                             for c in conditions]
 
 
@@ -273,7 +383,32 @@ def test_one_cell_pk1_predictions_equal_the_grid(p, n):
 def test_one_cell_ddt_x4_predictions_equal_the_grid(n):
     f = make_field(3, n)
     one_cell = _cell_predictions(f, partial(predict_ddt_x4_f3n, f))
-    assert one_cell == _grid_predictions(f, _claim_ddt_x4)
+    assert one_cell == _grid_predictions(f, _published_ddt_x4)
+
+
+def test_predictions_past_the_tables_read_no_table():
+    """The claims test b by Frobenius powers and _one_cell maps (a, b) to row
+    1 by table-free scalar arithmetic, so the predictors answer above
+    TABLE_CAP and build neither the exp/log arrays nor their list mirrors."""
+    f22, f315 = make_field(2, 22), make_field(3, 15)
+    assert f22.order > fields.TABLE_CAP and f315.order > fields.TABLE_CAP
+    assert predict_fbct_2m3(f22, 1, 2) == Prediction("residual", 4)
+    assert predict_fbct_2m3(f22, 7, 7) == Prediction("degenerate", f22.order)
+    sub = f22.subfield_indices(11)[5]  # b/a in F_{2^11}^*, not 0 or 1
+    assert predict_fbct_2m3(f22, 3, f22._mul_raw(3, sub)).case == "subfield-coset"
+    cube = f22.subfield_indices(2)[2]  # b/a a cube root of 1
+    assert predict_fbct_2m5(f22, 5, f22._mul_raw(5, cube)) == Prediction("cube-equal", 4)
+    assert predict_fbct_2m5(f22, 1, 2) == Prediction("residual", 16)
+    # over F_{3^15}, k = 5: at b/a = 1, 1 + 1^(p^k - 1) = 2 does not vanish,
+    # while (a/b)^2 = 1 lies in F_{3^5}
+    dual = predict_sozd_pk1(f315, 5, 4, 4)
+    assert dual.exact == Prediction("nonvanishing", 0)
+    assert dual.stated == Prediction("square-ratio-in-subfield", f315.order)
+    assert predict_sozd_pk1(f315, 5, 0, 9).exact == Prediction("vanishing-difference", f315.order)
+    assert predict_ddt_x4_f3n(f315, 2, 9) == Prediction("planar-row", 1)
+    assert predict_ddt_x4_f3n(f315, 0, 0) == Prediction("zero-row", f315.order)
+    for f in (f22, f315):
+        assert f._np_exp is None and f._np_log is None and f._exp is None
 
 
 # -- verification harness -----------------------------------------------------------
@@ -378,46 +513,43 @@ def test_fbct_verify_holds_one_case_byte_per_claimed_cell():
 
 def test_claim_rows_take_the_rows_as_a_column():
     """t1 and t2 evaluate their conditions on the rows a = 0, 1 as a (2, 1)
-    column against every b, so a^e is raised twice, not 2q times: at q = 2^20
-    their claim rows peak at 3.75 and 4.25 q-length int32 arrays (the
-    materialised (2, q) grid peaked at 9.0 and 9.5), the int8 case index
-    half an array of it."""
-    f = make_field(2, 20)
-    q = f.order
-    f.log_tables()  # the exp/log tables and xs are the field's, not the claim's
-    f.xs()
-    peaks = []
+    column against every b, and each condition on b is a Frobenius power:
+    on a fresh field at q = 2^20 the claim rows build no exp/log table and
+    peak at under 4 q-length int32 arrays (about 3.5 and 3.8), the int8
+    case index half an array of it.  xs is the field's, not the claim's."""
     for claim in (_claim_fbct_2m3, _claim_fbct_2m5):
+        f = fields.Field(2, 20, CONWAY_POLYNOMIALS[2, 20])
+        q = f.order
+        f.xs()
         tracemalloc.start()
         try:
             rows = _claim_rows(f, claim)
-            peaks.append(tracemalloc.get_traced_memory()[1] / (4 * q))
+            peak = tracemalloc.get_traced_memory()[1] / (4 * q)
         finally:
             tracemalloc.stop()
         assert rows.case.shape == (2, q)
-    assert max(peaks) <= 5, peaks
+        assert f._np_exp is None and f._np_log is None
+        assert peak <= 4, peak
 
 
 @pytest.mark.parametrize("p,n,modulus", [(3, 3, None), (3, 6, None), (5, 4, None),
                                           (7, 3, None), (257, 2, [254, 0, 1])],
                          ids=["3^3", "3^6", "5^4", "7^3", "257^2"])
 def test_pk1_claim_rows_equal_the_full_grid(p, n, modulus):
-    # the rows go in as a column against every b; the exact claim broadcasts
-    # its two powers before the odd-p add (one limb, several, and p > 256,
-    # x^2 - 3 as 3 is a nonsquare mod 257), so it must give the cells of the
-    # materialised grid
+    # the rows a = 0, 1 and the first rows a != 0 of their expansion equal
+    # the published claim (one limb, several, and p > 256, x^2 - 3 as 3 is a
+    # nonsquare mod 257); the odd-p add meets the rows as a column
     f = make_field(p, n, modulus)
-    xs = f.xs()
-    for rows in ((0, 1), np.r_[0, 1, xs[2::1 + f.order // 64]]):
-        grid = np.broadcast_arrays(np.asarray(rows, dtype=np.int32)[:, None], xs)
-        for k in range(1, n):
-            for condition in ("exact", "stated"):
-                claim = partial(_claim_sozd_pk1, k=k, condition=condition)
-                got, want = _claim_rows(f, claim, rows), claim(f, *grid)
-                assert got.names == want.names
-                assert np.array_equal(got.spans, want.spans)
-                assert got.case.shape == (len(rows), f.order)
-                assert np.array_equal(got.case, want.case)
+    first = 1 + min(f.order - 1, 64)
+    for k in range(1, n):
+        for condition in ("exact", "stated"):
+            rows = _claim_rows(f, partial(_claim_sozd_pk1, k=k, condition=condition))
+            want = _published_grid(f, partial(_published_sozd_pk1, k=k, condition=condition),
+                                   range(first))
+            assert rows.names == want.names
+            assert np.array_equal(rows.spans, want.spans)
+            got = np.array(list(itertools.islice(iter_rows(f, rows.case, 1), first)))
+            assert np.array_equal(got, want.case)
 
 
 def test_verification_report_serializable(capsys):
@@ -428,9 +560,9 @@ def test_verification_report_serializable(capsys):
 
 # -- row-first verification against the brute-force oracle -----------------------------
 
-def _oracle_claims(field, claim):
-    """Every cell's claim as inclusive (lo, hi), from one call over all (a, b)."""
-    return _claim_rows(field, claim, field.xs()).span
+def _oracle_claims(field, published):
+    """Every cell's published claim as inclusive (lo, hi)."""
+    return _published_grid(field, published).span
 
 
 def _oracle_diff(entries, claims):
@@ -453,8 +585,8 @@ def _assert_diff(report, entries, claims):
 def test_row_first_fbct_verify_matches_oracle(theorem, m):
     f = make_field(2, 2 * m)
     d, claim, verify = {
-        "t1": ((1 << m) + 3, _claim_fbct_2m3, verify_fbct_2m3),
-        "t2": ((1 << m) + 5, _claim_fbct_2m5, verify_fbct_2m5),
+        "t1": ((1 << m) + 3, _published_fbct_2m3, verify_fbct_2m3),
+        "t2": ((1 << m) + 5, _published_fbct_2m5, verify_fbct_2m5),
     }[theorem]
     table = sozd_table(f, PowerMap(d), method="bruteforce").entries
     report = verify(m)
@@ -469,7 +601,7 @@ def test_row_first_pk1_verify_matches_oracle(p, k, n, condition):
     f = make_field(p, n)
     table = sozd_table(f, PowerMap(p**k + 1), method="bruteforce").entries
     claims = {
-        c: _oracle_claims(f, partial(_claim_sozd_pk1, k=k, condition=c))
+        c: _oracle_claims(f, partial(_published_sozd_pk1, k=k, condition=c))
         for c in ("exact", "stated")
     }
     report = verify_sozd_pk1(p, k, n, condition)
@@ -487,7 +619,7 @@ def test_row_first_ddt_x4_verify_matches_oracle(n):
     f = make_field(3, n)
     table = ddt_table(f, PowerMap(4), method="bruteforce").entries
     report = verify_ddt_x4(n)
-    _assert_diff(report, table, _oracle_claims(f, _claim_ddt_x4))
+    _assert_diff(report, table, _oracle_claims(f, _published_ddt_x4))
     if n % 2:
         assert report.extras == {"permutation_rows": bool((table[1:] == 1).all())}
     else:
