@@ -3,6 +3,8 @@
 Subcommands: field-info, solve (trinomial | affine), spectra (ddt | fbct |
 sozd), verify (--theorem t1..t4 | --registry) and registry.  Machine output
 goes to stdout (JSON; CSV via --csv), human-readable progress to stderr.
+The JSON text is json.dumps(obj, indent=2)'s, a tuple written as a list and
+a dataclass as its fields, in declared order; a --json file is opened first.
 
 Exit codes: 0 success, 1 verification mismatch or property violation (the
 report is always written first), 2 usage or configuration error, or a size
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import functools
 import itertools
 import json
@@ -25,6 +28,7 @@ import os
 import shlex
 import stat
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .closed_forms import registry_cases, verify_registry, verify_theorem
 from .errors import SpectraError, WrongLengthError
@@ -143,14 +147,49 @@ def _refuse_csv_on_stdout(path: str) -> None:
         raise SpectraError(f"--csv {path} is the file stdout writes to")
 
 
-def _emit(obj, json_path: str | None = None) -> None:
-    """Write obj as JSON to stdout, and the same text to json_path if given.
-    A report dataclass in obj is written as its fields, in declared order."""
-    text = json.dumps(obj, indent=2, default=vars) + "\n"
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2, default=vars), each container in one join;
+    pad is the newline and indent that obj starts at.  A float, a key other
+    than str or int and a subclass go through json.dumps itself, re-indented."""
+    kind = type(obj)
+    if kind in _SCALARS:
+        return _SCALARS[kind](obj)
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        try:  # a list of scalars, with no call per item
+            items = [_SCALARS[type(x)](x) for x in obj]
+        except KeyError:
+            items = [_json(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if kind is dict:
+        items = []
+        for k, v in obj.items():
+            if type(k) is not str and type(k) is not int:
+                break
+            f = _SCALARS.get(type(v))
+            items.append(encode_basestring_ascii(str(k)) + ": " + (f(v) if f else _json(v, inner)))
+        else:
+            return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (str, int, float, list, tuple, dict)):
+        return json.dumps(obj, indent=2, default=vars).replace("\n", pad)
+    return _json(vars(obj), pad)
+
+
+def _emit(obj, json_file=None) -> None:
+    """Write obj as JSON (_json) to stdout, and the same text to json_file if given."""
+    text = _json(obj) + "\n"
     sys.stdout.write(text)
-    if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(text)
+    if json_file is not None:
+        json_file.write(text)
+
+
+def _json_file(path: str | None):
+    """The --json file, opened before any work, as a shell redirect would."""
+    return open(path, "w") if path else contextlib.nullcontext()
 
 
 def _cmd_field_info(args) -> int:
@@ -292,31 +331,27 @@ def _kernel_table(args, field: Field, kind: str, fmap):
 
 
 def _cmd_verify(args) -> int:
-    if args.registry:
-        report = verify_registry(max_size=args.max_size)
-        _emit(report, args.json)
-        print(
-            f"registry: {report.matched} matched, {report.mismatched} mismatched, "
-            f"{report.skipped} skipped",
-            file=sys.stderr,
-        )
-        return 0 if report.ok else 1
-
-    # verify_theorem reports a missing parameter as BadParametersError
-    params = {k: v for k in ("m", "p", "k", "n") if (v := getattr(args, k)) is not None}
-    report = verify_theorem(args.theorem, condition=args.condition, **params)
-    _emit(report, args.json)
-    print(
-        f"{report.target} {report.params}: uniformity claimed={report.uniformity_claimed} "
-        f"actual={report.uniformity_actual} agrees={report.agrees} "
-        f"mismatches={report.mismatch_count}",
-        file=sys.stderr,
-    )
+    with _json_file(args.json) as json_file:
+        if args.registry:
+            report = verify_registry(max_size=args.max_size)
+            line = (f"registry: {report.matched} matched, {report.mismatched} mismatched, "
+                    f"{report.skipped} skipped")
+        else:
+            # verify_theorem reports a missing parameter as BadParametersError
+            params = {k: v for k in ("m", "p", "k", "n") if (v := getattr(args, k)) is not None}
+            report = verify_theorem(args.theorem, condition=args.condition, **params)
+            line = (f"{report.target} {report.params}: "
+                    f"uniformity claimed={report.uniformity_claimed} "
+                    f"actual={report.uniformity_actual} agrees={report.agrees} "
+                    f"mismatches={report.mismatch_count}")
+        _emit(report, json_file)
+    print(line, file=sys.stderr)
     return 0 if report.ok else 1
 
 
 def _cmd_registry(args) -> int:
-    _emit({"rows": registry_cases()}, args.json)
+    with _json_file(args.json) as json_file:
+        _emit({"rows": registry_cases()}, json_file)
     return 0
 
 

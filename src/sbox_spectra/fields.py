@@ -28,8 +28,9 @@ add/sub/neg are O(1) lookups too (Huber, IEEE Trans. IT 36(4), 1990):
 g^i + g^j = g^(i + zech[j - i]) and -g^i = g^(i + (q-1)/2).
 _linear_vec maps an array by an F_p-linear map, given its images of the
 basis p^j, one lookup table per byte (p = 2) or limb (odd p).  exp is built
-by doubling with it (exp[L:2L] = g^L exp[:L]: O(n log q) scalar products),
-and frobenius_vec raises to p^j with it (frobenius_images), tableless.
+by doubling with it (exp[L:2L] = g^L exp[:L]: O(n log q) scalar products,
+a fresh map per step), and frobenius_vec raises to p^j with it, tableless,
+keeping the map's tables per Field and j mod n (at most n sets).
 Fields are immutable values; lazy cache builds are idempotent, so sharing
 across threads is safe.
 
@@ -143,6 +144,7 @@ class Field:
         self._np_exp: np.ndarray | None = None
         self._np_log: np.ndarray | None = None
         self._xs: np.ndarray | None = None
+        self._frobenius_tables: dict = {}  # j -> frobenius_vec's tables of x -> x^(p^j)
         self._solver_cache: dict = {}  # the root solvers' per-Field cache (solvers._cache_entry)
 
     # -- construction ------------------------------------------------------
@@ -273,7 +275,7 @@ class Field:
         while size < m:
             step = min(size, m - size)
             images = [self._mul_raw(c, self.p**j) for j in range(self.n)]  # of y -> c*y
-            exp[size:size + step] = self._linear_vec(images, exp[:step])
+            exp[size:size + step] = self._linear_vec(self._linear_tables(images), exp[:step])
             size += step
             c = self._mul_raw(c, c)
         # log waits for an op that reads it (_ensure_log).  Each array is its
@@ -291,23 +293,32 @@ class Field:
         log[self._np_exp] = np.arange(self._m, dtype=np.int32)
         self._np_log = log
 
-    def _linear_vec(self, images: list[int], v: np.ndarray) -> np.ndarray:
-        """L(v) for an int32 array v and the F_p-linear map L with images[j]
-        = L(p^j), one table per byte (p = 2) or limb (odd p) of v."""
+    def _linear_tables(self, images: list[int]) -> tuple:
+        """(lo, table) pairs of the F_p-linear map L with images[j] = L(p^j):
+        table[u] = L(u * p^lo) for each byte (p = 2) or limb (odd p) u."""
         p, n = self.p, self.n
         if p == 2:
-            out = np.zeros(v.shape, dtype=np.int32)
-            for lo, table in _xor_tables(images, np.int32):
-                out ^= table[(v >> lo) & 0xFF]
-            return out
-        P, w, _ = _limb_tables(p)
+            return _xor_tables(images, np.int32)
+        w = _limb_tables(p)[1]
         coeffs = np.array([self.coeffs(img) for img in images], dtype=np.int64)  # row j: L(p^j)
         ppows = p ** np.arange(n, dtype=np.int64)
-        for lo in range(0, n, w):  # table[u] = L(u * p^lo) for each limb u
+        tables = []
+        for lo in range(0, n, w):
             rows = coeffs[lo:lo + w]
             digits = np.arange(p ** len(rows))[:, None] // p ** np.arange(len(rows)) % p
-            table = (((digits @ rows) % p) @ ppows).astype(np.int32)
-            part = table[v // p**lo % P]
+            tables.append((lo, (((digits @ rows) % p) @ ppows).astype(np.int32)))
+        return tuple(tables)
+
+    def _linear_vec(self, tables: tuple, v: np.ndarray) -> np.ndarray:
+        """L(v) for an int32 array v and L's _linear_tables."""
+        if self.p == 2:
+            out = np.zeros(v.shape, dtype=np.int32)
+            for lo, table in tables:
+                out ^= table[(v >> lo) & 0xFF]
+            return out
+        P = _limb_tables(self.p)[0]
+        for lo, table in tables:
+            part = table[v // self.p**lo % P]
             out = part if lo == 0 else self._add_or_sub(out, part, False)
         return out
 
@@ -589,8 +600,11 @@ class Field:
         return out
 
     def frobenius_vec(self, A, j: int) -> np.ndarray:
-        """A^(p^j), j mod n, by the linear map x -> x^(p^j): no exp/log table."""
-        return self._linear_vec(self.frobenius_images[j % self.n], self._encodings(A))
+        """A^(p^j) by x -> x^(p^j), its tables kept per j mod n: no exp/log table."""
+        A, j = self._encodings(A), j % self.n
+        if (tables := self._frobenius_tables.get(j)) is None:
+            tables = self._frobenius_tables[j] = self._linear_tables(self.frobenius_images[j])
+        return self._linear_vec(tables, A)
 
     def power_map_table(self, d: int) -> np.ndarray:
         """Images of every element under x -> x^d, in canonical order, from

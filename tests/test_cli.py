@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbox_spectra
 from sbox_spectra import cli, closed_forms, spectra
@@ -788,3 +790,72 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
     assert csvs == ["full.csv", "odd.csv", "plain.csv", "props.csv", "row.csv"]
     for csv in csvs:
         assert (tmp_path / "in" / csv).read_bytes() == (tmp_path / "alone" / csv).read_bytes()
+
+
+# -- the JSON writer: json.dumps(obj, indent=2, default=vars)'s text ---------------------
+
+def _stdlib_text(obj) -> str:
+    return json.dumps(obj, indent=2, default=vars)
+
+
+_TRICKY_TEXT = st.text(alphabet=st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t aé €\U0001f600'))
+_FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+_SCALAR_VALUES = (st.text() | _TRICKY_TEXT | st.integers() | st.integers(-10**40, 10**40)
+                  | st.booleans() | st.none() | _FLOATS)
+_KEYS = st.text() | _TRICKY_TEXT | st.integers() | st.booleans() | st.none() | _FLOATS
+_REPORTS = (
+    st.builds(spectra.PropertyViolation, st.text(), st.integers(), st.integers(), _TRICKY_TEXT)
+    | st.builds(spectra.SpectrumSummary, st.integers(),
+                st.lists(st.tuples(st.integers(), st.integers())).map(tuple), st.text())
+)
+_JSON_VALUES = st.recursive(
+    _SCALAR_VALUES | _REPORTS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text() | st.integers(), inner)
+                   | st.dictionaries(_KEYS, inner)
+                   | st.builds(spectra.PropertyReport, st.booleans(),
+                               st.dictionaries(st.text(), st.integers()), st.lists(inner))),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_is_the_stdlib_text(obj):
+    assert cli._json(obj) == _stdlib_text(obj)
+
+
+def test_json_writer_on_each_report_type(capsys, tmp_path):
+    """One instance of each report the CLI writes, and the --json file."""
+    f = make_field(2, 6)
+    row = spectra.power_rows(f, "sozd", 11)[1]
+    table = sozd_table(f, PowerMap(11))
+    table.entries[3, 5] += 1
+    report = closed_forms.verify_fbct_2m5(3)
+    report.mismatches = [[1, 9, [0, 16], 20], [2, 3, 4, 8]]  # a bound is listed as [lo, hi]
+    assert report.extras["value_histogram"]  # int keys
+    objs = [spectra.power_row_summary(f, "sozd", row), fbct_property_check(table), report,
+            closed_forms.verify_registry(max_size=64), {"rows": closed_forms.registry_cases()}]
+    assert objs[1].violations
+    for obj in objs:
+        assert emitted(capsys, obj) == _stdlib_text(obj) + "\n"
+    path = tmp_path / "t1.json"
+    code, out, _ = run(capsys, "verify", "--theorem", "t1", "--m", "3", "--json", str(path))
+    assert code == 1 and out == path.read_text() == _stdlib_text(json.loads(out)) + "\n"
+
+
+@pytest.mark.parametrize("argv,module,spied", [
+    (["verify", "--theorem", "t1", "--m", "3"], closed_forms, "power_rows"),
+    (["verify", "--registry"], closed_forms, "sozd_row_power"),
+    (["registry"], cli, "registry_cases"),
+], ids=["verify-t1", "verify-registry", "registry"])
+def test_unopenable_json_path_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv,
+                                                      module, spied):
+    """--json is opened first, as a shell redirect would be: a path that
+    cannot be opened exits 2 with nothing on stdout and nothing computed."""
+    calls = []
+    real = getattr(module, spied)
+    monkeypatch.setattr(module, spied, lambda *a, **k: calls.append(a) or real(*a, **k))
+    code, out, err = run(capsys, *argv, "--json", str(tmp_path / "missing" / "x.json"))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error:")

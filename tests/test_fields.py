@@ -24,6 +24,7 @@ from sbox_spectra import (
     ddt_row_power,
     make_field,
     parse_field_spec,
+    predict_fbct_2m5,
     solve_linearized_trinomial,
     solve_quadratic,
     sozd_row_power,
@@ -264,6 +265,48 @@ def test_frobenius_vec_equals_scalar_frobenius(p, n, mod, data):
     assert got.dtype == np.int32
     assert got.tolist() == [f.frobenius(x, j) for x in A]
     assert f.frobenius_images[j % n] == [f.frobenius(p**i, j) for i in range(n)]
+
+
+def _count_table_builds(monkeypatch) -> list:
+    """The images of every _linear_tables call from now on, one per build."""
+    builds = []
+    build = Field._linear_tables
+    monkeypatch.setattr(Field, "_linear_tables",
+                        lambda self, images: builds.append(images) or build(self, images))
+    return builds
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5)])
+def test_frobenius_tables_built_once_per_j(monkeypatch, p, n):
+    f = Field(p, n, CONWAY_POLYNOMIALS[(p, n)])  # a fresh Field, not the interned one
+    builds = _count_table_builds(monkeypatch)
+    xs = f.xs()
+    first = f.frobenius_vec(xs, 2)
+    assert np.array_equal(f.frobenius_vec(xs, 2 + n), first) and len(builds) == 1
+    f.frobenius_vec(xs[:5], 3)
+    f.frobenius_vec(xs, 3 - n)
+    assert len(builds) == 2 and sorted(f._frobenius_tables) == [2, 3]
+    assert f._np_exp is None  # tableless
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 6), (3, 4), (257, 2)]), st.lists(st.integers(-20, 20)))
+def test_frobenius_tables_at_most_n_sets(field, js):
+    p, n = field
+    f = Field(p, n, CONWAY_POLYNOMIALS.get((p, n), (254, 0, 1)))
+    for j in js:
+        assert f.frobenius_vec([1, f.order - 1], j).tolist() == [1, f.frobenius(f.order - 1, j % n)]
+    assert sorted(f._frobenius_tables) == sorted({j % n for j in js})
+    assert len(f._frobenius_tables) <= n
+
+
+def test_one_cell_predictions_reuse_the_frobenius_tables(monkeypatch):
+    f = make_field(2, 8)
+    predict_fbct_2m5(f, 3, 7)
+    builds = _count_table_builds(monkeypatch)
+    for a, b in [(1, 2), (5, 200), (255, 17), (0, 9), (9, 9)]:
+        predict_fbct_2m5(f, a, b)
+    assert builds == []
 
 
 def test_trace_fibers_f16(f24):
