@@ -37,6 +37,7 @@ from .spectra import (
     PowerMap,
     RunningSummary,
     TableMap,
+    ddt_row_power,
     fbct_property_check,
     fbct_row_property_check,
     kernel_blocks,
@@ -45,6 +46,7 @@ from .spectra import (
     power_rows,
     power_table_summary,
     row_scale,
+    sozd_row_power,
     sozd_table,
     table_blocks,
     uses_power_rows,
@@ -269,7 +271,7 @@ def _cmd_spectra(args) -> int:
             raise SpectraError("--row needs a power map")
         if args.check_properties:
             raise SpectraError("--check-properties needs the full table")
-        row = power_rows(field, kind, args.power)[1]
+        row = (ddt_row_power if kind == "ddt" else sozd_row_power)(field, args.power)
         if args.csv:
             with _open_csv(args.csv) as fh:
                 write_row_csv(field, kind, str(args.power), row, fh)

@@ -204,12 +204,17 @@ def _claim_ddt_x4(field: Field, a: np.ndarray, b: np.ndarray) -> _Claim:
     )
 
 
-def _one_cell(field: Field, claim, a, b, scale: int = 1) -> Prediction:
-    """A claim's Prediction at the single cell (a, b), read on row 0 at b or
-    on row 1 at b/a^scale, by table-free scalar arithmetic."""
+def _row_cell(field: Field, a, b, scale: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The cell (a, b) as the cell a row claim reads, (row, u) as 1-element
+    arrays: row 0 at b, or row 1 at u = b/a^scale by table-free scalar
+    arithmetic."""
     a, b = field.as_index(a), field.as_index(b)
     u = field._mul_raw(b, field._pow_raw(a, -scale)) if a else b
-    cell = claim(field, np.array([min(a, 1)], dtype=np.int32), np.array([u], dtype=np.int32))
+    return np.array([min(a, 1)], dtype=np.int32), np.array([u], dtype=np.int32)
+
+
+def _prediction(cell: _Claim) -> Prediction:
+    """The Prediction of a claim evaluated on one cell (_row_cell)."""
     lo, hi = cell.span[0].tolist()
     name = cell.names[cell.case[0]]
     return Prediction(name, value=lo) if lo == hi else Prediction(name, bounds=(lo, hi))
@@ -231,24 +236,24 @@ def _predicted_table(field: Field, claim, scale: int = 1) -> tuple[np.ndarray, n
 
 def predict_fbct_2m3(field: Field, a, b) -> Prediction:
     """Per-pair FBCT claim for x^(2^m+3) (see _claim_fbct_2m3)."""
-    return _one_cell(field, _claim_fbct_2m3, a, b)
+    return _prediction(_claim_fbct_2m3(field, *_row_cell(field, a, b)))
 
 
 def predict_fbct_2m5(field: Field, a, b) -> Prediction:
     """Per-pair FBCT claim for x^(2^m+5) (see _claim_fbct_2m5)."""
-    return _one_cell(field, _claim_fbct_2m5, a, b)
+    return _prediction(_claim_fbct_2m5(field, *_row_cell(field, a, b)))
 
 
 def predict_sozd_pk1(field: Field, k: int, a, b) -> DualPrediction:
     """Dual per-pair claim for x^(p^k+1), p odd (see _claim_sozd_pk1)."""
-    exact, stated = (_one_cell(field, partial(_claim_sozd_pk1, k=k, condition=c), a, b)
-                     for c in ("exact", "stated"))
+    row, u = _row_cell(field, a, b)  # one cell for both conditions
+    exact, stated = (_prediction(_claim_sozd_pk1(field, row, u, k, c)) for c in ("exact", "stated"))
     return DualPrediction(exact=exact, stated=stated)
 
 
 def predict_ddt_x4_f3n(field: Field, a, b) -> Prediction:
     """Per-pair DDT claim for x^4 over F_{3^n} (see _claim_ddt_x4)."""
-    return _one_cell(field, _claim_ddt_x4, a, b, scale=4)
+    return _prediction(_claim_ddt_x4(field, *_row_cell(field, a, b, scale=4)))
 
 
 def predicted_fbct_2m3_table(field: Field) -> np.ndarray:

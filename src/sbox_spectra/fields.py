@@ -68,6 +68,7 @@ from .errors import (
 DEFAULT_MAX_SIZE = 1 << 24
 MAX_SIZE_ENV = "SBOX_SPECTRA_MAX_SIZE"
 TABLE_CAP = 1 << 20  # largest order for which exp/log tables are built
+_SLICE = 1 << 14  # cells per slice of power_map_table's index and scatter
 
 
 @functools.lru_cache(maxsize=8)
@@ -612,7 +613,9 @@ class Field:
         m], one gather of exp, scattered through exp to canonical order.
         take's "wrap" mode reduces an index by repeated subtraction, so k dd
         is formed below 2m as c_i + r_j, k = iB + j, c_i = iB dd mod m and
-        r_j = j dd mod m."""
+        r_j = j dd mod m.  The gather and the scatter go over slices of rows
+        i of that B x B sum, each of at most _SLICE cells, so the call holds
+        the images and exp and no q-length index."""
         if d < 1:
             raise BadParametersError("power map exponent must be >= 1")
         self._ensure_tables()
@@ -622,8 +625,11 @@ class Field:
         B = math.isqrt(m) + 1
         c = np.arange(0, m * dd, B * dd, dtype=np.int64) % m
         r = np.arange(0, B * dd, dd, dtype=np.int64) % m
-        k = np.add.outer(c, r).ravel()[:m]
-        tab[exp] = np.take(exp, k, mode="wrap")
+        rows = max(1, _SLICE // B)
+        for i in range(0, len(c), rows):
+            ks = slice(i * B, min((i + rows) * B, m))
+            k = np.add.outer(c[i:i + rows], r).reshape(-1)[:ks.stop - ks.start]
+            tab[exp[ks]] = np.take(exp, k, mode="wrap")
         return tab
 
 

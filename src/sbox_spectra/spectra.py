@@ -51,15 +51,18 @@ SpectrumSummary and PropertyReport, are written by the CLI as their
 fields in declared order: a field's name and place are its JSON key's.
 
 Both paths count rows through the derivative D_aF(x) = F(x+a) - F(x), with
-the same code for every characteristic.  A DDT row is the histogram of D_aF,
-and the SOZD row is a collision count:
+the same code for every characteristic, formed over x in chunks of at most
+_PIECE cells (_derivative).  A DDT row is the histogram of D_aF, each
+chunk added into the int64 row by np.add.at, so the row holds no q-length
+index; the SOZD row is a collision count:
 
   SOZD(a, b) = #{x : D_aF(x+b) = D_aF(x)},
 
 the number of pairs (x, y = x+b) with equal derivative; summed over b the
 row gives sum_c DDT(a, c)^2.  Sorting x by D_aF groups the classes of equal
 derivative.  A class of s <= T = max(8, sqrt(q n)) elements, q = p^n, is
-scanned pair by pair, s^2 pairs; a larger one is autocorrelated by a
+scanned pair by pair, s^2 pairs, each shift's pairs added into the row by
+np.add.at; a larger one is autocorrelated by a
 transform over the additive group F_p^n in O(q n), and there are at most
 q / T of them.  So
 a row takes O(q log q + q sqrt(q n)) time at worst, against the scan's
@@ -138,8 +141,8 @@ class SpectrumSummary:
 
 
 # Cells per block of the brute-force path (the kernel's, the summary's, the
-# property check's and the CSV writer's) and per write of a longer row:
-# 128 KiB of tokens at width 8.  Much larger pieces each come from a fresh
+# property check's and the CSV writer's), per chunk of x of the row kernels
+# and per write of a longer row: 128 KiB of tokens at width 8.  Much larger pieces each come from a fresh
 # mmap that every write page-faults in, and a whole-row gather adds the
 # line's bytes to peak memory.
 _PIECE = 1 << 14
@@ -150,26 +153,35 @@ def _block_rows(q: int) -> int:
     return max(1, _PIECE // q)
 
 
-def _derivative(field: Field, tab: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """D_aF(x) = F(x+a) - F(x), per row a of the 1-D array a and per x: a
-    (a.size, q) block.  One row adds a scalar, as the limbs of odd p add it
-    most cheaply."""
-    shifted = tab[field.add_vec(field.xs(), a[:, None] if a.size > 1 else a[0])]
-    if field.p == 2:  # subtraction is XOR: in place, one q-length array fewer
-        shifted ^= tab
-    else:
-        shifted = field.sub_vec(shifted, tab)
-    return shifted.reshape(a.size, -1)
+def _derivative(field: Field, tab: np.ndarray, a: np.ndarray):
+    """D_aF(x) = F(x+a) - F(x) per row a of the 1-D array a, in chunks of x:
+    yields (the slice of x, the (a.size, x-range) block of the derivative),
+    each block of at most _PIECE cells (one x at least).  Each chunk builds
+    its own x, so no q-length index exists.  One row adds a scalar, as the
+    limbs of odd p add it most cheaply."""
+    q, shift = field.order, a[:, None] if a.size > 1 else a[0]
+    width = max(1, _PIECE // a.size)
+    for lo in range(0, q, width):
+        x = slice(lo, min(lo + width, q))
+        d = tab[field.add_vec(np.arange(x.start, x.stop, dtype=np.int32), shift)]
+        if field.p == 2:  # subtraction is XOR: in place
+            d ^= tab[x]
+        else:
+            d = field.sub_vec(d, tab[x])
+        yield x, d.reshape(a.size, -1)
 
 
 def _ddt_rows(field: Field, tab: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The DDT rows a, a block of a.size rows: cell (r, b) is bin r * q + b
-    of one bincount."""
-    # bincount reads intp: cast here, the int32 derivative is freed before the counts exist
-    bins = _derivative(field, tab, a).astype(np.intp)
-    if a.size > 1:
-        bins += np.arange(0, bins.size, field.order)[:, None]
-    return np.bincount(bins.ravel(), minlength=bins.size).reshape(bins.shape)
+    """The DDT rows a, a block of a.size rows: each chunk of the derivative
+    (_derivative) is added into the int64 rows by np.add.at, cell (r, b) at
+    bin r * q + b, so nothing q-length is held beyond the rows."""
+    counts = np.zeros((a.size, field.order), dtype=np.int64)
+    offsets = np.arange(0, counts.size, field.order, dtype=np.int32)[:, None]  # r * q on row r
+    for _, bins in _derivative(field, tab, a):
+        if a.size > 1:
+            bins += offsets
+        np.add.at(counts.reshape(-1), bins, 1)
+    return counts
 
 
 def _transform_threshold(q: int, n: int) -> int:
@@ -239,74 +251,66 @@ def _class_autocorrelation(field: Field, classes: list, out: np.ndarray) -> np.n
 def _sozd_rows(field: Field, tab: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The SOZD rows a, a block of a.size rows: SOZD(a, b) = #{x : D_aF(x+b)
     = D_aF(x)}, summed over the classes of elements with equal derivative.
-    Each row's x is sorted by D_aF once, and row r's derivatives are raised
-    by r * q into keys, so the block is one sorted array of keys in which
-    equal keys never cross rows.  A class of more than T elements
+    The derivative is written chunk by chunk (_derivative) into one key
+    array, each row's x is sorted by it once, and row r's keys are raised by
+    r * q, so the block is one sorted array of keys in which equal keys
+    never cross rows.  A class of more than T elements
     (_transform_threshold) shows as key[i] == key[i + T], one compare over
     the block; each row's such classes are autocorrelated by one transform
     (_class_autocorrelation), and the scan below covers the others.  In the
     scan, the pairs x != y of equal derivative sit j = 1, 2, ... places
     apart, and each adds to the cells (r, b) of its row r at b = y - x and
-    b = x - y, bin r * q + b.  The first j with no such pair ends the scan: a
-    longer run of equal keys would have one.  The differences are binned
-    once at least a block's worth of them is pending, so a block of B rows
-    takes at most sum_c DDT(a, c)^2 / (B q) + 1 bincounts of length B q, the
-    sum over its rows and scanned classes.  A block of one row needs no
-    offsets: it builds the arrays of a lone row."""
+    b = x - y, bin r * q + b: np.add.at adds each step's differences into
+    the rows, twice over for p = 2 (y - x = x - y), both directions in one
+    call for odd p.  The first j with no such pair ends the scan: a longer
+    run of equal keys would have one.  A block of one row needs no offsets:
+    it builds the arrays of a lone row."""
     q, size = field.order, a.size * field.order
-    key = _derivative(field, tab, a)
-    order = np.argsort(key, axis=1).astype(np.int32)  # its entries x, y go to sub_vec
-    if a.size == 1:
+    key = np.empty((a.size, q), dtype=np.int32)
+    for xs, d in _derivative(field, tab, a):
+        key[:, xs] = d
+    order = np.argsort(key, axis=1)
+    if a.size == 1:  # gathered by the intp order, before it is cast to int32
         key = key[0][order[0]]
     else:  # blocks of more than one row hold at most _PIECE cells
-        offsets = np.arange(0, size, q, dtype=np.int32)[:, None]  # r * q on row r
-        key += offsets
-        key = key.ravel()[(order + offsets).ravel()]
-    order = order.ravel()
+        key = np.take_along_axis(key, order, axis=1)
+        key += np.arange(0, size, q, dtype=np.int32)[:, None]  # r * q on row r
+    key = key.reshape(-1)
+    order = order.astype(np.int32).reshape(-1)  # its entries x, y go to sub_vec
     counts = np.zeros((a.size, q), dtype=np.int64)
+    paired = key[1:] == key[:-1]  # i with key[i] == key[i + 1]
     cut = min(_transform_threshold(q, field.n), q)
     large = key[cut:] == key[:size - cut]  # i opens a run of more than cut values
     if large.any():
-        large[1:] &= key[1:size - cut] != key[:size - cut - 1]  # keep each class's first i
+        large[1:] &= ~paired[:size - cut - 1]  # keep each class's first i
         firsts = np.flatnonzero(large)
         del large
         lasts = np.searchsorted(key, key[firsts], side="right")
-        scanned = np.ones(size - 1, dtype=bool)
         for r, classes in itertools.groupby(zip(firsts.tolist(), lasts.tolist()),
                                             lambda c: c[0] // q):
             classes = list(classes)
             if _class_autocorrelation(field, [order[i:k] for i, k in classes], counts[r]) is not None:
                 for i, k in classes:
-                    scanned[i:k] = False
-        starts = np.flatnonzero(scanned)
-        del scanned
-    else:
-        starts = np.arange(size - 1)  # i with key[i] == key[i + j - 1]
+                    paired[i:k] = False
+    starts = np.flatnonzero(paired)
+    del paired
     counts[:, 0] = q
     flat = counts.reshape(-1)
-    pending, pairs = [], 0
     j = 1
-    while True:
-        starts = starts[key[starts + j] == key[starts]]
-        if starts.size:
-            x, y = order[starts], order[starts + j]
-            if field.p == 2:  # y - x = x - y
-                diff = field.sub_vec(y, x)
-                pending += (diff, diff)
-            else:  # y - x and x - y in one call
-                diff = field.sub_vec(np.concatenate((y, x)), np.concatenate((x, y)))
-                pending.append(diff)
-            if a.size > 1:  # to bin r * q + b, in place in pending
-                bins = diff.reshape(-1, starts.size)
-                bins += starts // q * q
-            pairs += 2 * starts.size
-        if pending and (pairs >= size or not starts.size):
-            flat += np.bincount(np.concatenate(pending, dtype=np.intp), minlength=size)
-            pending, pairs = [], 0
-        if not starts.size:
-            return counts
+    while starts.size:
+        x, y = order[starts], order[starts + j]
+        if field.p == 2:  # y - x = x - y
+            bins = field.sub_vec(y, x)
+        else:  # y - x and x - y in one call
+            bins = field.sub_vec(np.concatenate((y, x)), np.concatenate((x, y)))
+        if a.size > 1:  # to bin r * q + b
+            bins = bins.reshape(-1, starts.size)
+            bins += starts // q * q
+        np.add.at(flat, bins, 2 if field.p == 2 else 1)
         j += 1
         starts = starts[starts + j < size]
+        starts = starts[key[starts + j] == key[starts]]
+    return counts
 
 
 def ddt_entry(field: Field, fmap, a, b) -> int:

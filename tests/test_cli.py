@@ -278,6 +278,23 @@ def test_spectra_row_mode(capsys):
     assert d["uniformity"] == 8 and d["row"] == "a=1"
 
 
+@pytest.mark.parametrize("kind", ["ddt", "fbct"])
+def test_row_mode_reads_row_1_alone(tmp_path, capsys, monkeypatch, kind):
+    """--row calls the row kernel for a = 1 and never power_rows, which
+    would allocate row 0 only to drop it."""
+    f = make_field(2, 10)
+    row = spectra.power_rows(f, "ddt" if kind == "ddt" else "sozd", 7)[1]
+    monkeypatch.setattr(cli, "power_rows", lambda *args: pytest.fail("power_rows"))
+    monkeypatch.setattr(spectra, "power_rows", lambda *args: pytest.fail("power_rows"))
+    csv = tmp_path / "row.csv"
+    code, out, _ = run(capsys, "spectra", kind, "--field", "p=2;n=10", "--power", "7", "--row",
+                       "--csv", str(csv))
+    assert code == 0
+    assert csv.read_text().splitlines()[1] == ",".join(map(str, row.tolist()))
+    assert json.loads(out)["histogram"] == [[int(v), int(c)] for v, c in
+                                            zip(*np.unique(row, return_counts=True))]
+
+
 def test_spectra_table_map_round_trip(tmp_path, capsys):
     f = make_field(2, 4)
     table_file = tmp_path / "identity.txt"

@@ -379,6 +379,21 @@ def test_one_cell_pk1_predictions_equal_the_grid(p, n):
                             for c in conditions]
 
 
+def test_one_cell_pk1_maps_the_cell_once(monkeypatch):
+    """Both conditions read one cell (1, b/a): one _pow_raw chain per call
+    at a != 0 (the parent ran one per condition), none at a = 0."""
+    f = make_field(3, 4)
+    want = [predict_sozd_pk1(f, 1, a, b) for a, b in ((5, 7), (0, 9), (3, 0))]
+    calls = []
+    pow_raw = fields.Field._pow_raw
+    monkeypatch.setattr(fields.Field, "_pow_raw",
+                        lambda self, i, e: calls.append(e) or pow_raw(self, i, e))
+    for (a, b), dual in zip(((5, 7), (0, 9), (3, 0)), want):
+        calls.clear()
+        assert predict_sozd_pk1(f, 1, a, b) == dual
+        assert len(calls) == (1 if a else 0), (a, b, calls)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_one_cell_ddt_x4_predictions_equal_the_grid(n):
     f = make_field(3, n)
@@ -387,7 +402,7 @@ def test_one_cell_ddt_x4_predictions_equal_the_grid(n):
 
 
 def test_predictions_past_the_tables_read_no_table():
-    """The claims test b by Frobenius powers and _one_cell maps (a, b) to row
+    """The claims test b by Frobenius powers and _row_cell maps (a, b) to row
     1 by table-free scalar arithmetic, so the predictors answer above
     TABLE_CAP and build neither the exp/log arrays nor their list mirrors."""
     f22, f315 = make_field(2, 22), make_field(3, 15)

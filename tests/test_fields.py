@@ -575,7 +575,7 @@ def test_odd_p_addition_is_linear_memory():
 
 # -- int32 encodings: the arithmetic that could pass 2^31 -------------------
 #
-# CI runs these under NumPy 1.24 (value-based promotion) and the latest NumPy
+# CI runs these under NumPy 1.25 (value-based promotion) and the latest NumPy
 # (NEP 50), which differ in the dtype an int32 array takes from a Python int.
 
 

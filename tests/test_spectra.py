@@ -318,8 +318,9 @@ def test_row_kernels_match_definitions(case):
 
 @pytest.mark.parametrize("p,n,d", [(2, 10, 35), (2, 10, 7), (2, 8, 2), (3, 6, 4), (3, 5, 2)])
 def test_sozd_row_flushes_are_bounded_by_the_pairs(monkeypatch, p, n, d):
-    # the pair differences are binned once per >= (rows x q) pairs, not once
-    # per shift: for row 1 alone and for the block of rows 1, 2, 3
+    # the pair differences are added into the rows in place (np.add.at), one
+    # call per shift, so no bincount of pending pairs is ever flushed: for
+    # row 1 alone and for the block of rows 1, 2, 3
     f = make_field(p, n)
     tab = f.power_map_table(d)
     bruteforce = sozd_table(f, PowerMap(d), method="bruteforce").entries
@@ -336,8 +337,40 @@ def test_sozd_row_flushes_are_bounded_by_the_pairs(monkeypatch, p, n, d):
         monkeypatch.setattr(np, "bincount", counting)
         block = spectra._sozd_rows(f, tab, a)
         monkeypatch.undo()
-        assert flushes <= (ddt**2).sum() / ddt.size + 2, (a, flushes)
+        assert flushes == 0, (a, flushes)
         assert np.array_equal(block, bruteforce[a])
+
+
+# rows past _PIECE cells, and blocks of rows whose chunks of x end inside a row
+# (3 rows of 2^13 cells: 5461 x per chunk) or hold whole rows (64 of 3^5)
+CHUNKED = [(make_field(2, 15), 1), (make_field(3, 10), 1), (make_field(2, 13), 2),
+           (make_field(2, 13), 3), (make_field(3, 5), 64)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(CHUNKED), st.booleans(), st.integers(0, 2**32 - 1))
+def test_row_kernels_across_chunks_equal_the_whole_derivative(case, power, seed):
+    """Both kernels count chunk by chunk of x: the DDT rows equal one
+    bincount of each row's whole derivative, and the SOZD rows equal
+    sozd_entry at seeded cells and sum to sum_c DDT(a, c)^2, for power maps
+    and for random table maps (of few values at times: large classes)."""
+    (field, rows), rng = case, np.random.default_rng(seed)
+    q = field.order
+    assert rows * q > spectra._PIECE or rows > 1
+    if power:
+        fmap = PowerMap(int(rng.integers(1, q)))
+    else:
+        fmap = TableMap(tuple(rng.integers(0, rng.choice([4, q]), q).tolist()))
+    tab = image_table(field, fmap)
+    a = np.arange(first := int(rng.integers(0, q - rows + 1)), first + rows)
+    ddt = spectra._ddt_rows(field, tab, a)
+    sozd = spectra._sozd_rows(field, tab, a)
+    for r, ar in enumerate(a.tolist()):
+        whole = field.sub_vec(tab[field.add_vec(field.xs(), ar)], tab)
+        assert np.array_equal(ddt[r], np.bincount(whole, minlength=q)), ar
+        assert sozd[r].sum() == (ddt[r] ** 2).sum(), ar
+        for b in [0, 1, q - 1] + rng.integers(0, q, 3).tolist():
+            assert sozd[r, b] == sozd_entry(field, fmap, ar, b), (ar, b)
 
 
 # -- the row kernel's transform of the large derivative classes ------------------------
@@ -476,10 +509,11 @@ def test_linear_row_at_f2_16_within_a_time_bound():
 
 
 def test_transformed_row_memory_in_int32_arrays():
-    """The F_{2^20} SOZD row of x^4, field and exp/log tables included,
-    peaks at about 10 q-length int32 arrays (measured): exp, log, xs and the
-    images, the sorted derivative and its order, and the transform's two
-    int64 arrays."""
+    """The F_{2^20} SOZD row of x^4, field and exp table included, peaks at
+    about 8.3 q-length int32 arrays (measured; 9.3 before the chunked
+    derivative): exp and the images, the sorted derivative, its order
+    (intp, then int32), and the transform's two int64 arrays and the int64
+    row."""
     q = 1 << 20
     tracemalloc.start()
     try:
@@ -492,9 +526,11 @@ def test_transformed_row_memory_in_int32_arrays():
 
 
 def test_scanned_row_memory_in_int32_arrays():
-    """The F_{2^18} SOZD row of x^7, field and exp/log tables included, is
-    all scan (no class passes the threshold) and peaks at 15.5 q-length
-    int32 arrays (measured): a lone row builds no per-block offset arrays."""
+    """The F_{2^18} SOZD row of x^7, field and exp table included, is all
+    scan (no class passes the threshold) and peaks at 11.0 q-length int32
+    arrays (measured; 14.5 with a whole-x derivative and binned pairs): a
+    lone row builds no per-block offset arrays, and the scan adds each
+    shift's differences into the row in place."""
     q = 1 << 18
     sozd_row_power(make_field(2, 10), 7)  # first-call imports and caches out of the peak
     tracemalloc.start()
@@ -607,11 +643,12 @@ def test_table_property_check_memory_is_one_row_and_column():
 
 
 def test_ddt_row_memory_in_int32_arrays():
-    """The F_{2^20} DDT row, field and exp table included, peaks at 7
-    q-length int32 arrays (measured): exp, xs and the map's images, the
-    derivative's intp copy for bincount (2) and the int64 counts (2).  No
-    log table is built; with it the call peaked at 8, and with int64
-    encodings at 12.25."""
+    """The F_{2^20} DDT row, field and exp table included, peaks at 4.1
+    q-length int32 arrays (measured): exp, the map's images and the int64
+    counts (2), with one chunk of x at a time added into the counts (7 while
+    the whole derivative's intp copy went to one bincount).  No log table
+    is built; with it the call peaked at 8, and with int64 encodings at
+    12.25."""
     q = 1 << 20
     tracemalloc.start()
     try:
@@ -620,7 +657,42 @@ def test_ddt_row_memory_in_int32_arrays():
     finally:
         tracemalloc.stop()
     assert row.dtype == np.int64 and row.sum() == q and row[0] == 0
-    assert peak <= 8 * 4 * q, peak / (4 * q)
+    assert peak <= 4.5 * 4 * q, peak / (4 * q)
+
+
+def test_odd_p_ddt_row_memory_in_int32_arrays():
+    """The F_{3^12} DDT row of x^4, field and exp table included, peaks at
+    5.7 q-length int32 arrays (measured), the exp build's own peak: the row
+    holds exp, the images and the int64 counts, and the limb arithmetic
+    runs on one chunk of x at a time (11.5 while it ran on all of x)."""
+    q = 3**12
+    tracemalloc.start()
+    try:
+        row = ddt_row_power(make_field(3, 12), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.sum() == q and row.max() <= 3
+    assert peak <= 6.5 * 4 * q, peak / (4 * q)
+
+
+def test_power_map_table_memory_in_int32_arrays():
+    """power_map_table at 2^20 holds exp and the images, 2 q-length int32
+    arrays, and one slice of the index at a time: with exp counted, it
+    peaks at 2.1 (measured; 5 while the index was built whole).  exp is
+    built first, as the field's own."""
+    q = 1 << 20
+    f = make_field(2, 20)
+    f._ensure_tables()
+    exp = f._np_exp
+    tracemalloc.start()
+    try:
+        tab = f.power_map_table(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tab[1] == 1 and np.array_equal(np.sort(tab), np.arange(q))  # gcd(7, q - 1) = 1
+    assert peak + exp.nbytes <= 2.5 * 4 * q, (peak + exp.nbytes) / (4 * q)
 
 
 def test_tables_past_physical_memory_are_refused():
